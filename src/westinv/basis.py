@@ -47,16 +47,6 @@ class BasisSet:
             return np.linspace(self.a, self.b, self.m + 1)
         return np.linspace(self.a, self.b, self.m)
 
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind, "m": self.m}
-        if self.kind == GAUSSIAN:
-            cfg["sigma"] = self.sigma
-        return cfg
-
-    @classmethod
-    def from_config(cls, cfg: dict, a: float = 0.0, b: float = 1.0) -> "BasisSet":
-        return cls(cfg["kind"], int(cfg["m"]), a, b, cfg.get("sigma"))
-
 
 def evaluate_basis(basis: BasisSet, grid: SpatialGrid) -> np.ndarray:
     """Matrix E with E[i, j] = b_j(x_i), shape (nx, m)."""

@@ -14,14 +14,17 @@ import numpy as np
 from .data import synthesize_data
 from .errors import ConfigError, WestinvError
 from .experiment import (
+    EXCITATIONS,
     EXIT_CONFIG,
     EXIT_SOLVER,
+    TIME_PROFILES,
     ExperimentConfig,
     _trace_csv,
     build_problem,
+    read_json_config,
     run_experiment,
 )
-from .forward import manufactured_source, observe, solve_forward
+from .forward import manufactured_source, solve_forward
 from .grids import BoundaryCondition, MaterialParams, SpatialGrid, TimeGrid
 from .inversion import InversionContext
 from .spectra import SpectralData, pole_distinctness, svd_csv, svd_decay
@@ -132,20 +135,18 @@ def cmd_convergence_study(args) -> int:
     cfg = _config_from_args(args)
     params = MaterialParams(cfg.c2, cfg.b)
     bc = BoundaryCondition.from_kinds(cfg.bc_left, cfg.bc_right)
-    f = lambda x: np.sin(np.pi * x / 2)
-    f_xx = lambda x: -((np.pi / 2) ** 2) * np.sin(np.pi * x / 2)
+    f, f_xx = EXCITATIONS["sine_half"]
+    beta, beta_t, beta_tt = TIME_PROFILES["t2"]
     rows = []
     prev_err = None
     for level in range(args.levels):
         nx = (args.nx0 - 1) * 2**level + 1
         nt = args.nt0 * 2**level
         grid, tgrid = SpatialGrid(nx), TimeGrid(nt, cfg.t_final)
-        source = manufactured_source(
-            f, f_xx, lambda t: t**2, lambda t: 2 * t,
-            lambda t: 2 * np.ones_like(t), params, grid, tgrid, bc,
-        )
+        source = manufactured_source(f, f_xx, beta, beta_t, beta_tt, params,
+                                     grid, tgrid, bc)
         state = solve_forward(params, None, source, grid, tgrid, bc)
-        exact = f(grid.nodes)[:, None] * (tgrid.times**2)[None, :]
+        exact = f(grid.nodes)[:, None] * beta(tgrid.times)[None, :]
         err = float(np.max(np.abs(state.values - exact)))
         order = np.log2(prev_err / err) if prev_err else float("nan")
         rows.append((nx, nt, err, order))
@@ -164,14 +165,18 @@ def cmd_convergence_study(args) -> int:
 def cmd_sweep(args) -> int:
     if not args.config:
         raise ConfigError("sweep requires --config pointing at a run list")
-    with open(args.config) as fh:
-        spec = json.load(fh)
-    runs = spec.get("runs")
+    spec = read_json_config(args.config)
+    runs = spec.get("runs") if isinstance(spec, dict) else None
     if not isinstance(runs, list) or not runs:
-        raise ConfigError('sweep config must contain a nonempty "runs" list')
+        raise ConfigError('sweep config must be an object with a nonempty '
+                          '"runs" list')
     jobs = []
     for i, entry in enumerate(runs):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"sweep entry {i} must be a JSON object")
         name = entry.get("name", f"run{i:03d}")
+        if not isinstance(name, str):
+            raise ConfigError(f"sweep entry {i}: name must be a string")
         cfg = ExperimentConfig.from_dict(entry.get("config", entry))
         jobs.append((name, cfg, os.path.join(args.out, name)))
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:

@@ -3,13 +3,16 @@ assembly of the discretized Jacobian and directional Hessian over a basis.
 
 The sensitivity and second-derivative equations are integrated once in time
 and marched in the conservative form ((1 - 2 kappa p) u)_t + b A u
-+ c^2 \\int A u = g with the same Crank-Nicolson stencil as the forward
-solver; this makes the discrete solves the exact first and second derivatives
-of the discrete forward map (up to the inner fixed-point tolerance).
++ c^2 \\int A u = g by the forward solver's own Crank-Nicolson march
+(westinv.forward.march_linear); this makes the discrete solves the exact
+first and second derivatives of the discrete forward map (up to the inner
+fixed-point tolerance).
 
-The adjoint equation (1 - 2 kappa p) a_tt - b A a_t + c^2 A a = 0 is
-discretized directly in time-reversed variables with the observation residual
-entering as a boundary flux at x = 1.
+The adjoint equation (1 - 2 kappa p) a_tt - b A a_t + c^2 A a = 0 is the
+continuous (optimize-then-discretize) adjoint.  In the time-reversed variable
+u(s) = a(T - s), with the observation residual entering as a boundary flux at
+x = 1, it is marched in v = u_s by the same scheme, and u is the trapezoidal
+integral of v.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from .errors import GridMismatchError, UnsupportedObservationError
 from .forward import (
     SourceTerm,
     StateField,
+    _cumulative_trapezoid,
     kappa_samples,
-    observe,
+    march_linear,
     solve_forward,
 )
 from .grids import (
@@ -79,37 +83,6 @@ def _check_same_grids(state: StateField, grid: SpatialGrid, tgrid: TimeGrid):
         raise GridMismatchError("state field lives on different grids")
 
 
-def _march_conservative(
-    alpha: np.ndarray,
-    rhs_levels: np.ndarray,
-    params: MaterialParams,
-    A: Laplace1D,
-    tgrid: TimeGrid,
-) -> np.ndarray:
-    """March (alpha u)_t + b A u + c^2 \\int_0^t A u = (S^{n+1} - S^n)/dt
-    where rhs_levels holds the time levels S^n of the integrated right-hand
-    side.  Returns u on all time levels (homogeneous initial data)."""
-    dt = tgrid.dt
-    coef = params.b / 2 + params.c2 * dt / 4
-    nx, nt = alpha.shape[0], tgrid.nt
-    u = np.zeros((nx, nt + 1))
-    memory = np.zeros(nx)
-    for n in range(nt):
-        un = u[:, n]
-        Aun = A.apply(un)
-        rhs = (
-            alpha[:, n] * un / dt
-            - coef * Aun
-            - params.c2 * memory
-            + (rhs_levels[:, n + 1] - rhs_levels[:, n]) / dt
-        )
-        ab = A.banded(alpha[:, n + 1] / dt, coef)
-        unew = A.solve_banded_system(ab, rhs)
-        u[:, n + 1] = unew
-        memory += 0.5 * dt * (Aun + A.apply(unew))
-    return u
-
-
 def solve_sensitivity(
     base: StateField,
     kappa,
@@ -136,7 +109,8 @@ def solve_sensitivity(
     alpha = 1.0 - 2.0 * kap[:, None] * p
     # integrated RHS: d-kappa * p^2 (its discrete time increment drives z)
     rhs_levels = direction.samples[:, None] * p**2
-    z = _march_conservative(alpha, rhs_levels, params, A, tgrid)
+    z = march_linear(A, params, tgrid, alpha[:, :-1], alpha[:, 1:],
+                     np.diff(rhs_levels, axis=1) / tgrid.dt)
     return StateField(z, grid, tgrid)
 
 
@@ -169,7 +143,8 @@ def solve_second_derivative(
         kap[:, None] * z1.values * z2.values
         + p * (d1.samples[:, None] * z2.values + d2.samples[:, None] * z1.values)
     )
-    w = _march_conservative(alpha, rhs_levels, params, A, tgrid)
+    w = march_linear(A, params, tgrid, alpha[:, :-1], alpha[:, 1:],
+                     np.diff(rhs_levels, axis=1) / tgrid.dt)
     return StateField(w, grid, tgrid)
 
 
@@ -204,34 +179,18 @@ def solve_adjoint(
         )
     kap = kappa_samples(kappa, grid)
     A = operator if operator is not None else build_laplacian(grid, bc)
-    dt = tgrid.dt
-    nx, nt = grid.nx, tgrid.nt
 
-    # time-reversed variables: u(s) = a(T - s), v = u_s
+    # time-reversed variables u(s) = a(T - s), v = u_s: alpha v_s + b A v
+    # + c^2 A u = delta_{x=1} y(T - s) is the linear march in v with
+    # alpha frozen at each step's midpoint and memory A u = \\int_0^s A v
     alpha_rev = (1.0 - 2.0 * kap[:, None] * base.values)[:, ::-1]
+    alpha_mid = 0.5 * (alpha_rev[:, :-1] + alpha_rev[:, 1:])
     y_rev = residual.values[::-1]
-    forcing = np.zeros(nx)
-    forcing[-1] = 2.0 / grid.dx  # discrete boundary delta at x = 1
-
-    u = np.zeros((nx, nt + 1))
-    v = np.zeros(nx)
-    coef_b = params.b / 2
-    coef_c = params.c2 * dt / 4
-    for n in range(nt):
-        alpha_mid = 0.5 * (alpha_rev[:, n] + alpha_rev[:, n + 1])
-        g_mid = forcing * 0.5 * (y_rev[n] + y_rev[n + 1])
-        rhs = (
-            alpha_mid * v / dt
-            - (coef_b + coef_c) * A.apply(v)
-            - params.c2 * A.apply(u[:, n])
-            + g_mid
-        )
-        ab = A.banded(alpha_mid / dt, coef_b + coef_c)
-        vnew = A.solve_banded_system(ab, rhs)
-        u[:, n + 1] = u[:, n] + 0.5 * dt * (v + vnew)
-        u[A.dirichlet, n + 1] = 0.0
-        v = vnew
-
+    delta = np.zeros(grid.nx)
+    delta[-1] = 2.0 / grid.dx  # discrete boundary delta at x = 1
+    forcing = delta[:, None] * (0.5 * (y_rev[:-1] + y_rev[1:]))[None, :]
+    v = march_linear(A, params, tgrid, alpha_mid, alpha_mid, forcing)
+    u = _cumulative_trapezoid(v, tgrid.dt)
     return StateField(u[:, ::-1].copy(), grid, tgrid)
 
 

@@ -110,6 +110,9 @@ class ExperimentConfig:
     smoothing_s: int = 0
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
         checks = [
             (self.nx >= 3, "nx must be at least 3"),
             (self.nt >= 3, "nt must be at least 3"),
@@ -182,25 +185,33 @@ class ExperimentConfig:
             raise ConfigError("config must be a JSON object")
         if cfg.get("schema") != 1:
             raise ConfigError("config schema must be 1")
+
+        def section(name):
+            value = cfg.get(name, {})
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {name!r} must be an object")
+            return value
+
+        grid, time, params, bc, basis, truth, excitation, opts = map(
+            section, ("grid", "time", "params", "bc", "basis", "truth",
+                      "excitation", "method_options"),
+        )
         try:
-            opts = cfg.get("method_options", {})
             out = cls(
-                nx=int(cfg.get("grid", {}).get("nx", 101)),
-                nt=int(cfg.get("time", {}).get("nt", 400)),
-                t_final=float(cfg.get("time", {}).get("t_final", 1.0)),
-                c2=float(cfg.get("params", {}).get("c2", 1.0)),
-                b=float(cfg.get("params", {}).get("b", 0.2)),
-                bc_left=cfg.get("bc", {}).get("left", DIRICHLET),
-                bc_right=cfg.get("bc", {}).get("right", NEUMANN),
-                basis_kind=cfg.get("basis", {}).get("kind", "gaussian"),
-                n_basis=int(cfg.get("basis", {}).get("m", 41)),
-                truth_family=cfg.get("truth", {}).get("family", "smooth_bump"),
-                truth_amplitude=float(
-                    cfg.get("truth", {}).get("amplitude", 0.2)
-                ),
-                truth_in_span=bool(cfg.get("truth", {}).get("in_span", False)),
-                excitation=cfg.get("excitation", {}).get("profile", "sine_half"),
-                time_profile=cfg.get("excitation", {}).get("time_profile", "t2"),
+                nx=int(grid.get("nx", 101)),
+                nt=int(time.get("nt", 400)),
+                t_final=float(time.get("t_final", 1.0)),
+                c2=float(params.get("c2", 1.0)),
+                b=float(params.get("b", 0.2)),
+                bc_left=bc.get("left", DIRICHLET),
+                bc_right=bc.get("right", NEUMANN),
+                basis_kind=basis.get("kind", "gaussian"),
+                n_basis=int(basis.get("m", 41)),
+                truth_family=truth.get("family", "smooth_bump"),
+                truth_amplitude=float(truth.get("amplitude", 0.2)),
+                truth_in_span=bool(truth.get("in_span", False)),
+                excitation=excitation.get("profile", "sine_half"),
+                time_profile=excitation.get("time_profile", "t2"),
                 noise=float(cfg.get("noise", 0.01)),
                 seed=int(cfg.get("seed", 0)),
                 sample_count=int(cfg.get("sample_count", DEFAULT_SAMPLE_COUNT)),
@@ -216,19 +227,24 @@ class ExperimentConfig:
                 obs_point=float(cfg.get("obs_point", 1.0)),
                 smoothing_s=int(opts.get("smoothing_s", 0)),
             )
-        except (TypeError, ValueError) as exc:
+            out.validate()
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
-        out.validate()
         return out
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(cfg)
+        return cls.from_dict(read_json_config(path))
+
+
+def read_json_config(path):
+    """Parse a JSON config file; unreadable or malformed files raise
+    ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 @dataclass
@@ -361,14 +377,9 @@ def write_artifacts(result: ExperimentResult, out_dir) -> None:
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     """End-to-end pipeline; returns the process exit code."""
-    try:
-        cfg.validate()
-    except ConfigError:
-        raise
+    cfg.validate()
     try:
         result = run_inversion(cfg)
-    except ConfigError:
-        raise
     except WestinvError as exc:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as fh:

@@ -11,7 +11,8 @@ is integrated once in time and solved as a parabolic problem with memory,
 with A = -d2/dx2 (boundary conditions folded in) and R the running time
 integral of r.  Time stepping is Crank-Nicolson with the memory integral
 accumulated by the trapezoidal rule and the nonlinear factor resolved by an
-inner fixed-point loop.
+inner fixed-point loop.  The march (cn_march) is shared with the linear
+sensitivity, second-derivative and adjoint solves in westinv.derivatives.
 """
 
 from __future__ import annotations
@@ -122,6 +123,43 @@ def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def cn_march(A: Laplace1D, params: MaterialParams, tgrid: TimeGrid,
+             forcing: np.ndarray, advance) -> np.ndarray:
+    """Crank-Nicolson march of (a u)_t + b A u + c^2 \\int_0^t A u = f with
+    homogeneous initial data; the one time loop behind every solve.
+
+    forcing[:, n] is f on step n -> n + 1.  advance(n, un, step) returns
+    u^{n+1}, where step(a_old, a_new) solves
+    (a_new/dt + coef A) u = a_old un/dt + rest for the step's fixed
+    rest = f - coef A un - c^2 \\int_0^{t_n} A u (trapezoidal memory).
+    """
+    dt = tgrid.dt
+    coef = params.b / 2 + params.c2 * dt / 4
+    u = np.zeros((A.nx, tgrid.nt + 1))
+    memory = np.zeros(A.nx)  # running integral of A u
+    for n in range(tgrid.nt):
+        un = u[:, n]
+        Aun = A.apply(un)
+        rest = -coef * Aun - params.c2 * memory + forcing[:, n]
+
+        def step(a_old, a_new):
+            ab = A.banded(a_new / dt, coef)
+            return A.solve_banded_system(ab, a_old * un / dt + rest)
+
+        u[:, n + 1] = advance(n, un, step)
+        memory += 0.5 * dt * (Aun + A.apply(u[:, n + 1]))
+    return u
+
+
+def march_linear(A: Laplace1D, params: MaterialParams, tgrid: TimeGrid,
+                 a_old: np.ndarray, a_new: np.ndarray,
+                 forcing: np.ndarray) -> np.ndarray:
+    """Linear march of cn_march with per-step coefficients a_old[:, n],
+    a_new[:, n] and forcing[:, n], all of shape (nx, nt)."""
+    return cn_march(A, params, tgrid, forcing,
+                    lambda n, un, step: step(a_old[:, n], a_new[:, n]))
+
+
 def solve_forward(
     params: MaterialParams,
     kappa,
@@ -143,33 +181,18 @@ def solve_forward(
     if source.values.shape != (grid.nx, tgrid.nt + 1):
         raise ValueError("source shape does not match grids")
     A = operator if operator is not None else build_laplacian(grid, bc)
-    dt = tgrid.dt
-    coef = params.b / 2 + params.c2 * dt / 4
-
-    R = _cumulative_trapezoid(source.values, dt)
-
-    nx, nt = grid.nx, tgrid.nt
-    p = np.zeros((nx, nt + 1))
-    memory = np.zeros(nx)  # running integral of A p
+    R = _cumulative_trapezoid(source.values, tgrid.dt)
     nonlinear = np.any(kap != 0.0)
 
-    for n in range(nt):
-        pn = p[:, n]
-        Apn = A.apply(pn)
-        base_rhs = -coef * Apn - params.c2 * memory + 0.5 * (R[:, n] + R[:, n + 1])
+    def advance(n, pn, step):
         pk = pn
         for _ in range(opts.max_inner):
             alpha_mid = 1.0 - kap * (pn + pk)
-            ab = A.banded(alpha_mid / dt, coef)
-            rhs = alpha_mid * pn / dt + base_rhs
-            pnew = A.solve_banded_system(ab, rhs)
-            if not nonlinear:
-                pk = pnew
-                break
-            if np.max(np.abs(pnew - pk)) <= opts.inner_tol:
-                pk = pnew
-                break
+            pnew = step(alpha_mid, alpha_mid)
+            done = not nonlinear or np.max(np.abs(pnew - pk)) <= opts.inner_tol
             pk = pnew
+            if done:
+                break
         else:
             raise NoConvergenceError(
                 f"inner iteration did not reach {opts.inner_tol} in "
@@ -181,9 +204,9 @@ def solve_forward(
                 f"1 - 2*kappa*p = {floor:.4g} fell below the floor "
                 f"{opts.positivity_floor} at t = {tgrid.times[n + 1]:.6g}"
             )
-        p[:, n + 1] = pk
-        memory += 0.5 * dt * (Apn + A.apply(pk))
+        return pk
 
+    p = cn_march(A, params, tgrid, 0.5 * (R[:, :-1] + R[:, 1:]), advance)
     return StateField(p, grid, tgrid)
 
 

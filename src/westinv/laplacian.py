@@ -50,12 +50,7 @@ class Laplace1D:
         ab[0, 1:] = scale * self.upper[:-1]
         ab[1, :] = diag_shift + scale * self.diag
         ab[2, :-1] = scale * self.lower[1:]
-        for i in np.flatnonzero(self.dirichlet):
-            ab[1, i] = 1.0
-            if i + 1 < n:
-                ab[0, i + 1] = 0.0
-            if i - 1 >= 0:
-                ab[2, i - 1] = 0.0
+        ab[1, self.dirichlet] = 1.0  # build_laplacian zeroed their couplings
         return ab
 
     def solve_banded_system(self, ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -41,14 +41,22 @@ def f_xx(x):
     return -((np.pi / 2) ** 2) * np.sin(np.pi * x / 2)
 
 
-def make_problem(nx=51, nt=100, kappa_const=0.1):
+# boundary pairs for the derivative identities (observation at x = 1 must
+# not be Dirichlet); the impedance pairs run at nx = 51, nt = 200 to keep
+# the suite short
+BC_DI = BoundaryCondition.from_kinds("dirichlet", "impedance")
+BC_IN = BoundaryCondition.from_kinds("impedance", "neumann")
+BC_IDS = ["dirichlet-neumann", "dirichlet-impedance", "impedance-neumann"]
+
+
+def make_problem(nx=51, nt=100, kappa_const=0.1, bc=BC):
     grid, tgrid = SpatialGrid(nx), TimeGrid(nt)
     kap = np.full(nx, kappa_const)
     source = manufactured_source(
         f, f_xx, lambda t: t**2, lambda t: 2 * t,
-        lambda t: 2 * np.ones_like(t), PARAMS, grid, tgrid, BC, kappa=kap,
+        lambda t: 2 * np.ones_like(t), PARAMS, grid, tgrid, bc, kappa=kap,
     )
-    base = solve_forward(PARAMS, kap, source, grid, tgrid, BC)
+    base = solve_forward(PARAMS, kap, source, grid, tgrid, bc)
     return grid, tgrid, kap, source, base
 
 
@@ -85,16 +93,20 @@ def test_sensitivity_direction_shape_mismatch():
                           PARAMS, grid, tgrid, BC)
 
 
-def test_sensitivity_taylor_second_order():
+@pytest.mark.parametrize(
+    "bc, nx, nt", [(BC, 51, 100), (BC_DI, 51, 200), (BC_IN, 51, 200)],
+    ids=BC_IDS,
+)
+def test_sensitivity_taylor_second_order(bc, nx, nt):
     # ||G(k + h d) - G(k) - h z|| = O(h^2): halving h shrinks the
     # remainder by ~4
-    grid, tgrid, kap, source, base = make_problem()
+    grid, tgrid, kap, source, base = make_problem(nx, nt, bc=bc)
     d = smooth_direction(grid, 2)
-    z = solve_sensitivity(base, kap, d, PARAMS, grid, tgrid, BC)
+    z = solve_sensitivity(base, kap, d, PARAMS, grid, tgrid, bc)
     rem = []
     for h in (2e-2, 1e-2):
         pert = solve_forward(PARAMS, kap + h * d.samples, source, grid,
-                             tgrid, BC)
+                             tgrid, bc)
         rem.append(np.max(np.abs(pert.values - base.values - h * z.values)))
     assert 3.3 <= rem[0] / rem[1] <= 4.7
 
@@ -159,18 +171,22 @@ def test_adjoint_unsupported_observation():
         solve_adjoint(base, kap, y, PARAMS, grid, tgrid, bc_dd)
 
 
-def test_adjoint_pairing_identity():
+@pytest.mark.parametrize(
+    "bc, nx, nt", [(BC, 101, 400), (BC_DI, 51, 200), (BC_IN, 51, 200)],
+    ids=BC_IDS,
+)
+def test_adjoint_pairing_identity(bc, nx, nt):
     # <z(1, .), y>_{L^2(0,T)} == <d-kappa, g>_{L^2(0,1)} with
     # g = apply_gradient(a, (p^2)_tt, s=0); relative mismatch <= 1e-3
-    grid, tgrid, kap, _, base = make_problem(nx=101, nt=400)
+    grid, tgrid, kap, _, base = make_problem(nx, nt, bc=bc)
     psq = second_time_derivative_of_square(base)
     for seed in (0, 1, 2):
         rng = np.random.Generator(np.random.Philox(seed))
         d = smooth_direction(grid, seed + 10)
         yv = np.sin(np.pi * tgrid.times) * rng.uniform(0.5, 1.5)
         y = TimeTrace(tgrid.times, yv)
-        z = solve_sensitivity(base, kap, d, PARAMS, grid, tgrid, BC)
-        a = solve_adjoint(base, kap, y, PARAMS, grid, tgrid, BC)
+        z = solve_sensitivity(base, kap, d, PARAMS, grid, tgrid, bc)
+        a = solve_adjoint(base, kap, y, PARAMS, grid, tgrid, bc)
         g = apply_gradient(a, psq, 0, grid, tgrid)
         lhs = np.trapezoid(z.values[-1, :] * yv, dx=tgrid.dt)
         rhs = np.trapezoid(d.samples * g.samples, dx=grid.dx)

@@ -20,6 +20,7 @@ from westinv import (
     solve_forward,
 )
 from westinv.errors import GridTooCoarseError
+from westinv.laplacian import build_laplacian
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
 BC = BoundaryCondition.from_kinds("dirichlet", "neumann")
@@ -226,3 +227,18 @@ def test_statefield_csv_roundtrip(tmp_path):
     state.to_csv(path)
     back = StateField.from_csv(path, grid, tgrid)
     np.testing.assert_allclose(back.values, state.values, rtol=1e-15)
+
+
+@pytest.mark.parametrize("left, right", [
+    (l, r) for l in ("dirichlet", "neumann", "impedance")
+    for r in ("dirichlet", "neumann", "impedance")
+    if not l == r == "neumann"
+])
+def test_banded_identity_rows_at_dirichlet_nodes(left, right):
+    # every time-stepping matrix replaces a Dirichlet row by the identity
+    A = build_laplacian(SpatialGrid(11), BoundaryCondition.from_kinds(left, right))
+    ab = A.banded(np.linspace(1.0, 2.0, 11), 0.7)
+    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    rows = np.flatnonzero(A.dirichlet)
+    assert len(rows) == [left, right].count("dirichlet")
+    np.testing.assert_array_equal(dense[rows], np.eye(11)[rows])

@@ -263,3 +263,54 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                      "--tau", "0.5", "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def _expect_config_error(capsys, argv):
+    assert cli_main(argv) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_cli_sweep_missing_config_file(tmp_path, capsys):
+    _expect_config_error(capsys, ["sweep", "--config",
+                                  str(tmp_path / "missing.json"),
+                                  "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("spec", [
+    [{"name": "a", "config": {"schema": 1}}],  # top level is a list
+    {"runs": [5]},  # an entry that is not an object
+    {"runs": [{"name": 3, "config": {"schema": 1}}]},  # non-string name
+], ids=["list-top-level", "entry-not-object", "name-not-string"])
+def test_cli_sweep_malformed_spec(tmp_path, capsys, spec):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    _expect_config_error(capsys, ["sweep", "--config", str(path),
+                                  "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("section", ["grid", "time", "params", "bc", "basis",
+                                     "truth", "excitation", "method_options"])
+def test_cli_config_section_wrong_type(tmp_path, capsys, section):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": 1, section: []}))
+    _expect_config_error(capsys, ["reconstruct", "--config", str(path),
+                                  "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("text", [
+    '{"schema": 1, "time": {"t_final": 1e400}}',
+    '{"schema": 1, "grid": {"nx": 1e400}}',
+    '{"schema": 1, "params": {"c2": Infinity}}',
+], ids=["t_final-inf", "nx-inf", "c2-inf"])
+def test_cli_config_non_finite_number(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    _expect_config_error(capsys, ["reconstruct", "--config", str(path),
+                                  "--out", str(tmp_path / "o")])
+
+
+def test_cli_config_unhashable_value(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"schema": 1, "basis": {"kind": []}}')
+    _expect_config_error(capsys, ["reconstruct", "--config", str(path),
+                                  "--out", str(tmp_path / "o")])
