@@ -15,6 +15,7 @@ import numpy as np
 from westinv import (
     BoundaryCondition,
     MaterialParams,
+    Problem,
     SpatialGrid,
     TimeGrid,
     manufactured_source,
@@ -46,7 +47,7 @@ def convergence_study():
             f, f_xx, lambda t: t**2, lambda t: 2 * t,
             lambda t: 2 * np.ones_like(t), PARAMS, grid, tgrid, BC,
         )
-        state = solve_forward(PARAMS, None, source, grid, tgrid, BC)
+        state = solve_forward(Problem(PARAMS, grid, tgrid, BC, source), None)
         exact = f(grid.nodes)[:, None] * (tgrid.times**2)[None, :]
         err = np.max(np.abs(state.values - exact))
         order = f"{np.log2(prev / err):.3f}" if prev else "  -  "
@@ -65,9 +66,10 @@ def nonlinear_trace_comparison():
     beta_tt = lambda t: 0.5 * np.pi**2 * np.cos(np.pi * t)
     source = manufactured_source(f, f_xx, beta, beta_t, beta_tt, PARAMS,
                                  grid, tgrid, BC)
+    problem = Problem(PARAMS, grid, tgrid, BC, source)
     kappa = smooth_bump(grid, amplitude=0.3)
-    linear = observe(solve_forward(PARAMS, None, source, grid, tgrid, BC), 1.0)
-    nonlin = observe(solve_forward(PARAMS, kappa, source, grid, tgrid, BC), 1.0)
+    linear = observe(solve_forward(problem, None), 1.0)
+    nonlin = observe(solve_forward(problem, kappa), 1.0)
     gap = np.max(np.abs(nonlin.values - linear.values))
     rel = gap / np.max(np.abs(linear.values))
     print(f"  max |h_nonlinear - h_linear| = {gap:.4e} "

@@ -17,6 +17,7 @@ from westinv import (
     BoundaryCondition,
     InversionContext,
     MaterialParams,
+    Problem,
     SpatialGrid,
     SpectralData,
     TimeGrid,
@@ -43,9 +44,9 @@ def singular_value_decay():
         f, f_xx, lambda t: t**2, lambda t: 2 * t,
         lambda t: 2 * np.ones_like(t), PARAMS, grid, tgrid, BC,
     )
-    ctx = InversionContext(PARAMS, grid, tgrid, BC, source,
-                           BasisSet("gaussian", 41), 1.0)
-    J = ctx.frozen_jacobian(np.linspace(0.0, 1.0, 50))
+    problem = Problem(PARAMS, grid, tgrid, BC, source,
+                      sample_times=np.linspace(0.0, 1.0, 50))
+    J = InversionContext(problem, BasisSet("gaussian", 41)).frozen_jacobian()
     sigma, q = svd_decay(J)
     resolvable = int(np.sum(sigma > 1e-8 * sigma[0]))
     print(f"  sigma_0 = {sigma[0]:.3e}, sigma_40 = {sigma[-1]:.3e}")

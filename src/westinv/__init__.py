@@ -20,7 +20,6 @@ from .derivatives import (
     assemble_directional_hessian,
     assemble_jacobian,
     fd_jacobian_oracle,
-    sample_trace,
     solve_adjoint,
     solve_second_derivative,
     solve_sensitivity,
@@ -43,10 +42,12 @@ from .errors import (
 )
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment, run_inversion
 from .forward import (
+    Problem,
     SourceTerm,
     StateField,
     manufactured_source,
     observe,
+    sample_trace,
     second_time_derivative_of_square,
     solve_forward,
 )

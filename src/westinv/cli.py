@@ -24,7 +24,7 @@ from .experiment import (
     read_json_config,
     run_experiment,
 )
-from .forward import manufactured_source, solve_forward
+from .forward import Problem, manufactured_source, solve_forward
 from .grids import BoundaryCondition, MaterialParams, SpatialGrid, TimeGrid
 from .inversion import InversionContext
 from .spectra import SpectralData, pole_distinctness, svd_csv, svd_decay
@@ -72,11 +72,8 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def cmd_synth(args) -> int:
     cfg = _config_from_args(args)
-    grid, tgrid, params, bc, basis, source, truth = build_problem(cfg)
-    full, coarse, noisy = synthesize_data(
-        truth, params, source, grid, tgrid, bc, cfg.obs_point, cfg.noise,
-        cfg.seed, cfg.sample_count,
-    )
+    problem, _, truth = build_problem(cfg)
+    full, coarse, noisy = synthesize_data(problem, truth, cfg.noise, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "config.json"), "w") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
@@ -105,17 +102,15 @@ def cmd_reconstruct(args) -> int:
 def cmd_diagnose(args) -> int:
     cfg = _config_from_args(args)
     os.makedirs(args.out, exist_ok=True)
-    grid, tgrid, params, bc, basis, source, truth = build_problem(cfg)
+    problem, basis, _ = build_problem(cfg)
     if args.what == "svd":
-        ctx = InversionContext(params, grid, tgrid, bc, source, basis,
-                               cfg.obs_point)
-        sample_times = np.linspace(0.0, tgrid.t_final, cfg.sample_count)
-        sigma, q = svd_decay(ctx.frozen_jacobian(sample_times))
+        sigma, q = svd_decay(InversionContext(problem, basis).frozen_jacobian())
         svd_csv(sigma, os.path.join(args.out, "svd.csv"))
         print(f"sigma_max = {sigma[0]:.6g}, sigma_min = {sigma[-1]:.6g}, "
               f"fitted geometric rate q = {q:.6g}")
         return 0
-    spec = SpectralData.build(bc, args.count, params.b, params.c2)
+    params = problem.params
+    spec = SpectralData.build(problem.bc, args.count, params.b, params.c2)
     report = {
         "eigenvalues": [float(v) for v in spec.eigenvalues],
         "bc": spec.bc_tag,
@@ -145,7 +140,7 @@ def cmd_convergence_study(args) -> int:
         grid, tgrid = SpatialGrid(nx), TimeGrid(nt, cfg.t_final)
         source = manufactured_source(f, f_xx, beta, beta_t, beta_tt, params,
                                      grid, tgrid, bc)
-        state = solve_forward(params, None, source, grid, tgrid, bc)
+        state = solve_forward(Problem(params, grid, tgrid, bc, source), None)
         exact = f(grid.nodes)[:, None] * beta(tgrid.times)[None, :]
         err = float(np.max(np.abs(state.values - exact)))
         order = np.log2(prev_err / err) if prev_err else float("nan")

@@ -7,14 +7,8 @@ from scipy.interpolate import CubicSpline
 
 from .basis import CoefficientField
 from .errors import TooFewSamplesError
-from .forward import SourceTerm, observe, solve_forward
-from .grids import (
-    BoundaryCondition,
-    MaterialParams,
-    SolverOptions,
-    SpatialGrid,
-    TimeGrid,
-)
+from .forward import Problem, observe, solve_forward
+from .grids import SpatialGrid
 from .trace import TimeTrace
 
 DEFAULT_SAMPLE_COUNT = 50
@@ -46,28 +40,19 @@ def add_noise(trace: TimeTrace, level: float, seed: int) -> TimeTrace:
                      "synthetic-noisy")
 
 
-def synthesize_data(
-    truth,
-    params: MaterialParams,
-    source: SourceTerm,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
-    bc: BoundaryCondition,
-    obs_point: float,
-    noise_level: float,
-    seed: int,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-    opts: SolverOptions | None = None,
-):
-    """Forward-simulate the truth coefficient, observe, downsample to the
-    coarse measurement grid and add uniform noise.
+def synthesize_data(problem: Problem, truth, noise_level: float, seed: int):
+    """Forward-simulate the truth coefficient, observe, sample the trace at
+    the problem's sample times (the coarse measurement grid) and add uniform
+    noise.
 
     Returns (clean full-resolution trace, clean coarse trace, noisy coarse
     trace).
     """
-    state = solve_forward(params, truth, source, grid, tgrid, bc, opts)
-    full = observe(state, obs_point)
-    coarse = downsample(full, sample_count)
+    state = solve_forward(problem, truth)
+    full = observe(state, problem.obs_point)
+    coarse = TimeTrace(problem.sample_times.copy(),
+                       problem.sampled_trace(state), full.noise_level,
+                       full.provenance)
     noisy = add_noise(coarse, noise_level, seed)
     return full, coarse, noisy
 

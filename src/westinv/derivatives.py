@@ -21,25 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, CoefficientField, evaluate_basis
+from .basis import BasisSet, evaluate_basis
 from .errors import GridMismatchError, UnsupportedObservationError
 from .forward import (
-    SourceTerm,
+    Problem,
     StateField,
     _cumulative_trapezoid,
     kappa_samples,
     march_linear,
     solve_forward,
 )
-from .grids import (
-    DIRICHLET,
-    BoundaryCondition,
-    MaterialParams,
-    SolverOptions,
-    SpatialGrid,
-    TimeGrid,
-)
-from .laplacian import Laplace1D, build_laplacian
+from .grids import DIRICHLET
 from .trace import TimeTrace
 
 
@@ -78,107 +70,76 @@ class DirectionalHessianMatrix:
     direction: Direction
 
 
-def _check_same_grids(state: StateField, grid: SpatialGrid, tgrid: TimeGrid):
-    if state.grid != grid or state.tgrid != tgrid:
-        raise GridMismatchError("state field lives on different grids")
+def _check_same_grids(problem: Problem, *states: StateField):
+    for state in states:
+        if state.grid != problem.grid or state.tgrid != problem.tgrid:
+            raise GridMismatchError("state field lives on different grids")
 
 
-def solve_sensitivity(
-    base: StateField,
-    kappa,
-    direction: Direction,
-    params: MaterialParams,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
-    bc: BoundaryCondition,
-    opts: SolverOptions | None = None,
-    operator: Laplace1D | None = None,
-) -> StateField:
+def solve_sensitivity(problem: Problem, base: StateField, kappa,
+                      direction: Direction) -> StateField:
     """Solve the linearized equation for z = G'(kappa) d-kappa:
 
     (1 - 2 kappa p) z_tt + c^2 A z + b A z_t - 4 kappa p_t z_t
         - 2 kappa p_tt z = 2 d-kappa (p p_tt + p_t^2),
 
     via its once-integrated conservative form (no inner loop needed)."""
-    _check_same_grids(base, grid, tgrid)
-    kap = kappa_samples(kappa, grid)
-    if direction.samples.shape != (grid.nx,):
+    _check_same_grids(problem, base)
+    kap = kappa_samples(kappa, problem.grid)
+    if direction.samples.shape != (problem.grid.nx,):
         raise GridMismatchError("direction does not match the spatial grid")
-    A = operator if operator is not None else build_laplacian(grid, bc)
     p = base.values
     alpha = 1.0 - 2.0 * kap[:, None] * p
     # integrated RHS: d-kappa * p^2 (its discrete time increment drives z)
     rhs_levels = direction.samples[:, None] * p**2
-    z = march_linear(A, params, tgrid, alpha[:, :-1], alpha[:, 1:],
-                     np.diff(rhs_levels, axis=1) / tgrid.dt)
-    return StateField(z, grid, tgrid)
+    z = march_linear(problem, alpha[:, :-1], alpha[:, 1:],
+                     np.diff(rhs_levels, axis=1) / problem.tgrid.dt)
+    return StateField(z, problem.grid, problem.tgrid)
 
 
-def solve_second_derivative(
-    base: StateField,
-    kappa0,
-    z1: StateField,
-    z2: StateField,
-    d1: Direction,
-    d2: Direction,
-    params: MaterialParams,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
-    bc: BoundaryCondition,
-    operator: Laplace1D | None = None,
-) -> StateField:
+def solve_second_derivative(problem: Problem, base: StateField, kappa0,
+                            z1: StateField, z2: StateField, d1: Direction,
+                            d2: Direction) -> StateField:
     """Solve for w = G''(kappa0)[d1, d2]:
 
     ((1 - 2 kappa0 p) w)_tt + b A w_t + c^2 A w
         = 2 (kappa0 z1 z2 + p (d1 z2 + d2 z1))_tt,
 
     marched in the once-integrated conservative form."""
-    for s in (base, z1, z2):
-        _check_same_grids(s, grid, tgrid)
-    kap = kappa_samples(kappa0, grid)
-    A = operator if operator is not None else build_laplacian(grid, bc)
+    _check_same_grids(problem, base, z1, z2)
+    kap = kappa_samples(kappa0, problem.grid)
     p = base.values
     alpha = 1.0 - 2.0 * kap[:, None] * p
     rhs_levels = 2.0 * (
         kap[:, None] * z1.values * z2.values
         + p * (d1.samples[:, None] * z2.values + d2.samples[:, None] * z1.values)
     )
-    w = march_linear(A, params, tgrid, alpha[:, :-1], alpha[:, 1:],
-                     np.diff(rhs_levels, axis=1) / tgrid.dt)
-    return StateField(w, grid, tgrid)
+    w = march_linear(problem, alpha[:, :-1], alpha[:, 1:],
+                     np.diff(rhs_levels, axis=1) / problem.tgrid.dt)
+    return StateField(w, problem.grid, problem.tgrid)
 
 
-def solve_adjoint(
-    base: StateField,
-    kappa,
-    residual: TimeTrace,
-    params: MaterialParams,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
-    bc: BoundaryCondition,
-    obs_point: float | None = None,
-    operator: Laplace1D | None = None,
-) -> StateField:
+def solve_adjoint(problem: Problem, base: StateField, kappa,
+                  residual: TimeTrace) -> StateField:
     """Solve the adjoint equation backward in time with end conditions
     a(T) = a_t(T) = 0 and the residual y entering as the flux condition
     d/dx (b a_t - c^2 a) = -y at the observation endpoint x = 1.
 
     The residual must be sampled on the solver time grid (prefilter /
     upsample beforehand).  Returns a in forward-time orientation."""
-    _check_same_grids(base, grid, tgrid)
+    grid, tgrid = problem.grid, problem.tgrid
+    _check_same_grids(problem, base)
     if len(residual) != tgrid.nt + 1:
         raise GridMismatchError("residual is not sampled on the solver time grid")
-    obs = grid.b if obs_point is None else obs_point
-    if obs != grid.b:
+    if problem.obs_index != grid.nx - 1:
         raise UnsupportedObservationError(
             "only observation at the right boundary x = b is supported in 1-D"
         )
-    if bc.right.kind == DIRICHLET:
+    if problem.bc.right.kind == DIRICHLET:
         raise UnsupportedObservationError(
             "observation at a Dirichlet endpoint carries no information"
         )
     kap = kappa_samples(kappa, grid)
-    A = operator if operator is not None else build_laplacian(grid, bc)
 
     # time-reversed variables u(s) = a(T - s), v = u_s: alpha v_s + b A v
     # + c^2 A u = delta_{x=1} y(T - s) is the linear march in v with
@@ -189,20 +150,13 @@ def solve_adjoint(
     delta = np.zeros(grid.nx)
     delta[-1] = 2.0 / grid.dx  # discrete boundary delta at x = 1
     forcing = delta[:, None] * (0.5 * (y_rev[:-1] + y_rev[1:]))[None, :]
-    v = march_linear(A, params, tgrid, alpha_mid, alpha_mid, forcing)
+    v = march_linear(problem, alpha_mid, alpha_mid, forcing)
     u = _cumulative_trapezoid(v, tgrid.dt)
     return StateField(u[:, ::-1].copy(), grid, tgrid)
 
 
-def apply_gradient(
-    adjoint: StateField,
-    psq_tt: np.ndarray,
-    s: int,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
-    operator: Laplace1D | None = None,
-    bc: BoundaryCondition | None = None,
-) -> Direction:
+def apply_gradient(problem: Problem, adjoint: StateField, psq_tt: np.ndarray,
+                   s: int) -> Direction:
     """Gradient g(x) = \\int_0^T (p^2)_tt a dt (trapezoidal in time); for
     smoothing order s = 1 the result is A^{-1} g with the active boundary
     conditions."""
@@ -210,128 +164,77 @@ def apply_gradient(
         raise ValueError("smoothing order s must be 0 or 1")
     if psq_tt.shape != adjoint.values.shape:
         raise GridMismatchError("field shapes do not match")
-    g = np.trapezoid(psq_tt * adjoint.values, dx=tgrid.dt, axis=1)
+    g = np.trapezoid(psq_tt * adjoint.values, dx=problem.tgrid.dt, axis=1)
     if s == 1:
-        A = operator if operator is not None else build_laplacian(grid, bc)
-        g = A.solve(g)
+        g = problem.operator.solve(g)
     return Direction(g)
 
 
-def sample_trace(trace_values: np.ndarray, tgrid: TimeGrid,
-                 sample_times: np.ndarray) -> np.ndarray:
-    """Linear-interpolation sampling of a solver-grid trace at given times."""
-    return np.interp(sample_times, tgrid.times, trace_values)
-
-
-def assemble_jacobian(
-    kappa0,
-    basis: BasisSet,
-    params: MaterialParams,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
-    bc: BoundaryCondition,
-    source: SourceTerm,
-    obs_point: float,
-    sample_times: np.ndarray,
-    opts: SolverOptions | None = None,
-    base: StateField | None = None,
-    keep_sensitivities: bool = True,
-) -> JacobianMatrix:
-    """Column j = sampled observation trace of the sensitivity solve for
-    basis direction e_j at kappa0 (m linear solves)."""
-    A = build_laplacian(grid, bc)
-    kap = kappa_samples(kappa0, grid)
+def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
+                      base: StateField | None = None,
+                      keep_sensitivities: bool = True) -> JacobianMatrix:
+    """Column j = observation trace, at the sample times, of the sensitivity
+    solve for basis direction e_j at kappa0 (m linear solves)."""
+    kap = kappa_samples(kappa0, problem.grid)
     if base is None:
-        base = solve_forward(params, kap, source, grid, tgrid, bc, opts, A)
-    E = evaluate_basis(basis, grid)
-    obs_idx = grid.node_index(obs_point)
+        base = solve_forward(problem, kap)
+    E = evaluate_basis(basis, problem.grid)
     cols = []
     zs = []
     for j in range(basis.m):
         d = Direction(E[:, j], np.eye(basis.m)[j])
-        z = solve_sensitivity(base, kap, d, params, grid, tgrid, bc, opts, A)
-        cols.append(sample_trace(z.values[obs_idx, :], tgrid, sample_times))
+        z = solve_sensitivity(problem, base, kap, d)
+        cols.append(problem.sampled_trace(z))
         if keep_sensitivities:
             zs.append(z)
     return JacobianMatrix(
-        np.column_stack(cols), np.asarray(sample_times), basis, kap,
+        np.column_stack(cols), problem.sample_times, basis, kap,
         zs if keep_sensitivities else None,
     )
 
 
-def assemble_directional_hessian(
-    d: Direction,
-    kappa0,
-    basis: BasisSet,
-    params: MaterialParams,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
-    bc: BoundaryCondition,
-    source: SourceTerm,
-    obs_point: float,
-    sample_times: np.ndarray,
-    base: StateField,
-    jacobian: JacobianMatrix,
-    opts: SolverOptions | None = None,
-) -> DirectionalHessianMatrix:
+def assemble_directional_hessian(problem: Problem, d: Direction, kappa0,
+                                 basis: BasisSet, base: StateField,
+                                 jacobian: JacobianMatrix
+                                 ) -> DirectionalHessianMatrix:
     """Column j = sampled trace of the second-derivative solve for (d, e_j),
     reusing the sensitivity fields cached on the Jacobian (m solves)."""
     if jacobian.sensitivities is None:
         raise ValueError("jacobian was assembled without cached sensitivities")
-    A = build_laplacian(grid, bc)
-    kap = kappa_samples(kappa0, grid)
-    E = evaluate_basis(basis, grid)
-    obs_idx = grid.node_index(obs_point)
-    zd = solve_sensitivity(base, kap, d, params, grid, tgrid, bc, opts, A)
+    kap = kappa_samples(kappa0, problem.grid)
+    E = evaluate_basis(basis, problem.grid)
+    zd = solve_sensitivity(problem, base, kap, d)
     cols = []
     for j in range(basis.m):
-        ej = Direction(E[:, j])
         w = solve_second_derivative(
-            base, kap, zd, jacobian.sensitivities[j], d, ej,
-            params, grid, tgrid, bc, A,
+            problem, base, kap, zd, jacobian.sensitivities[j], d,
+            Direction(E[:, j]),
         )
-        cols.append(sample_trace(w.values[obs_idx, :], tgrid, sample_times))
+        cols.append(problem.sampled_trace(w))
     return DirectionalHessianMatrix(
-        np.column_stack(cols), np.asarray(sample_times), d
+        np.column_stack(cols), problem.sample_times, d
     )
 
 
-def fd_jacobian_oracle(
-    kappa0,
-    basis: BasisSet,
-    step: float,
-    params: MaterialParams,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
-    bc: BoundaryCondition,
-    source: SourceTerm,
-    obs_point: float,
-    sample_times: np.ndarray,
-    opts: SolverOptions | None = None,
-) -> JacobianMatrix:
+def fd_jacobian_oracle(problem: Problem, kappa0, basis: BasisSet,
+                       step: float) -> JacobianMatrix:
     """Independent central-difference Jacobian: column j is
     (F(kappa0 + h e_j) - F(kappa0 - h e_j)) / (2h), two nonlinear forward
     solves per column."""
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
-    A = build_laplacian(grid, bc)
-    kap = kappa_samples(kappa0, grid)
-    E = evaluate_basis(basis, grid)
-    obs_idx = grid.node_index(obs_point)
+    kap = kappa_samples(kappa0, problem.grid)
+    E = evaluate_basis(basis, problem.grid)
     cols = []
     for j in range(basis.m):
-        traces = []
-        for sign in (1.0, -1.0):
-            state = solve_forward(
-                params, kap + sign * step * E[:, j], source, grid, tgrid, bc,
-                opts, A,
-            )
-            traces.append(
-                sample_trace(state.values[obs_idx, :], tgrid, sample_times)
-            )
+        traces = [
+            problem.sampled_trace(
+                solve_forward(problem, kap + sign * step * E[:, j]))
+            for sign in (1.0, -1.0)
+        ]
         cols.append((traces[0] - traces[1]) / (2 * step))
     return JacobianMatrix(
-        np.column_stack(cols), np.asarray(sample_times), basis, kap, None
+        np.column_stack(cols), problem.sample_times, basis, kap, None
     )
 
 

@@ -22,15 +22,14 @@ from .data import (
     truth_field,
     TRUTH_FAMILIES,
 )
-from .errors import ConfigError, WestinvError
-from .forward import manufactured_source
+from .errors import ConfigError, IncompatibleBCError, WestinvError
+from .forward import Problem, _check_profile_bc, manufactured_source
 from .grids import (
     DIRICHLET,
     IMPEDANCE,
     NEUMANN,
     BoundaryCondition,
     MaterialParams,
-    SolverOptions,
     SpatialGrid,
     TimeGrid,
 )
@@ -142,91 +141,53 @@ class ExperimentConfig:
             (self.max_iter >= 1, "max_iter must be at least 1"),
             (self.mu is None or self.mu > 0, "mu must be positive"),
             (self.smoothing_s in (0, 1), "smoothing_s must be 0 or 1"),
+            (self.n_basis <= self.nx,
+             f"n_basis = {self.n_basis} exceeds nx = {self.nx}"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        grid = SpatialGrid(self.nx)
+        if grid.node_index(self.obs_point) is None:
+            raise ConfigError(f"obs_point {self.obs_point} is not a grid node")
+        f, _ = EXCITATIONS[self.excitation]
+        try:
+            _check_profile_bc(
+                f, f(grid.nodes), grid,
+                BoundaryCondition.from_kinds(self.bc_left, self.bc_right),
+            )
+        except IncompatibleBCError as exc:
+            raise ConfigError(f"excitation {self.excitation!r}: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "grid": {"nx": self.nx},
-            "time": {"nt": self.nt, "t_final": self.t_final},
-            "params": {"c2": self.c2, "b": self.b},
-            "bc": {"left": self.bc_left, "right": self.bc_right},
-            "basis": {"kind": self.basis_kind, "m": self.n_basis},
-            "truth": {
-                "family": self.truth_family,
-                "amplitude": self.truth_amplitude,
-                "in_span": self.truth_in_span,
-            },
-            "excitation": {"profile": self.excitation,
-                           "time_profile": self.time_profile},
-            "noise": self.noise,
-            "seed": self.seed,
-            "sample_count": self.sample_count,
-            "method": self.method,
-            "method_options": {
-                "frozen": self.frozen,
-                "tau": self.tau,
-                "alpha0": self.alpha0,
-                "theta": self.theta,
-                "max_iter": self.max_iter,
-                "mu": self.mu,
-                "smoothing_s": self.smoothing_s,
-            },
-            "diagnostics": self.diagnostics,
-            "obs_point": self.obs_point,
-        }
+        out = {"schema": 1}
+        for name, (section, key, _) in _SCHEMA.items():
+            target = out if section is None else out.setdefault(section, {})
+            target[key] = getattr(self, name)
+        return out
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
+        """Read a schema-1 dict.  Bool fields take only JSON booleans, int
+        fields only integers and float fields only numbers; anything else,
+        and any config validate rejects, raises ConfigError."""
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
         if cfg.get("schema") != 1:
             raise ConfigError("config schema must be 1")
-
-        def section(name):
-            value = cfg.get(name, {})
+        sections = {None: cfg}
+        for section, _, _ in _SCHEMA.values():
+            value = cfg.get(section, {}) if section else cfg
             if not isinstance(value, dict):
-                raise ConfigError(f"config section {name!r} must be an object")
-            return value
-
-        grid, time, params, bc, basis, truth, excitation, opts = map(
-            section, ("grid", "time", "params", "bc", "basis", "truth",
-                      "excitation", "method_options"),
-        )
+                raise ConfigError(
+                    f"config section {section!r} must be an object")
+            sections[section] = value
+        out = cls()
         try:
-            out = cls(
-                nx=int(grid.get("nx", 101)),
-                nt=int(time.get("nt", 400)),
-                t_final=float(time.get("t_final", 1.0)),
-                c2=float(params.get("c2", 1.0)),
-                b=float(params.get("b", 0.2)),
-                bc_left=bc.get("left", DIRICHLET),
-                bc_right=bc.get("right", NEUMANN),
-                basis_kind=basis.get("kind", "gaussian"),
-                n_basis=int(basis.get("m", 41)),
-                truth_family=truth.get("family", "smooth_bump"),
-                truth_amplitude=float(truth.get("amplitude", 0.2)),
-                truth_in_span=bool(truth.get("in_span", False)),
-                excitation=excitation.get("profile", "sine_half"),
-                time_profile=excitation.get("time_profile", "t2"),
-                noise=float(cfg.get("noise", 0.01)),
-                seed=int(cfg.get("seed", 0)),
-                sample_count=int(cfg.get("sample_count", DEFAULT_SAMPLE_COUNT)),
-                method=cfg.get("method", "newton"),
-                frozen=bool(opts.get("frozen", True)),
-                tau=float(opts.get("tau", 2.0)),
-                alpha0=(None if opts.get("alpha0") is None
-                        else float(opts["alpha0"])),
-                theta=float(opts.get("theta", 0.5)),
-                max_iter=int(opts.get("max_iter", 20)),
-                mu=None if opts.get("mu") is None else float(opts["mu"]),
-                diagnostics=bool(cfg.get("diagnostics", False)),
-                obs_point=float(cfg.get("obs_point", 1.0)),
-                smoothing_s=int(opts.get("smoothing_s", 0)),
-            )
+            for name, (section, key, kind) in _SCHEMA.items():
+                if key in sections[section]:
+                    setattr(out, name,
+                            _typed(name, sections[section][key], kind))
             out.validate()
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
@@ -235,6 +196,57 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         return cls.from_dict(read_json_config(path))
+
+
+# ExperimentConfig field -> (JSON section, None for the top level; key; type)
+_SCHEMA = {
+    "nx": ("grid", "nx", int),
+    "nt": ("time", "nt", int),
+    "t_final": ("time", "t_final", float),
+    "c2": ("params", "c2", float),
+    "b": ("params", "b", float),
+    "bc_left": ("bc", "left", str),
+    "bc_right": ("bc", "right", str),
+    "basis_kind": ("basis", "kind", str),
+    "n_basis": ("basis", "m", int),
+    "truth_family": ("truth", "family", str),
+    "truth_amplitude": ("truth", "amplitude", float),
+    "truth_in_span": ("truth", "in_span", bool),
+    "excitation": ("excitation", "profile", str),
+    "time_profile": ("excitation", "time_profile", str),
+    "noise": (None, "noise", float),
+    "seed": (None, "seed", int),
+    "sample_count": (None, "sample_count", int),
+    "method": (None, "method", str),
+    "frozen": ("method_options", "frozen", bool),
+    "tau": ("method_options", "tau", float),
+    "alpha0": ("method_options", "alpha0", float),
+    "theta": ("method_options", "theta", float),
+    "max_iter": ("method_options", "max_iter", int),
+    "mu": ("method_options", "mu", float),
+    "smoothing_s": ("method_options", "smoothing_s", int),
+    "diagnostics": (None, "diagnostics", bool),
+    "obs_point": (None, "obs_point", float),
+}
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+
+
+def _typed(name: str, value, kind):
+    """A JSON value checked against its field's type.  A bool is not a
+    number here; None is accepted where the field defaults to None; strings
+    are left to validate, which checks them against the known names."""
+    if kind is str or (value is None
+                       and getattr(ExperimentConfig, name) is None):
+        return value
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = (not isinstance(value, bool)
+              and isinstance(value, int if kind is int else (int, float)))
+    if not ok:
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def read_json_config(path):
@@ -263,7 +275,7 @@ class ExperimentResult:
 
 
 def build_problem(cfg: ExperimentConfig):
-    """Construct the grids, boundary conditions, source and truth field."""
+    """Construct the forward problem, the basis and the truth field."""
     grid = SpatialGrid(cfg.nx)
     tgrid = TimeGrid(cfg.nt, cfg.t_final)
     params = MaterialParams(cfg.c2, cfg.b)
@@ -273,6 +285,10 @@ def build_problem(cfg: ExperimentConfig):
     beta, beta_t, beta_tt = TIME_PROFILES[cfg.time_profile]
     source = manufactured_source(f, f_xx, beta, beta_t, beta_tt, params,
                                  grid, tgrid, bc)
+    problem = Problem(
+        params, grid, tgrid, bc, source, obs_point=cfg.obs_point,
+        sample_times=np.linspace(0.0, cfg.t_final, cfg.sample_count),
+    )
     truth = truth_field(cfg.truth_family, grid, cfg.truth_amplitude)
     if cfg.truth_in_span:
         # project onto the basis, then clip: the iterates are clipped after
@@ -281,25 +297,20 @@ def build_problem(cfg: ExperimentConfig):
         truth = clip_nonnegative(
             CoefficientField.from_coefficients(basis, coeffs, grid)
         )
-    return grid, tgrid, params, bc, basis, source, truth
+    return problem, basis, truth
 
 
 def run_inversion(cfg: ExperimentConfig):
     """Synthesize data and run the configured reconstruction method."""
-    grid, tgrid, params, bc, basis, source, truth = build_problem(cfg)
-    full, coarse, noisy = synthesize_data(
-        truth, params, source, grid, tgrid, bc, cfg.obs_point, cfg.noise,
-        cfg.seed, cfg.sample_count,
-    )
-    filtered = prefilter(noisy, tgrid.nt)
+    problem, basis, truth = build_problem(cfg)
+    full, coarse, noisy = synthesize_data(problem, truth, cfg.noise, cfg.seed)
+    filtered = prefilter(noisy, problem.tgrid.nt)
     eta = noisy.noise_level
     delta = np.sqrt(cfg.sample_count) * eta  # Euclidean norm on the samples
 
-    ctx = InversionContext(params, grid, tgrid, bc, source, basis,
-                           cfg.obs_point, SolverOptions(),
-                           smoothing_s=cfg.smoothing_s)
+    ctx = InversionContext(problem, basis, smoothing_s=cfg.smoothing_s)
     init = CoefficientField.from_coefficients(
-        basis, np.zeros(basis.m), grid
+        basis, np.zeros(basis.m), problem.grid
     )
     stop = StoppingRule(cfg.tau, delta, cfg.max_iter)
     reg = (RegularizationSchedule(cfg.alpha0, cfg.theta)
@@ -315,7 +326,7 @@ def run_inversion(cfg: ExperimentConfig):
 
     sigma = q = None
     if cfg.diagnostics:
-        sigma, q = svd_decay(ctx.frozen_jacobian(noisy.times))
+        sigma, q = svd_decay(ctx.frozen_jacobian())
 
     exit_code = EXIT_OK if report.stop_reason in ("discrepancy", "stagnation") \
         else EXIT_MAX_ITER

@@ -123,8 +123,58 @@ def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def cn_march(A: Laplace1D, params: MaterialParams, tgrid: TimeGrid,
-             forcing: np.ndarray, advance) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One measurement setup of the forward map kappa -> p|_Sigma: grids,
+    material parameters, boundary conditions, excitation, solver options,
+    the observation node and the trace sample times.
+
+    Construction solves no PDE.  It builds the operator A, resolves the
+    observation index (OffGridError if obs_point is not a grid node) and
+    checks the source shape, once for every solve on this setup.
+    sample_times defaults to the solver time levels.
+    """
+
+    params: MaterialParams
+    grid: SpatialGrid
+    tgrid: TimeGrid
+    bc: BoundaryCondition
+    source: SourceTerm
+    opts: SolverOptions = field(default_factory=SolverOptions)
+    obs_point: float = 1.0
+    sample_times: np.ndarray | None = None
+    operator: Laplace1D = field(init=False, repr=False)
+    obs_index: int = field(init=False)
+
+    def __post_init__(self):
+        if self.source.values.shape != (self.grid.nx, self.tgrid.nt + 1):
+            raise ValueError("source shape does not match grids")
+        idx = self.grid.node_index(self.obs_point)
+        if idx is None:
+            raise OffGridError(
+                f"observation point {self.obs_point} is not a grid node"
+            )
+        times = np.array(self.tgrid.times if self.sample_times is None
+                         else self.sample_times, dtype=float)
+        times.setflags(write=False)
+        object.__setattr__(self, "sample_times", times)
+        object.__setattr__(self, "obs_index", idx)
+        object.__setattr__(self, "operator", build_laplacian(self.grid, self.bc))
+
+    def sampled_trace(self, state: StateField) -> np.ndarray:
+        """The observation trace of a solution, linearly interpolated at the
+        sample times."""
+        return sample_trace(state.values[self.obs_index, :], self.tgrid,
+                            self.sample_times)
+
+
+def sample_trace(trace_values: np.ndarray, tgrid: TimeGrid,
+                 sample_times: np.ndarray) -> np.ndarray:
+    """Linear-interpolation sampling of a solver-grid trace at given times."""
+    return np.interp(sample_times, tgrid.times, trace_values)
+
+
+def cn_march(problem: Problem, forcing: np.ndarray, advance) -> np.ndarray:
     """Crank-Nicolson march of (a u)_t + b A u + c^2 \\int_0^t A u = f with
     homogeneous initial data; the one time loop behind every solve.
 
@@ -133,6 +183,7 @@ def cn_march(A: Laplace1D, params: MaterialParams, tgrid: TimeGrid,
     (a_new/dt + coef A) u = a_old un/dt + rest for the step's fixed
     rest = f - coef A un - c^2 \\int_0^{t_n} A u (trapezoidal memory).
     """
+    A, params, tgrid = problem.operator, problem.params, problem.tgrid
     dt = tgrid.dt
     coef = params.b / 2 + params.c2 * dt / 4
     u = np.zeros((A.nx, tgrid.nt + 1))
@@ -151,37 +202,24 @@ def cn_march(A: Laplace1D, params: MaterialParams, tgrid: TimeGrid,
     return u
 
 
-def march_linear(A: Laplace1D, params: MaterialParams, tgrid: TimeGrid,
-                 a_old: np.ndarray, a_new: np.ndarray,
+def march_linear(problem: Problem, a_old: np.ndarray, a_new: np.ndarray,
                  forcing: np.ndarray) -> np.ndarray:
     """Linear march of cn_march with per-step coefficients a_old[:, n],
     a_new[:, n] and forcing[:, n], all of shape (nx, nt)."""
-    return cn_march(A, params, tgrid, forcing,
+    return cn_march(problem, forcing,
                     lambda n, un, step: step(a_old[:, n], a_new[:, n]))
 
 
-def solve_forward(
-    params: MaterialParams,
-    kappa,
-    source: SourceTerm,
-    grid: SpatialGrid,
-    tgrid: TimeGrid,
-    bc: BoundaryCondition,
-    opts: SolverOptions | None = None,
-    operator: Laplace1D | None = None,
-) -> StateField:
+def solve_forward(problem: Problem, kappa) -> StateField:
     """Crank-Nicolson solve of the time-integrated Westervelt equation with
     homogeneous initial data.
 
     Raises DegeneracyError if 1 - 2*kappa*p drops below the positivity floor
     and NoConvergenceError if the inner fixed-point loop stalls.
     """
-    opts = opts or SolverOptions()
-    kap = kappa_samples(kappa, grid)
-    if source.values.shape != (grid.nx, tgrid.nt + 1):
-        raise ValueError("source shape does not match grids")
-    A = operator if operator is not None else build_laplacian(grid, bc)
-    R = _cumulative_trapezoid(source.values, tgrid.dt)
+    opts, tgrid = problem.opts, problem.tgrid
+    kap = kappa_samples(kappa, problem.grid)
+    R = _cumulative_trapezoid(problem.source.values, tgrid.dt)
     nonlinear = np.any(kap != 0.0)
 
     def advance(n, pn, step):
@@ -206,8 +244,8 @@ def solve_forward(
             )
         return pk
 
-    p = cn_march(A, params, tgrid, 0.5 * (R[:, :-1] + R[:, 1:]), advance)
-    return StateField(p, grid, tgrid)
+    p = cn_march(problem, 0.5 * (R[:, :-1] + R[:, 1:]), advance)
+    return StateField(p, problem.grid, tgrid)
 
 
 def observe(state: StateField, obs_point: float) -> TimeTrace:
@@ -246,10 +284,9 @@ def manufactured_source(
     bt1 = np.asarray(beta_t(t), dtype=float)
     bt2 = np.asarray(beta_tt(t), dtype=float)
 
-    scale = max(np.max(np.abs(fx)), 1.0)
     if abs(bt[0]) > 1e-12 or abs(bt1[0]) > 1e-12:
         raise ValueError("beta must satisfy beta(0) = beta'(0) = 0")
-    _check_profile_bc(f, fx, grid, bc, scale)
+    _check_profile_bc(f, fx, grid, bc)
 
     r = fx[:, None] * bt2[None, :] + Af[:, None] * (
         params.c2 * bt[None, :] + params.b * bt1[None, :]
@@ -261,7 +298,10 @@ def manufactured_source(
     return SourceTerm(r, tag="manufactured")
 
 
-def _check_profile_bc(f, fx, grid: SpatialGrid, bc: BoundaryCondition, scale):
+def _check_profile_bc(f, fx, grid: SpatialGrid, bc: BoundaryCondition):
+    """Raise IncompatibleBCError if the profile f (fx = f at the nodes)
+    violates a Dirichlet or Neumann endpoint condition."""
+    scale = max(np.max(np.abs(fx)), 1.0)
     h = 1e-6 * (grid.b - grid.a)
     for cond, endpoint, inward in ((bc.left, grid.a, 1.0), (bc.right, grid.b, -1.0)):
         value = fx[0] if inward > 0 else fx[-1]

@@ -13,32 +13,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSet, CoefficientField, clip_nonnegative, project
+from .basis import BasisSet, CoefficientField, clip_nonnegative
 from .derivatives import (
     Direction,
     JacobianMatrix,
     apply_gradient,
     assemble_directional_hessian,
     assemble_jacobian,
-    sample_trace,
     solve_adjoint,
 )
-from .errors import DivergenceError, LinearSolveError
+from .errors import DivergenceError, GridMismatchError, LinearSolveError
 from .forward import (
-    SourceTerm,
+    Problem,
     StateField,
     kappa_samples,
     second_time_derivative_of_square,
     solve_forward,
 )
-from .grids import (
-    BoundaryCondition,
-    MaterialParams,
-    SolverOptions,
-    SpatialGrid,
-    TimeGrid,
-)
-from .laplacian import build_laplacian
+from .grids import SpatialGrid
 from .trace import TimeTrace
 
 STAGNATION_TOL = 1e-10
@@ -118,62 +110,31 @@ class InversionReport:
 @dataclass
 class InversionContext:
     """Everything a reconstruction run needs besides the data: the forward
-    problem, the basis, the observation point and the frozen linearization
-    point (kappa0 = 0 by default).  Frozen quantities are cached lazily."""
+    problem, the basis and the frozen linearization point (kappa0 = 0 by
+    default).  Frozen quantities are cached lazily.  The data must be
+    sampled at problem.sample_times."""
 
-    params: MaterialParams
-    grid: SpatialGrid
-    tgrid: TimeGrid
-    bc: BoundaryCondition
-    source: SourceTerm
+    problem: Problem
     basis: BasisSet
-    obs_point: float = 1.0
-    opts: SolverOptions = field(default_factory=SolverOptions)
     kappa_frozen: np.ndarray | None = None
     smoothing_s: int = 0
-    _operator: object = field(default=None, repr=False)
     _frozen_base: StateField | None = field(default=None, repr=False)
     _frozen_jacobian: JacobianMatrix | None = field(default=None, repr=False)
     _frozen_psq_tt: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kappa_frozen is None:
-            self.kappa_frozen = np.zeros(self.grid.nx)
-        self.kappa_frozen = kappa_samples(self.kappa_frozen, self.grid)
-
-    @property
-    def operator(self):
-        if self._operator is None:
-            self._operator = build_laplacian(self.grid, self.bc)
-        return self._operator
-
-    @property
-    def obs_index(self) -> int:
-        return self.grid.node_index(self.obs_point)
-
-    def simulate(self, kappa) -> StateField:
-        return solve_forward(
-            self.params, kappa, self.source, self.grid, self.tgrid, self.bc,
-            self.opts, self.operator,
-        )
-
-    def residual_vector(self, data: TimeTrace, state: StateField) -> np.ndarray:
-        model = sample_trace(
-            state.values[self.obs_index, :], self.tgrid, data.times
-        )
-        return data.values - model
+        self.kappa_frozen = kappa_samples(self.kappa_frozen, self.problem.grid)
 
     def frozen_base(self) -> StateField:
         if self._frozen_base is None:
-            self._frozen_base = self.simulate(self.kappa_frozen)
+            self._frozen_base = solve_forward(self.problem, self.kappa_frozen)
         return self._frozen_base
 
-    def frozen_jacobian(self, sample_times: np.ndarray) -> JacobianMatrix:
+    def frozen_jacobian(self) -> JacobianMatrix:
         if self._frozen_jacobian is None:
             self._frozen_jacobian = assemble_jacobian(
-                self.kappa_frozen, self.basis, self.params, self.grid,
-                self.tgrid, self.bc, self.source, self.obs_point,
-                sample_times, self.opts, base=self.frozen_base(),
+                self.problem, self.kappa_frozen, self.basis,
+                base=self.frozen_base(),
             )
         return self._frozen_jacobian
 
@@ -184,19 +145,13 @@ class InversionContext:
             )
         return self._frozen_psq_tt
 
-    def adjoint_direction(
-        self, y_grid: np.ndarray, base: StateField, kappa, psq_tt: np.ndarray
-    ) -> Direction:
-        """F'(kappa)* applied to a solver-grid residual y."""
-        a = solve_adjoint(
-            base, kappa, TimeTrace(self.tgrid.times, y_grid),
-            self.params, self.grid, self.tgrid, self.bc,
-            operator=self.operator,
-        )
-        return apply_gradient(
-            a, psq_tt, self.smoothing_s, self.grid, self.tgrid,
-            operator=self.operator, bc=self.bc,
-        )
+    def adjoint_direction(self, y_grid: np.ndarray, base: StateField, kappa,
+                          psq_tt: np.ndarray, s: int) -> Direction:
+        """F'(kappa)* applied to a solver-grid residual y, smoothed to
+        order s."""
+        a = solve_adjoint(self.problem, base, kappa,
+                          TimeTrace(self.problem.tgrid.times, y_grid))
+        return apply_gradient(self.problem, a, psq_tt, s)
 
 
 def discrepancy_stop(residual_norms, delta: float, tau: float):
@@ -268,12 +223,15 @@ def _solve_regularized(J: np.ndarray, alpha: float, rhs: np.ndarray) -> np.ndarr
 
 def _run_loop(data, init, ctx, stop, truth, step_fn, divergence_guard=False):
     """Shared iteration driver: record, check stopping, update via step_fn."""
+    if not np.array_equal(data.times, ctx.problem.sample_times):
+        raise GridMismatchError("data is not sampled at the problem's "
+                                "sample times")
     kappa = init
     iterates, residuals, errs_inf, errs_l2 = [], [], [], []
     reason = "max-iter"
     while True:
-        state = ctx.simulate(kappa)
-        r = ctx.residual_vector(data, state)
+        state = solve_forward(ctx.problem, kappa)
+        r = data.values - ctx.problem.sampled_trace(state)
         rnorm = float(np.linalg.norm(r))
         iterates.append(
             np.array(kappa.coefficients)
@@ -281,7 +239,7 @@ def _run_loop(data, init, ctx, stop, truth, step_fn, divergence_guard=False):
             else kappa.samples.copy()
         )
         residuals.append(rnorm)
-        linf, l2 = _error_norms(kappa, truth, ctx.grid)
+        linf, l2 = _error_norms(kappa, truth, ctx.problem.grid)
         errs_inf.append(linf)
         errs_l2.append(l2)
         if divergence_guard and rnorm > 10 * residuals[0] and residuals[0] > 0:
@@ -320,10 +278,11 @@ def landweber_run(
     frozen Jacobian."""
     from .data import prefilter  # deferred: data module imports forward
 
+    problem = ctx.problem
     if data_on_grid is None:
-        data_on_grid = prefilter(data, ctx.tgrid.nt)
+        data_on_grid = prefilter(data, problem.tgrid.nt)
     if mu is None:
-        J = ctx.frozen_jacobian(data.times)
+        J = ctx.frozen_jacobian()
         sigma_max = power_iteration_sigma_max(J.entries)
         mu = 0.9 / sigma_max**2
 
@@ -336,11 +295,11 @@ def landweber_run(
         else:
             base, kap_lin = state, kappa.samples
             psq = second_time_derivative_of_square(state)
-        y = data_on_grid.values - state.values[ctx.obs_index, :]
-        g = ctx.adjoint_direction(y, base, kap_lin, psq)
+        y = data_on_grid.values - state.values[problem.obs_index, :]
+        g = ctx.adjoint_direction(y, base, kap_lin, psq, ctx.smoothing_s)
         samples = kappa.samples + mu * g.samples
         return clip_nonnegative(
-            CoefficientField.from_samples(samples, ctx.grid, ctx.basis)
+            CoefficientField.from_samples(samples, problem.grid, ctx.basis)
         )
 
     return _run_loop(data, init, ctx, stop, truth, step, divergence_guard=True)
@@ -357,7 +316,7 @@ def newton_lm_run(
 ) -> InversionReport:
     """Levenberg-Marquardt / regularized (frozen) Newton iteration
     c_{n+1} = c_n + (J^T J + alpha_n I)^{-1} J^T (h - F(kappa_n))."""
-    J_frozen = ctx.frozen_jacobian(data.times) if frozen else None
+    J_frozen = ctx.frozen_jacobian() if frozen else None
 
     reg_holder = [reg]
 
@@ -365,17 +324,15 @@ def newton_lm_run(
         if frozen:
             J = J_frozen
         else:
-            J = assemble_jacobian(
-                kappa.samples, ctx.basis, ctx.params, ctx.grid, ctx.tgrid,
-                ctx.bc, ctx.source, ctx.obs_point, data.times, ctx.opts,
-                base=state, keep_sensitivities=False,
-            )
+            J = assemble_jacobian(ctx.problem, kappa.samples, ctx.basis,
+                                  base=state, keep_sensitivities=False)
         if reg_holder[0] is None:
             reg_holder[0] = RegularizationSchedule(default_alpha0(J, r))
         c_step = _solve_regularized(J.entries, reg_holder[0].alpha(n), r)
         coeffs = kappa.coefficients + c_step
         return clip_nonnegative(
-            CoefficientField.from_coefficients(ctx.basis, coeffs, ctx.grid)
+            CoefficientField.from_coefficients(ctx.basis, coeffs,
+                                               ctx.problem.grid)
         )
 
     return _run_loop(data, init, ctx, stop, truth, step)
@@ -394,7 +351,8 @@ def halley_run(
     Levenberg-Marquardt step d; the corrector re-solves against the same
     residual with system matrix J + H_d / 2.  The corrector schedule defaults
     to the predictor's."""
-    J = ctx.frozen_jacobian(data.times)
+    J = ctx.frozen_jacobian()
+    grid = ctx.problem.grid
     pred_holder = [reg_predictor]
 
     def step(n, kappa, state, r):
@@ -405,21 +363,19 @@ def halley_run(
         d_coeffs = _solve_regularized(J.entries, reg_p.alpha(n), r)
         d = Direction(
             kappa_samples(
-                CoefficientField.from_coefficients(ctx.basis, d_coeffs, ctx.grid),
-                ctx.grid,
+                CoefficientField.from_coefficients(ctx.basis, d_coeffs, grid),
+                grid,
             ),
             d_coeffs,
         )
         H = assemble_directional_hessian(
-            d, ctx.kappa_frozen, ctx.basis, ctx.params, ctx.grid, ctx.tgrid,
-            ctx.bc, ctx.source, ctx.obs_point, data.times,
-            base=ctx.frozen_base(), jacobian=J, opts=ctx.opts,
+            ctx.problem, d, ctx.kappa_frozen, ctx.basis, ctx.frozen_base(), J
         )
         J2 = J.entries + 0.5 * H.entries
         c_step = _solve_regularized(J2, reg_c.alpha(n), r)
         coeffs = kappa.coefficients + c_step
         return clip_nonnegative(
-            CoefficientField.from_coefficients(ctx.basis, coeffs, ctx.grid)
+            CoefficientField.from_coefficients(ctx.basis, coeffs, grid)
         )
 
     return _run_loop(data, init, ctx, stop, truth, step)
@@ -440,17 +396,13 @@ def tikhonov_gradient(
 
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
+    problem = ctx.problem
     if data_on_grid is None:
-        data_on_grid = prefilter(data, ctx.tgrid.nt)
-    state = ctx.simulate(kappa)
-    y = state.values[ctx.obs_index, :] - data_on_grid.values
-    saved_s = ctx.smoothing_s
-    ctx.smoothing_s = s
-    try:
-        g = ctx.adjoint_direction(
-            y, state, kappa.samples, second_time_derivative_of_square(state)
-        )
-    finally:
-        ctx.smoothing_s = saved_s
-    prior_samples = kappa_samples(prior, ctx.grid)
+        data_on_grid = prefilter(data, problem.tgrid.nt)
+    state = solve_forward(problem, kappa)
+    y = state.values[problem.obs_index, :] - data_on_grid.values
+    g = ctx.adjoint_direction(
+        y, state, kappa.samples, second_time_derivative_of_square(state), s
+    )
+    prior_samples = kappa_samples(prior, problem.grid)
     return Direction(g.samples + alpha * (kappa.samples - prior_samples))

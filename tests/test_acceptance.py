@@ -14,6 +14,7 @@ from westinv import (
     Direction,
     InversionContext,
     MaterialParams,
+    Problem,
     RegularizationSchedule,
     SpatialGrid,
     SpectralData,
@@ -68,8 +69,9 @@ def make_base(nx, nt, kappa_const=0.1):
     kap = np.full(nx, kappa_const)
     source = manufactured_source(f, f_xx, beta, beta_t, beta_tt, PARAMS,
                                  grid, tgrid, BC, kappa=kap)
-    base = solve_forward(PARAMS, kap, source, grid, tgrid, BC)
-    return grid, tgrid, kap, source, base
+    problem = Problem(PARAMS, grid, tgrid, BC, source)
+    base = solve_forward(problem, kap)
+    return grid, tgrid, kap, problem, base
 
 
 def smooth_direction(grid, seed, amplitude=0.4):
@@ -92,13 +94,12 @@ def baseline_jacobians():
     beta, beta_t, beta_tt = quadratic_profile()
     source = manufactured_source(f, f_xx, beta, beta_t, beta_tt, PARAMS,
                                  grid, tgrid, BC)
+    problem = Problem(PARAMS, grid, tgrid, BC, source,
+                      sample_times=np.linspace(0.0, 1.0, 50))
     basis = BasisSet("gaussian", 41)
-    times = np.linspace(0.0, 1.0, 50)
     kap0 = np.zeros(101)
-    J = assemble_jacobian(kap0, basis, PARAMS, grid, tgrid, BC, source, 1.0,
-                          times, keep_sensitivities=False)
-    Jfd = fd_jacobian_oracle(kap0, basis, 1e-4, PARAMS, grid, tgrid, BC,
-                             source, 1.0, times)
+    J = assemble_jacobian(problem, kap0, basis, keep_sensitivities=False)
+    Jfd = fd_jacobian_oracle(problem, kap0, basis, 1e-4)
     return J, Jfd
 
 
@@ -119,15 +120,13 @@ def reconstruction_config(**overrides):
 def run_reconstruction(cfg):
     """Data synthesis + method dispatch mirroring the harness, returning the
     report plus the pieces needed for cross-method comparisons."""
-    grid, tgrid, params, bc, basis, source, truth = build_problem(cfg)
-    _, _, noisy = synthesize_data(truth, params, source, grid, tgrid, bc,
-                                  cfg.obs_point, cfg.noise, cfg.seed,
-                                  cfg.sample_count)
-    filtered = prefilter(noisy, tgrid.nt)
+    problem, basis, truth = build_problem(cfg)
+    _, _, noisy = synthesize_data(problem, truth, cfg.noise, cfg.seed)
+    filtered = prefilter(noisy, problem.tgrid.nt)
     delta = np.sqrt(cfg.sample_count) * noisy.noise_level
-    ctx = InversionContext(params, grid, tgrid, bc, source, basis,
-                           cfg.obs_point)
-    init = CoefficientField.from_coefficients(basis, np.zeros(basis.m), grid)
+    ctx = InversionContext(problem, basis)
+    init = CoefficientField.from_coefficients(basis, np.zeros(basis.m),
+                                              problem.grid)
     stop = StoppingRule(cfg.tau, delta, cfg.max_iter)
     reg = (RegularizationSchedule(cfg.alpha0, cfg.theta)
            if cfg.alpha0 is not None else None)
@@ -150,7 +149,7 @@ def test_criterion_1_manufactured_convergence():
     for level in range(3):
         nx = 25 * 2**level + 1
         nt = 50 * 2**level
-        grid, tgrid, kap, source, base = make_base(nx, nt, kappa_const=0.0)
+        grid, tgrid, kap, _, base = make_base(nx, nt, kappa_const=0.0)
         exact = f(grid.nodes)[:, None] * (tgrid.times**2)[None, :]
         errors.append(np.max(np.abs(base.values - exact)))
     orders = [np.log2(errors[k] / errors[k + 1]) for k in range(2)]
@@ -162,17 +161,16 @@ def test_criterion_1_manufactured_convergence():
 
 def test_criterion_2_adjoint_consistency():
     def mismatches(nx, nt):
-        grid, tgrid, kap, _, base = make_base(nx, nt)
+        grid, tgrid, kap, problem, base = make_base(nx, nt)
         psq = second_time_derivative_of_square(base)
         out = []
         for seed in range(5):
             rng = np.random.Generator(np.random.Philox(seed))
             d = smooth_direction(grid, seed + 100)
             y = np.sin(np.pi * tgrid.times) * rng.uniform(0.5, 1.5)
-            z = solve_sensitivity(base, kap, d, PARAMS, grid, tgrid, BC)
-            a = solve_adjoint(base, kap, TimeTrace(tgrid.times, y), PARAMS,
-                              grid, tgrid, BC)
-            g = apply_gradient(a, psq, 0, grid, tgrid)
+            z = solve_sensitivity(problem, base, kap, d)
+            a = solve_adjoint(problem, base, kap, TimeTrace(tgrid.times, y))
+            g = apply_gradient(problem, a, psq, 0)
             lhs = np.trapezoid(z.values[-1, :] * y, dx=tgrid.dt)
             rhs = np.trapezoid(d.samples * g.samples, dx=grid.dx)
             out.append(abs(lhs - rhs) / abs(lhs))
@@ -188,15 +186,14 @@ def test_criterion_2_adjoint_consistency():
 
 
 def test_criterion_3_derivative_orders():
-    grid, tgrid, kap, source, base = make_base(51, 100)
+    grid, tgrid, kap, problem, base = make_base(51, 100)
     d = smooth_direction(grid, 7)
-    z = solve_sensitivity(base, kap, d, PARAMS, grid, tgrid, BC)
-    w = solve_second_derivative(base, kap, z, z, d, d, PARAMS, grid, tgrid, BC)
+    z = solve_sensitivity(problem, base, kap, d)
+    w = solve_second_derivative(problem, base, kap, z, z, d, d)
     hs = 2.0 ** -np.arange(2, 7)
     rem1, rem2 = [], []
     for h in hs:
-        pert = solve_forward(PARAMS, kap + h * d.samples, source, grid,
-                             tgrid, BC)
+        pert = solve_forward(problem, kap + h * d.samples)
         diff = pert.values - base.values
         rem1.append(np.max(np.abs(diff - h * z.values)))
         rem2.append(np.max(np.abs(diff - h * z.values

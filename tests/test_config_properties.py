@@ -1,0 +1,88 @@
+"""Property tests of the JSON config schema: round trip, and rejection of
+values of the wrong JSON type."""
+
+import json
+
+import pytest
+
+from westinv import ConfigError, ExperimentConfig
+from westinv.data import TRUTH_FAMILIES
+from westinv.experiment import BASIS_ALIASES, METHODS, TIME_PROFILES
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+SETTINGS = hypothesis.settings(max_examples=30, deadline=None, database=None)
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    nx = draw(st.integers(3, 60))
+    return ExperimentConfig(
+        nx=nx,
+        nt=draw(st.integers(3, 500)),
+        t_final=draw(floats(0.01, 10.0)),
+        c2=draw(floats(0.01, 10.0)),
+        b=draw(floats(0.001, 1.0)),
+        # sine_half, the one excitation, vanishes only at x = 0 and is flat
+        # only at x = 1
+        bc_left=draw(st.sampled_from(["dirichlet", "impedance"])),
+        bc_right=draw(st.sampled_from(["neumann", "impedance"])),
+        basis_kind=draw(st.sampled_from(sorted(BASIS_ALIASES))),
+        n_basis=draw(st.integers(1, nx)),
+        truth_family=draw(st.sampled_from(sorted(TRUTH_FAMILIES))),
+        truth_amplitude=draw(floats(0.0, 1.0)),
+        truth_in_span=draw(st.booleans()),
+        time_profile=draw(st.sampled_from(sorted(TIME_PROFILES))),
+        noise=draw(floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32)),
+        sample_count=draw(st.integers(4, 200)),
+        method=draw(st.sampled_from(METHODS)),
+        frozen=draw(st.booleans()),
+        tau=draw(floats(1.01, 10.0)),
+        alpha0=draw(st.none() | floats(1e-6, 1e3)),
+        theta=draw(floats(0.01, 0.99)),
+        max_iter=draw(st.integers(1, 100)),
+        mu=draw(st.none() | floats(1e-6, 1.0)),
+        diagnostics=draw(st.booleans()),
+        obs_point=draw(st.integers(0, nx - 1)) / (nx - 1),
+        smoothing_s=draw(st.sampled_from([0, 1])),
+    )
+
+
+def typed_leaves(d):
+    """(section or None, key) of every bool, int or float value."""
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from ((key, k) for k, v in value.items()
+                        if isinstance(v, (bool, int, float)))
+        elif key != "schema" and isinstance(value, (bool, int, float)):
+            yield None, key
+
+
+@SETTINGS
+@hypothesis.given(valid_configs())
+def test_config_json_round_trip(cfg):
+    cfg.validate()
+    text = json.dumps(cfg.to_dict())
+    assert ExperimentConfig.from_dict(json.loads(text)) == cfg
+
+
+@SETTINGS
+@hypothesis.given(valid_configs(), st.data())
+def test_config_wrong_type_raises(cfg, data):
+    d = cfg.to_dict()
+    section, key = data.draw(st.sampled_from(sorted(
+        typed_leaves(d), key=lambda sk: (sk[0] or "", sk[1]))))
+    target = d if section is None else d[section]
+    value = target[key]
+    bad = [str(value)]
+    if isinstance(value, int) and not isinstance(value, bool):
+        bad.append(value + 0.5)
+    for replacement in bad:
+        target[key] = replacement
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(d)

@@ -1,6 +1,8 @@
 """Sensitivity, second-derivative and adjoint solves, gradient application,
 and the assembled Jacobian / directional Hessian."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from westinv import (
     Direction,
     GridMismatchError,
     MaterialParams,
+    Problem,
+    SourceTerm,
     SpatialGrid,
     StateField,
     TimeGrid,
@@ -49,15 +53,17 @@ BC_IN = BoundaryCondition.from_kinds("impedance", "neumann")
 BC_IDS = ["dirichlet-neumann", "dirichlet-impedance", "impedance-neumann"]
 
 
-def make_problem(nx=51, nt=100, kappa_const=0.1, bc=BC):
+def make_problem(nx=51, nt=100, kappa_const=0.1, bc=BC, sample_times=None):
     grid, tgrid = SpatialGrid(nx), TimeGrid(nt)
     kap = np.full(nx, kappa_const)
     source = manufactured_source(
         f, f_xx, lambda t: t**2, lambda t: 2 * t,
         lambda t: 2 * np.ones_like(t), PARAMS, grid, tgrid, bc, kappa=kap,
     )
-    base = solve_forward(PARAMS, kap, source, grid, tgrid, bc)
-    return grid, tgrid, kap, source, base
+    problem = Problem(PARAMS, grid, tgrid, bc, source,
+                      sample_times=sample_times)
+    base = solve_forward(problem, kap)
+    return grid, tgrid, kap, problem, base
 
 
 def smooth_direction(grid, seed=0):
@@ -70,27 +76,25 @@ def smooth_direction(grid, seed=0):
 
 def test_sensitivity_zero_direction():
     # d-kappa == 0 -> z == 0
-    grid, tgrid, kap, _, base = make_problem()
-    z = solve_sensitivity(base, kap, Direction(np.zeros(grid.nx)), PARAMS,
-                          grid, tgrid, BC)
+    grid, tgrid, kap, problem, base = make_problem()
+    z = solve_sensitivity(problem, base, kap, Direction(np.zeros(grid.nx)))
     assert np.all(z.values == 0.0)
 
 
 def test_sensitivity_linearity():
     # z(2d) == 2 z(d) exactly (linear solve)
-    grid, tgrid, kap, _, base = make_problem()
+    grid, tgrid, kap, problem, base = make_problem()
     d = smooth_direction(grid, 1)
-    z1 = solve_sensitivity(base, kap, d, PARAMS, grid, tgrid, BC)
-    z2 = solve_sensitivity(base, kap, Direction(2 * d.samples), PARAMS, grid,
-                           tgrid, BC)
+    z1 = solve_sensitivity(problem, base, kap, d)
+    z2 = solve_sensitivity(problem, base, kap, Direction(2 * d.samples))
     np.testing.assert_allclose(z2.values, 2 * z1.values, atol=1e-12)
 
 
 def test_sensitivity_direction_shape_mismatch():
-    grid, tgrid, kap, _, base = make_problem()
+    grid, tgrid, kap, problem, base = make_problem()
     with pytest.raises(GridMismatchError):
-        solve_sensitivity(base, kap, Direction(np.zeros(grid.nx + 3)),
-                          PARAMS, grid, tgrid, BC)
+        solve_sensitivity(problem, base, kap,
+                          Direction(np.zeros(grid.nx + 3)))
 
 
 @pytest.mark.parametrize(
@@ -100,27 +104,29 @@ def test_sensitivity_direction_shape_mismatch():
 def test_sensitivity_taylor_second_order(bc, nx, nt):
     # ||G(k + h d) - G(k) - h z|| = O(h^2): halving h shrinks the
     # remainder by ~4
-    grid, tgrid, kap, source, base = make_problem(nx, nt, bc=bc)
+    grid, tgrid, kap, problem, base = make_problem(nx, nt, bc=bc)
     d = smooth_direction(grid, 2)
-    z = solve_sensitivity(base, kap, d, PARAMS, grid, tgrid, bc)
+    z = solve_sensitivity(problem, base, kap, d)
     rem = []
     for h in (2e-2, 1e-2):
-        pert = solve_forward(PARAMS, kap + h * d.samples, source, grid,
-                             tgrid, bc)
+        pert = solve_forward(problem, kap + h * d.samples)
         rem.append(np.max(np.abs(pert.values - base.values - h * z.values)))
     assert 3.3 <= rem[0] / rem[1] <= 4.7
 
 
-def test_second_derivative_taylor_third_order():
+@pytest.mark.parametrize(
+    "bc, nx, nt", [(BC, 51, 100), (BC_DI, 51, 200), (BC_IN, 51, 200)],
+    ids=BC_IDS,
+)
+def test_second_derivative_taylor_third_order(bc, nx, nt):
     # ||G(k + h d) - G - h z - h^2/2 w|| = O(h^3): halving ~8x
-    grid, tgrid, kap, source, base = make_problem()
+    grid, tgrid, kap, problem, base = make_problem(nx, nt, bc=bc)
     d = smooth_direction(grid, 3)
-    z = solve_sensitivity(base, kap, d, PARAMS, grid, tgrid, BC)
-    w = solve_second_derivative(base, kap, z, z, d, d, PARAMS, grid, tgrid, BC)
+    z = solve_sensitivity(problem, base, kap, d)
+    w = solve_second_derivative(problem, base, kap, z, z, d, d)
     rem = []
     for h in (4e-2, 2e-2):
-        pert = solve_forward(PARAMS, kap + h * d.samples, source, grid,
-                             tgrid, BC)
+        pert = solve_forward(problem, kap + h * d.samples)
         rem.append(np.max(np.abs(
             pert.values - base.values - h * z.values - 0.5 * h**2 * w.values
         )))
@@ -128,47 +134,44 @@ def test_second_derivative_taylor_third_order():
 
 
 def test_second_derivative_symmetric_and_zero():
-    grid, tgrid, kap, _, base = make_problem()
+    grid, tgrid, kap, problem, base = make_problem()
     d1, d2 = smooth_direction(grid, 4), smooth_direction(grid, 5)
-    z1 = solve_sensitivity(base, kap, d1, PARAMS, grid, tgrid, BC)
-    z2 = solve_sensitivity(base, kap, d2, PARAMS, grid, tgrid, BC)
-    w12 = solve_second_derivative(base, kap, z1, z2, d1, d2, PARAMS, grid,
-                                  tgrid, BC)
-    w21 = solve_second_derivative(base, kap, z2, z1, d2, d1, PARAMS, grid,
-                                  tgrid, BC)
+    z1 = solve_sensitivity(problem, base, kap, d1)
+    z2 = solve_sensitivity(problem, base, kap, d2)
+    w12 = solve_second_derivative(problem, base, kap, z1, z2, d1, d2)
+    w21 = solve_second_derivative(problem, base, kap, z2, z1, d2, d1)
     # invariant: symmetry in the pair (d1, d2)
     np.testing.assert_allclose(w12.values, w21.values, atol=1e-12)
     # zero first slot -> zero second derivative
     zero = Direction(np.zeros(grid.nx))
-    z0 = solve_sensitivity(base, kap, zero, PARAMS, grid, tgrid, BC)
-    w0 = solve_second_derivative(base, kap, z0, z2, zero, d2, PARAMS, grid,
-                                 tgrid, BC)
+    z0 = solve_sensitivity(problem, base, kap, zero)
+    w0 = solve_second_derivative(problem, base, kap, z0, z2, zero, d2)
     assert np.all(w0.values == 0.0)
 
 
 def test_adjoint_zero_residual():
     # y == 0 -> a == 0
-    grid, tgrid, kap, _, base = make_problem()
+    grid, tgrid, kap, problem, base = make_problem()
     y = TimeTrace(tgrid.times, np.zeros(tgrid.nt + 1))
-    a = solve_adjoint(base, kap, y, PARAMS, grid, tgrid, BC)
+    a = solve_adjoint(problem, base, kap, y)
     assert np.all(a.values == 0.0)
 
 
 def test_adjoint_end_conditions():
-    grid, tgrid, kap, _, base = make_problem()
+    grid, tgrid, kap, problem, base = make_problem()
     y = TimeTrace(tgrid.times, np.sin(2 * np.pi * tgrid.times))
-    a = solve_adjoint(base, kap, y, PARAMS, grid, tgrid, BC)
+    a = solve_adjoint(problem, base, kap, y)
     assert np.all(a.values[:, -1] == 0.0)
 
 
 def test_adjoint_unsupported_observation():
-    grid, tgrid, kap, _, base = make_problem()
+    grid, tgrid, kap, problem, base = make_problem()
     y = TimeTrace(tgrid.times, np.ones(tgrid.nt + 1))
     with pytest.raises(UnsupportedObservationError):
-        solve_adjoint(base, kap, y, PARAMS, grid, tgrid, BC, obs_point=0.5)
+        solve_adjoint(replace(problem, obs_point=0.5), base, kap, y)
     bc_dd = BoundaryCondition.from_kinds("dirichlet", "dirichlet")
     with pytest.raises(UnsupportedObservationError):
-        solve_adjoint(base, kap, y, PARAMS, grid, tgrid, bc_dd)
+        solve_adjoint(replace(problem, bc=bc_dd), base, kap, y)
 
 
 @pytest.mark.parametrize(
@@ -178,16 +181,16 @@ def test_adjoint_unsupported_observation():
 def test_adjoint_pairing_identity(bc, nx, nt):
     # <z(1, .), y>_{L^2(0,T)} == <d-kappa, g>_{L^2(0,1)} with
     # g = apply_gradient(a, (p^2)_tt, s=0); relative mismatch <= 1e-3
-    grid, tgrid, kap, _, base = make_problem(nx, nt, bc=bc)
+    grid, tgrid, kap, problem, base = make_problem(nx, nt, bc=bc)
     psq = second_time_derivative_of_square(base)
     for seed in (0, 1, 2):
         rng = np.random.Generator(np.random.Philox(seed))
         d = smooth_direction(grid, seed + 10)
         yv = np.sin(np.pi * tgrid.times) * rng.uniform(0.5, 1.5)
         y = TimeTrace(tgrid.times, yv)
-        z = solve_sensitivity(base, kap, d, PARAMS, grid, tgrid, bc)
-        a = solve_adjoint(base, kap, y, PARAMS, grid, tgrid, bc)
-        g = apply_gradient(a, psq, 0, grid, tgrid)
+        z = solve_sensitivity(problem, base, kap, d)
+        a = solve_adjoint(problem, base, kap, y)
+        g = apply_gradient(problem, a, psq, 0)
         lhs = np.trapezoid(z.values[-1, :] * yv, dx=tgrid.dt)
         rhs = np.trapezoid(d.samples * g.samples, dx=grid.dx)
         assert abs(lhs - rhs) / abs(lhs) <= 1e-3
@@ -195,20 +198,22 @@ def test_adjoint_pairing_identity(bc, nx, nt):
 
 def test_apply_gradient_closed_forms():
     grid, tgrid = SpatialGrid(101), TimeGrid(200)
+    problem = Problem(PARAMS, grid, tgrid, BC,
+                      SourceTerm(np.zeros((grid.nx, tgrid.nt + 1))))
     t, x = tgrid.times, grid.nodes
     ones = StateField(np.ones((grid.nx, tgrid.nt + 1)), grid, tgrid)
     # a == 1, (p^2)_tt = 12 t^2 f^2 -> g = 4 T^3 f^2
     psq = 12 * (t**2)[None, :] * (f(x) ** 2)[:, None]
-    g = apply_gradient(ones, psq, 0, grid, tgrid)
+    g = apply_gradient(problem, ones, psq, 0)
     assert np.max(np.abs(g.samples - 4 * f(x) ** 2)) < 1e-3
     # s = 1, Dirichlet-Dirichlet, g = sin(pi x) -> u = sin(pi x)/pi^2
     bc_dd = BoundaryCondition.from_kinds("dirichlet", "dirichlet")
     psq_sin = np.tile(np.sin(np.pi * x)[:, None], (1, tgrid.nt + 1))
-    u = apply_gradient(ones, psq_sin, 1, grid, tgrid, bc=bc_dd)
+    u = apply_gradient(replace(problem, bc=bc_dd), ones, psq_sin, 1)
     assert np.max(np.abs(u.samples - np.sin(np.pi * x) / np.pi**2)) < 1e-3
     # zero adjoint -> zero gradient
     zero = StateField(np.zeros_like(ones.values), grid, tgrid)
-    assert np.all(apply_gradient(zero, psq, 0, grid, tgrid).samples == 0.0)
+    assert np.all(apply_gradient(problem, zero, psq, 0).samples == 0.0)
 
 
 def test_sample_trace_linear_interpolation():
@@ -220,15 +225,18 @@ def test_sample_trace_linear_interpolation():
                                atol=1e-15)
 
 
-def test_jacobian_matches_fd_oracle():
+@pytest.mark.parametrize(
+    "bc, nx, nt", [(BC, 51, 100), (BC_DI, 51, 200), (BC_IN, 51, 200)],
+    ids=BC_IDS,
+)
+def test_jacobian_matches_fd_oracle(bc, nx, nt):
     # frozen Jacobian vs independent central-difference oracle
-    grid, tgrid, kap, source, base = make_problem()
-    basis = BasisSet("gaussian", 7)
     times = np.linspace(0.0, 1.0, 20)
-    J = assemble_jacobian(kap, basis, PARAMS, grid, tgrid, BC, source, 1.0,
-                          times, base=base)
-    Jfd = fd_jacobian_oracle(kap, basis, 1e-4, PARAMS, grid, tgrid, BC,
-                             source, 1.0, times)
+    grid, tgrid, kap, problem, base = make_problem(nx, nt, bc=bc,
+                                                   sample_times=times)
+    basis = BasisSet("gaussian", 7)
+    J = assemble_jacobian(problem, kap, basis, base=base)
+    Jfd = fd_jacobian_oracle(problem, kap, basis, 1e-4)
     rel = (np.linalg.norm(J.entries - Jfd.entries)
            / np.linalg.norm(Jfd.entries))
     assert rel < 1e-4
@@ -237,42 +245,36 @@ def test_jacobian_matches_fd_oracle():
 def test_fd_oracle_step_halving_quarters_error():
     # invariant: oracle truncation error is O(h^2) against the exact
     # discrete derivative
-    grid, tgrid, kap, source, base = make_problem()
-    basis = BasisSet("gaussian", 5)
     times = np.linspace(0.0, 1.0, 20)
-    J = assemble_jacobian(kap, basis, PARAMS, grid, tgrid, BC, source, 1.0,
-                          times, base=base)
+    grid, tgrid, kap, problem, base = make_problem(sample_times=times)
+    basis = BasisSet("gaussian", 5)
+    J = assemble_jacobian(problem, kap, basis, base=base)
     errs = []
     for h in (4e-3, 2e-3):
-        Jfd = fd_jacobian_oracle(kap, basis, h, PARAMS, grid, tgrid, BC,
-                                 source, 1.0, times)
+        Jfd = fd_jacobian_oracle(problem, kap, basis, h)
         errs.append(np.linalg.norm(J.entries - Jfd.entries))
     assert 3.3 <= errs[0] / errs[1] <= 4.7
 
 
 def test_directional_hessian_bilinear_and_quadratic_model():
-    grid, tgrid, kap, source, base = make_problem()
-    basis = BasisSet("gaussian", 5)
     times = np.linspace(0.0, 1.0, 25)
-    J = assemble_jacobian(kap, basis, PARAMS, grid, tgrid, BC, source, 1.0,
-                          times, base=base)
+    grid, tgrid, kap, problem, base = make_problem(sample_times=times)
+    basis = BasisSet("gaussian", 5)
+    J = assemble_jacobian(problem, kap, basis, base=base)
     E = evaluate_basis(basis, grid)
     c = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
     d = Direction(E @ c, c)
-    H = assemble_directional_hessian(d, kap, basis, PARAMS, grid, tgrid, BC,
-                                     source, 1.0, times, base, J)
+    H = assemble_directional_hessian(problem, d, kap, basis, base, J)
     # invariant: H_{2d} = 2 H_d (bilinearity in the frozen direction)
-    H2 = assemble_directional_hessian(Direction(2 * d.samples, 2 * c), kap,
-                                      basis, PARAMS, grid, tgrid, BC, source,
-                                      1.0, times, base, J)
+    H2 = assemble_directional_hessian(problem, Direction(2 * d.samples, 2 * c),
+                                      kap, basis, base, J)
     np.testing.assert_allclose(H2.entries, 2 * H.entries, atol=1e-10)
     # quadratic model F + J c + 1/2 H_d c beats the linear model
     eps = 1e-2
     step = Direction(eps * d.samples, eps * c)
-    Heps = assemble_directional_hessian(step, kap, basis, PARAMS, grid,
-                                        tgrid, BC, source, 1.0, times, base, J)
+    Heps = assemble_directional_hessian(problem, step, kap, basis, base, J)
     obs = grid.node_index(1.0)
-    pert = solve_forward(PARAMS, kap + step.samples, source, grid, tgrid, BC)
+    pert = solve_forward(problem, kap + step.samples)
     Fp = sample_trace(pert.values[obs, :], tgrid, times)
     F0 = sample_trace(base.values[obs, :], tgrid, times)
     lin_err = np.linalg.norm(Fp - F0 - J.entries @ step.coefficients)
@@ -285,14 +287,13 @@ def test_directional_hessian_bilinear_and_quadratic_model():
 def test_zero_direction_hessian_is_zero():
     # zero frozen direction -> zero Hessian columns, so the
     # corrector matrix J + H/2 reduces to the plain Newton matrix
-    grid, tgrid, kap, source, base = make_problem()
-    basis = BasisSet("gaussian", 4)
     times = np.linspace(0.0, 1.0, 15)
-    J = assemble_jacobian(kap, basis, PARAMS, grid, tgrid, BC, source, 1.0,
-                          times, base=base)
+    grid, tgrid, kap, problem, base = make_problem(sample_times=times)
+    basis = BasisSet("gaussian", 4)
+    J = assemble_jacobian(problem, kap, basis, base=base)
     H = assemble_directional_hessian(
-        Direction(np.zeros(grid.nx), np.zeros(4)), kap, basis, PARAMS, grid,
-        tgrid, BC, source, 1.0, times, base, J,
+        problem, Direction(np.zeros(grid.nx), np.zeros(4)), kap, basis,
+        base, J,
     )
     assert np.max(np.abs(H.entries)) < 1e-14
 

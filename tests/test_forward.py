@@ -10,6 +10,7 @@ from westinv import (
     IncompatibleBCError,
     MaterialParams,
     OffGridError,
+    Problem,
     SourceTerm,
     SpatialGrid,
     StateField,
@@ -51,11 +52,15 @@ def make_source(grid, tgrid, kappa=None):
                                grid, tgrid, BC, kappa=kappa)
 
 
+def make_problem(grid, tgrid, kappa=None):
+    return Problem(PARAMS, grid, tgrid, BC, make_source(grid, tgrid, kappa))
+
+
 def test_zero_source_zero_solution():
     # zero data, zero solution
     grid, tgrid = SpatialGrid(21), TimeGrid(20)
     src = SourceTerm(np.zeros((21, 21)))
-    state = solve_forward(PARAMS, None, src, grid, tgrid, BC)
+    state = solve_forward(Problem(PARAMS, grid, tgrid, BC, src), None)
     assert np.all(state.values == 0.0)
     assert np.all(observe(state, 1.0).values == 0.0)
 
@@ -68,8 +73,7 @@ def test_manufactured_linear_second_order():
         nx = 25 * 2**level + 1
         nt = 50 * 2**level
         grid, tgrid = SpatialGrid(nx), TimeGrid(nt)
-        state = solve_forward(PARAMS, None, make_source(grid, tgrid), grid,
-                              tgrid, BC)
+        state = solve_forward(make_problem(grid, tgrid), None)
         exact = f(grid.nodes)[:, None] * beta(tgrid.times)[None, :]
         errors.append(np.max(np.abs(state.values - exact)))
     for coarse, fine in zip(errors, errors[1:]):
@@ -80,16 +84,14 @@ def test_manufactured_nonlinear_exact():
     # source corrected by kappa*(f^2)(beta^2)'' keeps p = f beta
     grid, tgrid = SpatialGrid(101), TimeGrid(400)
     kap = np.full(101, 0.1)
-    state = solve_forward(PARAMS, kap, make_source(grid, tgrid, kappa=kap),
-                          grid, tgrid, BC)
+    state = solve_forward(make_problem(grid, tgrid, kappa=kap), kap)
     exact = f(grid.nodes)[:, None] * beta(tgrid.times)[None, :]
     assert np.max(np.abs(state.values - exact)) < 1e-4
 
 
 def test_initial_conditions_homogeneous():
     grid, tgrid = SpatialGrid(41), TimeGrid(80)
-    state = solve_forward(PARAMS, None, make_source(grid, tgrid), grid,
-                          tgrid, BC)
+    state = solve_forward(make_problem(grid, tgrid), None)
     assert np.all(state.values[:, 0] == 0.0)
     assert np.max(np.abs(state.time_derivative[:, 0])) < 1e-7
 
@@ -137,19 +139,29 @@ def test_manufactured_source_incompatible_bc():
 def test_observe_closed_form_and_off_grid():
     # h(t) = t^2 at x = 1; OffGrid for non-node points
     grid, tgrid = SpatialGrid(101), TimeGrid(200)
-    state = solve_forward(PARAMS, None, make_source(grid, tgrid), grid,
-                          tgrid, BC)
+    state = solve_forward(make_problem(grid, tgrid), None)
     h = observe(state, 1.0)
     assert np.max(np.abs(h.values - tgrid.times**2)) < 1e-4
     with pytest.raises(OffGridError):
         observe(state, 0.505)
 
 
+def test_problem_checks_observation_point_and_source_shape():
+    # the observation index is resolved, and the source checked, once at
+    # construction
+    grid, tgrid = SpatialGrid(41), TimeGrid(40)
+    assert make_problem(grid, tgrid).obs_index == 40
+    with pytest.raises(OffGridError):
+        Problem(PARAMS, grid, tgrid, BC, make_source(grid, tgrid),
+                obs_point=0.505)
+    with pytest.raises(ValueError):
+        Problem(PARAMS, grid, tgrid, BC, SourceTerm(np.zeros((41, 40))))
+
+
 def test_observe_dirichlet_endpoint_zero():
     # boundary value pinned at a Dirichlet endpoint
     grid, tgrid = SpatialGrid(41), TimeGrid(40)
-    state = solve_forward(PARAMS, None, make_source(grid, tgrid), grid,
-                          tgrid, BC)
+    state = solve_forward(make_problem(grid, tgrid), None)
     assert np.max(np.abs(observe(state, 0.0).values)) < 1e-12
 
 
@@ -162,9 +174,10 @@ def test_linearity_at_zero_kappa():
     r1 = np.sin(np.pi * x)[:, None] * t[None, :] * rng.uniform(0.5, 1.5)
     r2 = (x * (1 - x))[:, None] * np.cos(3 * t)[None, :] * rng.uniform(0.5, 1.5)
     assert r1.shape == r2.shape == shape
-    s1 = solve_forward(PARAMS, None, SourceTerm(r1), grid, tgrid, BC)
-    s2 = solve_forward(PARAMS, None, SourceTerm(r2), grid, tgrid, BC)
-    s12 = solve_forward(PARAMS, None, SourceTerm(r1 + r2), grid, tgrid, BC)
+    s1, s2, s12 = (
+        solve_forward(Problem(PARAMS, grid, tgrid, BC, SourceTerm(r)), None)
+        for r in (r1, r2, r1 + r2)
+    )
     assert np.max(np.abs(s12.values - s1.values - s2.values)) < 1e-9
 
 
@@ -174,7 +187,7 @@ def test_second_order_form_residual_decays():
     def interior_residual(nx, nt):
         grid, tgrid = SpatialGrid(nx), TimeGrid(nt)
         src = make_source(grid, tgrid)
-        p = solve_forward(PARAMS, None, src, grid, tgrid, BC).values
+        p = solve_forward(Problem(PARAMS, grid, tgrid, BC, src), None).values
         dt, dx = tgrid.dt, grid.dx
         ptt = (p[:, 2:] - 2 * p[:, 1:-1] + p[:, :-2]) / dt**2
         pxx = (p[2:, :] - 2 * p[1:-1, :] + p[:-2, :]) / dx**2
@@ -191,7 +204,7 @@ def test_degeneracy_guard():
     grid, tgrid = SpatialGrid(51), TimeGrid(100)
     kap = np.full(51, 0.6)  # 2*kappa*p reaches 1.2 > 0.75
     with pytest.raises(DegeneracyError):
-        solve_forward(PARAMS, kap, make_source(grid, tgrid), grid, tgrid, BC)
+        solve_forward(make_problem(grid, tgrid), kap)
 
 
 def test_second_time_derivative_of_square():

@@ -11,6 +11,7 @@ from westinv import (
     ConfigError,
     ExperimentConfig,
     MaterialParams,
+    Problem,
     SpatialGrid,
     TimeGrid,
     TimeTrace,
@@ -47,9 +48,10 @@ def make_data(noise, seed, sample_count=30):
         f, f_xx, lambda t: t**2, lambda t: 2 * t,
         lambda t: 2 * np.ones_like(t), PARAMS, grid, tgrid, BC,
     )
+    problem = Problem(PARAMS, grid, tgrid, BC, source,
+                      sample_times=np.linspace(0.0, 1.0, sample_count))
     truth = truth_field("smooth_bump", grid, 0.15)
-    return synthesize_data(truth, PARAMS, source, grid, tgrid, BC, 1.0,
-                           noise, seed, sample_count)
+    return synthesize_data(problem, truth, noise, seed)
 
 
 def test_zero_noise_returns_clean_samples():
@@ -314,3 +316,67 @@ def test_cli_config_unhashable_value(tmp_path, capsys):
     path.write_text('{"schema": 1, "basis": {"kind": []}}')
     _expect_config_error(capsys, ["reconstruct", "--config", str(path),
                                   "--out", str(tmp_path / "o")])
+
+
+def _write_config(tmp_path, edit):
+    cfg = small_config().to_dict()
+    edit(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("method_options", "frozen", "false"),
+    (None, "diagnostics", "no"),
+    ("truth", "in_span", 1),
+    ("grid", "nx", 50.9),
+    (None, "seed", True),
+    (None, "noise", "0.01"),
+    ("method_options", "alpha0", "1.0"),
+], ids=["frozen-string", "diagnostics-string", "in_span-int", "nx-fraction",
+        "seed-bool", "noise-string", "alpha0-string"])
+def test_cli_config_wrong_json_type(tmp_path, capsys, section, key, value):
+    # bools take only JSON booleans, ints only integers, floats only numbers
+    def edit(cfg):
+        (cfg if section is None else cfg[section])[key] = value
+    path = _write_config(tmp_path, edit)
+    _expect_config_error(capsys, ["reconstruct", "--config", str(path),
+                                  "--out", str(tmp_path / "o")])
+
+
+def _right_dirichlet(cfg):
+    cfg["bc"]["right"] = "dirichlet"  # sine_half is 1 at x = 1
+
+
+def _obs_off_grid(cfg):
+    cfg["obs_point"] = 2.0
+
+
+def _basis_exceeds_grid(cfg):
+    cfg["grid"]["nx"] = 21
+    cfg["basis"]["m"] = 30
+
+
+@pytest.mark.parametrize("edit", [
+    _right_dirichlet, _obs_off_grid, _basis_exceeds_grid,
+], ids=["excitation-vs-dirichlet", "obs-point-off-grid",
+        "basis-exceeds-grid"])
+def test_cli_config_rejected_before_solving(tmp_path, capsys, edit):
+    # mistakes a solver or the basis projection would only find later
+    path = _write_config(tmp_path, edit)
+    _expect_config_error(capsys, ["reconstruct", "--config", str(path),
+                                  "--out", str(tmp_path / "o")])
+
+
+def test_cli_sweep_rejects_bad_entry_before_running(tmp_path, capsys):
+    good = small_config(max_iter=2).to_dict()
+    bad = small_config().to_dict()
+    _basis_exceeds_grid(bad)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"runs": [{"name": "good", "config": good},
+                                         {"name": "bad", "config": bad}]}))
+    out = tmp_path / "o"
+    _expect_config_error(capsys, ["sweep", "--config", str(path),
+                                  "--jobs", "1", "--out", str(out)])
+    assert not (out / "good").exists()

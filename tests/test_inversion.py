@@ -8,9 +8,11 @@ from westinv import (
     BoundaryCondition,
     CoefficientField,
     DivergenceError,
+    GridMismatchError,
     InversionContext,
     LinearSolveError,
     MaterialParams,
+    Problem,
     RegularizationSchedule,
     SpatialGrid,
     StoppingRule,
@@ -21,6 +23,7 @@ from westinv import (
     manufactured_source,
     newton_lm_run,
     prefilter,
+    solve_forward,
     synthesize_data,
     tikhonov_gradient,
     truth_field,
@@ -47,10 +50,11 @@ def make_setup(nx=51, nt=100, m=9, noise=0.0, seed=0, amplitude=0.15,
         f, f_xx, lambda t: t**2, lambda t: 2 * t,
         lambda t: 2 * np.ones_like(t), PARAMS, grid, tgrid, BC,
     )
+    problem = Problem(PARAMS, grid, tgrid, BC, source,
+                      sample_times=np.linspace(0.0, 1.0, sample_count))
     truth = truth_field("smooth_bump", grid, amplitude)
-    _, _, noisy = synthesize_data(truth, PARAMS, source, grid, tgrid, BC,
-                                  1.0, noise, seed, sample_count)
-    ctx = InversionContext(PARAMS, grid, tgrid, BC, source, basis)
+    _, _, noisy = synthesize_data(problem, truth, noise, seed)
+    ctx = InversionContext(problem, basis)
     init = CoefficientField.from_coefficients(basis, np.zeros(m), grid)
     return ctx, init, truth, noisy
 
@@ -127,8 +131,8 @@ def test_zero_residual_immediate_stop():
     # iterate 0 by the discrepancy principle
     ctx, init, truth, _ = make_setup()
     _, _, data = synthesize_data(
-        CoefficientField.from_samples(init.samples, ctx.grid), PARAMS,
-        ctx.source, ctx.grid, ctx.tgrid, BC, 1.0, 0.0, 0, 30,
+        ctx.problem,
+        CoefficientField.from_samples(init.samples, ctx.problem.grid), 0.0, 0,
     )
     stop = StoppingRule(tau=2.0, delta=1e-12, max_iter=5)
     for report in (
@@ -138,6 +142,16 @@ def test_zero_residual_immediate_stop():
         assert report.stop_reason == "discrepancy"
         assert report.stop_index == 0
         np.testing.assert_allclose(report.final.samples, init.samples)
+
+
+def test_data_off_the_sample_times_rejected():
+    # the Jacobian rows are the problem's sample times, so data sampled
+    # elsewhere cannot be compared with the model
+    ctx, init, truth, _ = make_setup()
+    data = make_setup(sample_count=20)[3]
+    stop = StoppingRule(tau=2.0, delta=0.0, max_iter=2)
+    with pytest.raises(GridMismatchError):
+        newton_lm_run(data, init, True, RegularizationSchedule(1.0), stop, ctx)
 
 
 def test_landweber_auto_step_residual_nonincreasing():
@@ -226,16 +240,16 @@ def test_stagnation_detection():
 
 def test_tikhonov_gradient_properties():
     ctx, init, truth, _ = make_setup(noise=0.0)
+    grid = ctx.problem.grid
     # data generated exactly at kappa: the alpha = 0 gradient is ~ 0
-    full, _, data = synthesize_data(truth, PARAMS, ctx.source, ctx.grid,
-                                    ctx.tgrid, BC, 1.0, 0.0, 0, 30)
-    kap = CoefficientField.from_samples(truth.samples, ctx.grid, ctx.basis)
-    g0 = tikhonov_gradient(kap, np.zeros(ctx.grid.nx), 0.0, data, 0, ctx,
+    full, _, data = synthesize_data(ctx.problem, truth, 0.0, 0)
+    kap = CoefficientField.from_samples(truth.samples, grid, ctx.basis)
+    g0 = tikhonov_gradient(kap, np.zeros(grid.nx), 0.0, data, 0, ctx,
                            data_on_grid=full)
     scale = np.max(np.abs(truth.samples))
     assert np.max(np.abs(g0.samples)) < 1e-8 * scale
     # the penalty contributes exactly alpha * (kappa - prior)
-    prior = np.zeros(ctx.grid.nx)
+    prior = np.zeros(grid.nx)
     g1 = tikhonov_gradient(kap, prior, 0.5, data, 0, ctx, data_on_grid=full)
     np.testing.assert_allclose(g1.samples - g0.samples,
                                0.5 * (kap.samples - prior), atol=1e-14)
@@ -247,22 +261,23 @@ def test_tikhonov_gradient_matches_fd():
     # directional derivative of the Tikhonov functional by central
     # differences matches the adjoint-based gradient
     ctx, init, truth, _ = make_setup(nx=101, nt=200)
-    _, _, data = synthesize_data(truth, PARAMS, ctx.source, ctx.grid,
-                                 ctx.tgrid, BC, 1.0, 0.0, 0, 30)
-    data_grid = prefilter(data, ctx.tgrid.nt)
+    problem = ctx.problem
+    grid, tgrid = problem.grid, problem.tgrid
+    _, _, data = synthesize_data(problem, truth, 0.0, 0)
+    data_grid = prefilter(data, tgrid.nt)
     alpha = 0.3
-    prior = np.zeros(ctx.grid.nx)
+    prior = np.zeros(grid.nx)
     kap = CoefficientField.from_samples(
-        0.05 * np.sin(np.pi * ctx.grid.nodes / 2) ** 2, ctx.grid
+        0.05 * np.sin(np.pi * grid.nodes / 2) ** 2, grid
     )
-    dk = np.sin(np.pi * ctx.grid.nodes) * 0.1
+    dk = np.sin(np.pi * grid.nodes) * 0.1
 
     def functional(samples):
-        state = ctx.simulate(samples)
-        y = state.values[ctx.obs_index, :] - data_grid.values
-        misfit = 0.5 * np.trapezoid(y**2, dx=ctx.tgrid.dt)
+        state = solve_forward(problem, samples)
+        y = state.values[problem.obs_index, :] - data_grid.values
+        misfit = 0.5 * np.trapezoid(y**2, dx=tgrid.dt)
         penalty = 0.5 * alpha * np.trapezoid((samples - prior) ** 2,
-                                             dx=ctx.grid.dx)
+                                             dx=grid.dx)
         return misfit + penalty
 
     h = 1e-3
@@ -270,7 +285,7 @@ def test_tikhonov_gradient_matches_fd():
           - functional(kap.samples - h * dk)) / (2 * h)
     g = tikhonov_gradient(kap, prior, alpha, data, 0, ctx,
                           data_on_grid=data_grid)
-    pairing = np.trapezoid(g.samples * dk, dx=ctx.grid.dx)
+    pairing = np.trapezoid(g.samples * dk, dx=grid.dx)
     assert abs(fd - pairing) / abs(fd) < 5e-3
 
 
