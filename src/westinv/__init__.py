@@ -4,7 +4,6 @@ the 1-D Westervelt equation from boundary time-trace measurements."""
 from .basis import BasisSet, CoefficientField, clip_nonnegative, evaluate_basis, project
 from .data import (
     add_noise,
-    downsample,
     prefilter,
     smooth_bump,
     synthesize_data,
@@ -14,7 +13,6 @@ from .data import (
 )
 from .derivatives import (
     Direction,
-    DirectionalHessianMatrix,
     JacobianMatrix,
     apply_gradient,
     assemble_directional_hessian,

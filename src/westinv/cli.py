@@ -104,7 +104,8 @@ def cmd_diagnose(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     problem, basis, _ = build_problem(cfg)
     if args.what == "svd":
-        sigma, q = svd_decay(InversionContext(problem, basis).frozen_jacobian())
+        sigma = InversionContext(problem, basis).frozen_jacobian().svd()[1]
+        q = svd_decay(sigma)
         svd_csv(sigma, os.path.join(args.out, "svd.csv"))
         print(f"sigma_max = {sigma[0]:.6g}, sigma_min = {sigma[-1]:.6g}, "
               f"fitted geometric rate q = {q:.6g}")
@@ -172,7 +173,11 @@ def cmd_sweep(args) -> int:
         name = entry.get("name", f"run{i:03d}")
         if not isinstance(name, str):
             raise ConfigError(f"sweep entry {i}: name must be a string")
-        cfg = ExperimentConfig.from_dict(entry.get("config", entry))
+        if "config" in entry:
+            entry = entry["config"]
+        else:  # the entry is the config itself, next to its name
+            entry = {k: v for k, v in entry.items() if k != "name"}
+        cfg = ExperimentConfig.from_dict(entry)
         jobs.append((name, cfg, os.path.join(args.out, name)))
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         codes = list(pool.map(lambda j: run_experiment(j[1], j[2]), jobs))

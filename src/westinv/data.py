@@ -14,14 +14,6 @@ from .trace import TimeTrace
 DEFAULT_SAMPLE_COUNT = 50
 
 
-def downsample(trace: TimeTrace, count: int = DEFAULT_SAMPLE_COUNT) -> TimeTrace:
-    """Linear-interpolation resampling onto `count` equally spaced points
-    on [0, T]."""
-    times = np.linspace(trace.times[0], trace.times[-1], count)
-    values = np.interp(times, trace.times, trace.values)
-    return TimeTrace(times, values, trace.noise_level, trace.provenance)
-
-
 def add_noise(trace: TimeTrace, level: float, seed: int) -> TimeTrace:
     """Add i.i.d. uniform noise on [-eta, eta] with eta = level * max|h|.
 

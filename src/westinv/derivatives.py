@@ -17,7 +17,7 @@ integral of v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,20 +54,15 @@ class JacobianMatrix:
     sensitivity solution for basis direction e_j.  Shape (ns, m)."""
 
     entries: np.ndarray
-    sample_times: np.ndarray
-    basis: BasisSet
-    frozen_at: np.ndarray  # kappa0 grid samples
     sensitivities: list | None = None  # cached z fields, reused by the Hessian
+    _svd: tuple | None = field(default=None, init=False, repr=False)
 
-
-@dataclass
-class DirectionalHessianMatrix:
-    """Discretized F''(kappa0)[d, .]: column j is the sampled trace of the
-    second-derivative solution for the pair (d, e_j)."""
-
-    entries: np.ndarray
-    sample_times: np.ndarray
-    direction: Direction
+    def svd(self) -> tuple:
+        """Thin SVD (U, sigma, Vt) of the entries, sigma descending;
+        computed on the first call and cached."""
+        if self._svd is None:
+            self._svd = np.linalg.svd(self.entries, full_matrices=False)
+        return self._svd
 
 
 def _check_same_grids(problem: Problem, *states: StateField):
@@ -187,18 +182,16 @@ def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
         cols.append(problem.sampled_trace(z))
         if keep_sensitivities:
             zs.append(z)
-    return JacobianMatrix(
-        np.column_stack(cols), problem.sample_times, basis, kap,
-        zs if keep_sensitivities else None,
-    )
+    return JacobianMatrix(np.column_stack(cols),
+                          zs if keep_sensitivities else None)
 
 
 def assemble_directional_hessian(problem: Problem, d: Direction, kappa0,
                                  basis: BasisSet, base: StateField,
-                                 jacobian: JacobianMatrix
-                                 ) -> DirectionalHessianMatrix:
-    """Column j = sampled trace of the second-derivative solve for (d, e_j),
-    reusing the sensitivity fields cached on the Jacobian (m solves)."""
+                                 jacobian: JacobianMatrix) -> np.ndarray:
+    """Discretized F''(kappa0)[d, .], shape (ns, m): column j is the sampled
+    trace of the second-derivative solve for (d, e_j), reusing the
+    sensitivity fields cached on the Jacobian (m solves)."""
     if jacobian.sensitivities is None:
         raise ValueError("jacobian was assembled without cached sensitivities")
     kap = kappa_samples(kappa0, problem.grid)
@@ -211,9 +204,7 @@ def assemble_directional_hessian(problem: Problem, d: Direction, kappa0,
             Direction(E[:, j]),
         )
         cols.append(problem.sampled_trace(w))
-    return DirectionalHessianMatrix(
-        np.column_stack(cols), problem.sample_times, d
-    )
+    return np.column_stack(cols)
 
 
 def fd_jacobian_oracle(problem: Problem, kappa0, basis: BasisSet,
@@ -233,14 +224,5 @@ def fd_jacobian_oracle(problem: Problem, kappa0, basis: BasisSet,
             for sign in (1.0, -1.0)
         ]
         cols.append((traces[0] - traces[1]) / (2 * step))
-    return JacobianMatrix(
-        np.column_stack(cols), problem.sample_times, basis, kap, None
-    )
+    return JacobianMatrix(np.column_stack(cols))
 
-
-def matrix_to_csv(entries: np.ndarray, path) -> None:
-    """CSV export of an assembled matrix, header j0..j{m-1}, row-major."""
-    m = entries.shape[1]
-    header = ",".join(f"j{j}" for j in range(m))
-    np.savetxt(path, entries, delimiter=",", header=header, comments="",
-               fmt="%.17g")

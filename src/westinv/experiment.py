@@ -148,8 +148,13 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(message)
         grid = SpatialGrid(self.nx)
-        if grid.node_index(self.obs_point) is None:
+        obs = grid.node_index(self.obs_point)
+        if obs is None:
             raise ConfigError(f"obs_point {self.obs_point} is not a grid node")
+        if self.method == "landweber" and obs != grid.nx - 1:
+            # the adjoint solve takes the residual as a boundary flux there
+            raise ConfigError("landweber needs obs_point 1.0, got "
+                              f"{self.obs_point}")
         f, _ = EXCITATIONS[self.excitation]
         try:
             _check_profile_bc(
@@ -169,8 +174,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
         """Read a schema-1 dict.  Bool fields take only JSON booleans, int
-        fields only integers and float fields only numbers; anything else,
-        and any config validate rejects, raises ConfigError."""
+        fields only integers and float fields only numbers; an unknown key,
+        a value of another type and any config validate rejects raise
+        ConfigError."""
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
         if cfg.get("schema") != 1:
@@ -182,6 +188,14 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"config section {section!r} must be an object")
             sections[section] = value
+        for section, value in sections.items():
+            known = {key for s, key, _ in _SCHEMA.values() if s == section}
+            if section is None:
+                known |= {"schema", *sections}
+            for key in value:
+                if key not in known:
+                    where = f"{section}.{key}" if section else key
+                    raise ConfigError(f"unknown config key {where!r}")
         out = cls()
         try:
             for name, (section, key, kind) in _SCHEMA.items():
@@ -326,7 +340,8 @@ def run_inversion(cfg: ExperimentConfig):
 
     sigma = q = None
     if cfg.diagnostics:
-        sigma, q = svd_decay(ctx.frozen_jacobian())
+        sigma = ctx.frozen_jacobian().svd()[1]
+        q = svd_decay(sigma)
 
     exit_code = EXIT_OK if report.stop_reason in ("discrepancy", "stagnation") \
         else EXIT_MAX_ITER

@@ -78,20 +78,6 @@ class StateField:
             self._dt_cache = _time_derivative(self.values, self.tgrid.dt)
         return self._dt_cache
 
-    def to_csv(self, path) -> None:
-        """Write the field as CSV: header t,x0,...,x{nx-1}, one row per time
-        level, 17 significant digits."""
-        nx = self.grid.nx
-        header = "t," + ",".join(f"x{i}" for i in range(nx))
-        data = np.column_stack([self.tgrid.times, self.values.T])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
-
-    @classmethod
-    def from_csv(cls, path, grid: SpatialGrid, tgrid: TimeGrid) -> "StateField":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        return cls(data[:, 1:].T, grid, tgrid)
-
 
 def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     out = np.empty_like(values)

@@ -111,7 +111,8 @@ class InversionReport:
 class InversionContext:
     """Everything a reconstruction run needs besides the data: the forward
     problem, the basis and the frozen linearization point (kappa0 = 0 by
-    default).  Frozen quantities are cached lazily.  The data must be
+    default).  Frozen quantities are cached lazily, so the frozen Jacobian
+    and its SVD are computed at most once per run.  The data must be
     sampled at problem.sample_times."""
 
     problem: Problem
@@ -173,22 +174,6 @@ def default_alpha0(jacobian: JacobianMatrix, residual0: np.ndarray) -> float:
     return value if value > 0 else 1.0
 
 
-def power_iteration_sigma_max(entries: np.ndarray, iters: int = 100) -> float:
-    """Largest singular value of a matrix by power iteration on J^T J,
-    deterministic start vector."""
-    v = np.ones(entries.shape[1])
-    v /= np.linalg.norm(v)
-    sigma2 = 0.0
-    for _ in range(iters):
-        w = entries.T @ (entries @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        sigma2 = norm
-        v = w / norm
-    return float(np.sqrt(sigma2))
-
-
 def _error_norms(kappa: CoefficientField, truth, grid: SpatialGrid):
     if truth is None:
         return float("nan"), float("nan")
@@ -210,15 +195,28 @@ def _stagnated(residuals) -> bool:
         < STAGNATION_TOL * scale
 
 
-def _solve_regularized(J: np.ndarray, alpha: float, rhs: np.ndarray) -> np.ndarray:
-    normal = J.T @ J + alpha * np.eye(J.shape[1])
-    cond = np.linalg.cond(normal)
+def _normal_condition(jacobian: JacobianMatrix, alpha: float) -> float:
+    """Condition number of J^T J + alpha I from the singular values of J:
+    (sigma_0^2 + alpha) / (sigma_min^2 + alpha), with sigma_min = 0 when J
+    has fewer rows than columns."""
+    sigma = jacobian.svd()[1]
+    ns, m = jacobian.entries.shape
+    low = (sigma[-1] if ns >= m else 0.0) ** 2 + alpha
+    return (sigma[0] ** 2 + alpha) / low if low > 0 else np.inf
+
+
+def _solve_regularized(jacobian: JacobianMatrix, alpha: float,
+                       rhs: np.ndarray) -> np.ndarray:
+    """(J^T J + alpha I)^{-1} J^T rhs from the thin SVD J = U diag(sigma) V^T,
+    through the filter factors sigma / (sigma^2 + alpha)."""
+    cond = _normal_condition(jacobian, alpha)
     if not np.isfinite(cond) or cond > 1e15:
         raise LinearSolveError(
             f"regularized normal matrix is numerically singular "
             f"(cond = {cond:.3g}, alpha = {alpha:.3g})"
         )
-    return np.linalg.solve(normal, J.T @ rhs)
+    U, sigma, Vt = jacobian.svd()
+    return Vt.T @ (sigma / (sigma**2 + alpha) * (U.T @ rhs))
 
 
 def _run_loop(data, init, ctx, stop, truth, step_fn, divergence_guard=False):
@@ -274,17 +272,15 @@ def landweber_run(
 ) -> InversionReport:
     """Landweber iteration kappa_{n+1} = clip(kappa_n + mu * F'(.)^* (h - F)),
     with the gradient applied through the adjoint PDE solve (at kappa0 when
-    frozen).  mu = None selects 0.9 / sigma_max^2 from power iteration on the
-    frozen Jacobian."""
+    frozen).  mu = None selects 0.9 / sigma_0^2 from the SVD of the frozen
+    Jacobian."""
     from .data import prefilter  # deferred: data module imports forward
 
     problem = ctx.problem
     if data_on_grid is None:
         data_on_grid = prefilter(data, problem.tgrid.nt)
     if mu is None:
-        J = ctx.frozen_jacobian()
-        sigma_max = power_iteration_sigma_max(J.entries)
-        mu = 0.9 / sigma_max**2
+        mu = 0.9 / ctx.frozen_jacobian().svd()[1][0] ** 2
 
     base0 = ctx.frozen_base() if frozen else None
     psq0 = ctx.frozen_psq_tt() if frozen else None
@@ -315,7 +311,8 @@ def newton_lm_run(
     truth=None,
 ) -> InversionReport:
     """Levenberg-Marquardt / regularized (frozen) Newton iteration
-    c_{n+1} = c_n + (J^T J + alpha_n I)^{-1} J^T (h - F(kappa_n))."""
+    c_{n+1} = c_n + (J^T J + alpha_n I)^{-1} J^T (h - F(kappa_n)); frozen
+    steps all reuse the SVD of the frozen Jacobian."""
     J_frozen = ctx.frozen_jacobian() if frozen else None
 
     reg_holder = [reg]
@@ -328,7 +325,7 @@ def newton_lm_run(
                                   base=state, keep_sensitivities=False)
         if reg_holder[0] is None:
             reg_holder[0] = RegularizationSchedule(default_alpha0(J, r))
-        c_step = _solve_regularized(J.entries, reg_holder[0].alpha(n), r)
+        c_step = _solve_regularized(J, reg_holder[0].alpha(n), r)
         coeffs = kappa.coefficients + c_step
         return clip_nonnegative(
             CoefficientField.from_coefficients(ctx.basis, coeffs,
@@ -341,26 +338,24 @@ def newton_lm_run(
 def halley_run(
     data: TimeTrace,
     init: CoefficientField,
-    reg_predictor: RegularizationSchedule | None,
+    reg: RegularizationSchedule | None,
     stop: StoppingRule,
     ctx: InversionContext,
     truth=None,
-    reg_corrector: RegularizationSchedule | None = None,
 ) -> InversionReport:
     """Frozen Halley predictor-corrector: the predictor is the frozen
-    Levenberg-Marquardt step d; the corrector re-solves against the same
-    residual with system matrix J + H_d / 2.  The corrector schedule defaults
-    to the predictor's."""
+    Levenberg-Marquardt step d (from the frozen Jacobian's SVD); the
+    corrector re-solves against the same residual with system matrix
+    J + H_d / 2, factored once per step, and the same alpha_n."""
     J = ctx.frozen_jacobian()
     grid = ctx.problem.grid
-    pred_holder = [reg_predictor]
+    reg_holder = [reg]
 
     def step(n, kappa, state, r):
-        if pred_holder[0] is None:
-            pred_holder[0] = RegularizationSchedule(default_alpha0(J, r))
-        reg_p = pred_holder[0]
-        reg_c = reg_corrector or reg_p
-        d_coeffs = _solve_regularized(J.entries, reg_p.alpha(n), r)
+        if reg_holder[0] is None:
+            reg_holder[0] = RegularizationSchedule(default_alpha0(J, r))
+        alpha = reg_holder[0].alpha(n)
+        d_coeffs = _solve_regularized(J, alpha, r)
         d = Direction(
             kappa_samples(
                 CoefficientField.from_coefficients(ctx.basis, d_coeffs, grid),
@@ -371,8 +366,8 @@ def halley_run(
         H = assemble_directional_hessian(
             ctx.problem, d, ctx.kappa_frozen, ctx.basis, ctx.frozen_base(), J
         )
-        J2 = J.entries + 0.5 * H.entries
-        c_step = _solve_regularized(J2, reg_c.alpha(n), r)
+        c_step = _solve_regularized(JacobianMatrix(J.entries + 0.5 * H),
+                                    alpha, r)
         coeffs = kappa.coefficients + c_step
         return clip_nonnegative(
             CoefficientField.from_coefficients(ctx.basis, coeffs, grid)

@@ -100,24 +100,18 @@ def pole_residual(p: complex, b: float, c2: float, lam: float) -> float:
     return value / max(1.0, abs(p) ** 2)
 
 
-def svd_decay(entries: np.ndarray, floor_factor: float = 1e3):
-    """Singular values (descending) of a matrix plus the geometric decay rate
-    q = exp(slope) from a least-squares fit of log sigma_k against k, restricted
-    to the values above the machine-noise floor (floor_factor * eps * sigma_0).
-
-    Accepts a JacobianMatrix or a raw array.
-    """
-    entries = np.asarray(getattr(entries, "entries", entries), dtype=float)
-    sigma = np.linalg.svd(entries, compute_uv=False)
+def svd_decay(sigma: np.ndarray, floor_factor: float = 1e3) -> float:
+    """Geometric decay rate q = exp(slope) of descending singular values,
+    from a least-squares fit of log sigma_k against k restricted to the
+    values above the machine-noise floor (floor_factor * eps * sigma_0)."""
     if sigma[0] == 0:
-        return sigma, 1.0
+        return 1.0
     floor = floor_factor * np.finfo(float).eps * sigma[0]
-    keep = sigma > floor
-    k = np.flatnonzero(keep)
+    k = np.flatnonzero(sigma > floor)
     if len(k) < 2:
-        return sigma, 1.0
+        return 1.0
     slope = np.polyfit(k, np.log(sigma[k]), 1)[0]
-    return sigma, float(np.exp(slope))
+    return float(np.exp(slope))
 
 
 def pole_distinctness(spec: SpectralData) -> dict:

@@ -263,7 +263,7 @@ def test_criterion_7_landweber_slowness():
 
 def test_criterion_8_ill_posedness(baseline_jacobians):
     J, _ = baseline_jacobians
-    sigma, q = svd_decay(J)
+    q = svd_decay(J.svd()[1])
     spec = SpectralData.build(BC, 20, 1.0, 1.0)
     res = max(pole_residual(p, 1.0, 1.0, lam)
               for lam, pair in zip(spec.eigenvalues, spec.pole_pairs)

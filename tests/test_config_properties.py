@@ -1,5 +1,5 @@
 """Property tests of the JSON config schema: round trip, and rejection of
-values of the wrong JSON type."""
+values of the wrong JSON type and of unknown keys."""
 
 import json
 
@@ -21,6 +21,9 @@ def floats(lo, hi):
 @st.composite
 def valid_configs(draw):
     nx = draw(st.integers(3, 60))
+    method = draw(st.sampled_from(METHODS))
+    # Landweber's adjoint solve needs the observation at x = 1
+    obs = nx - 1 if method == "landweber" else draw(st.integers(0, nx - 1))
     return ExperimentConfig(
         nx=nx,
         nt=draw(st.integers(3, 500)),
@@ -40,7 +43,7 @@ def valid_configs(draw):
         noise=draw(floats(0.0, 1.0)),
         seed=draw(st.integers(0, 2**32)),
         sample_count=draw(st.integers(4, 200)),
-        method=draw(st.sampled_from(METHODS)),
+        method=method,
         frozen=draw(st.booleans()),
         tau=draw(floats(1.01, 10.0)),
         alpha0=draw(st.none() | floats(1e-6, 1e3)),
@@ -48,7 +51,7 @@ def valid_configs(draw):
         max_iter=draw(st.integers(1, 100)),
         mu=draw(st.none() | floats(1e-6, 1.0)),
         diagnostics=draw(st.booleans()),
-        obs_point=draw(st.integers(0, nx - 1)) / (nx - 1),
+        obs_point=obs / (nx - 1),
         smoothing_s=draw(st.sampled_from([0, 1])),
     )
 
@@ -86,3 +89,16 @@ def test_config_wrong_type_raises(cfg, data):
         target[key] = replacement
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
+
+
+@SETTINGS
+@hypothesis.given(valid_configs(), st.data())
+def test_config_unknown_key_raises(cfg, data):
+    d = cfg.to_dict()
+    section = data.draw(st.sampled_from(
+        [None] + sorted(k for k, v in d.items() if isinstance(v, dict))))
+    target = d if section is None else d[section]
+    key = data.draw(st.text(min_size=1).filter(lambda k: k not in target))
+    target[key] = 0
+    with pytest.raises(ConfigError, match="unknown config key"):
+        ExperimentConfig.from_dict(d)

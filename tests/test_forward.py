@@ -232,16 +232,6 @@ def test_second_time_derivative_grid_too_coarse():
         second_time_derivative_of_square(state)
 
 
-def test_statefield_csv_roundtrip(tmp_path):
-    grid, tgrid = SpatialGrid(11), TimeGrid(10)
-    rng = np.random.Generator(np.random.Philox(5))
-    state = StateField(rng.standard_normal((11, 11)), grid, tgrid)
-    path = tmp_path / "state.csv"
-    state.to_csv(path)
-    back = StateField.from_csv(path, grid, tgrid)
-    np.testing.assert_allclose(back.values, state.values, rtol=1e-15)
-
-
 @pytest.mark.parametrize("left, right", [
     (l, r) for l in ("dirichlet", "neumann", "impedance")
     for r in ("dirichlet", "neumann", "impedance")

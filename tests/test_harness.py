@@ -17,7 +17,6 @@ from westinv import (
     TimeTrace,
     TooFewSamplesError,
     add_noise,
-    downsample,
     manufactured_source,
     prefilter,
     run_experiment,
@@ -78,15 +77,6 @@ def test_noise_seed_reproducible():
     np.testing.assert_array_equal(noisy1.values, noisy2.values)
     _, _, other = make_data(0.01, 43)
     assert np.any(other.values != noisy1.values)
-
-
-def test_downsample_endpoints_and_linear():
-    tgrid = TimeGrid(100)
-    trace = TimeTrace(tgrid.times, 2.0 * tgrid.times - 0.5)
-    coarse = downsample(trace, 13)
-    assert coarse.times[0] == 0.0 and coarse.times[-1] == 1.0
-    np.testing.assert_allclose(coarse.values, 2.0 * coarse.times - 0.5,
-                               atol=1e-14)
 
 
 def test_prefilter_preserves_affine():
@@ -380,3 +370,56 @@ def test_cli_sweep_rejects_bad_entry_before_running(tmp_path, capsys):
     _expect_config_error(capsys, ["sweep", "--config", str(path),
                                   "--jobs", "1", "--out", str(out)])
     assert not (out / "good").exists()
+
+
+@pytest.mark.parametrize("section", [None, "grid", "time", "params", "bc",
+                                     "basis", "truth", "excitation",
+                                     "method_options"])
+def test_cli_config_unknown_key(tmp_path, capsys, section):
+    # a misspelt key is an error, not a silent fallback to the default
+    def edit(cfg):
+        (cfg if section is None else cfg[section])["bogus_key"] = 1
+    path = _write_config(tmp_path, edit)
+    assert cli_main(["reconstruct", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "bogus_key" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_sweep_entry_without_config_wrapper(tmp_path):
+    # an entry may be the config itself, with its name beside the keys
+    entry = dict(small_config(max_iter=2).to_dict(), name="flat")
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"runs": [entry]}))
+    out = tmp_path / "o"
+    code = cli_main(["sweep", "--config", str(path), "--jobs", "1",
+                     "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_MAX_ITER)
+    assert (out / "flat" / "report.json").exists()
+
+
+def _interior_observation(method):
+    cfg = {"schema": 1, "grid": {"nx": 41}, "time": {"nt": 80},
+           "basis": {"m": 7}, "sample_count": 25, "truth": {"amplitude": 0.3},
+           "method": method, "obs_point": 0.5}
+    if method == "landweber":
+        cfg.update(noise=0.0001, method_options={"max_iter": 2, "mu": 0.01})
+    else:
+        cfg.update(noise=0.01, method_options={"max_iter": 8, "alpha0": 1.0})
+    return cfg
+
+
+def test_cli_landweber_interior_observation_rejected(tmp_path, capsys):
+    # the adjoint solve needs the observation at x = 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_interior_observation("landweber")))
+    _expect_config_error(capsys, ["reconstruct", "--config", str(path),
+                                  "--out", str(tmp_path / "o")])
+
+
+def test_cli_newton_interior_observation_runs(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_interior_observation("newton")))
+    assert cli_main(["reconstruct", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == EXIT_OK

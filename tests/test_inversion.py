@@ -18,21 +18,22 @@ from westinv import (
     StoppingRule,
     TimeGrid,
     discrepancy_stop,
-    halley_run,
     landweber_run,
     manufactured_source,
     newton_lm_run,
     prefilter,
+    run_inversion,
     solve_forward,
     synthesize_data,
     tikhonov_gradient,
     truth_field,
 )
 from westinv.basis import BasisSet, evaluate_basis
+from westinv.experiment import ExperimentConfig
 from westinv.inversion import (
+    _normal_condition,
     _solve_regularized,
     default_alpha0,
-    power_iteration_sigma_max,
 )
 from westinv.derivatives import JacobianMatrix
 
@@ -60,10 +61,7 @@ def make_setup(nx=51, nt=100, m=9, noise=0.0, seed=0, amplitude=0.15,
 
 
 def mock_jacobian(entries):
-    entries = np.asarray(entries, dtype=float)
-    times = np.linspace(0.0, 1.0, entries.shape[0])
-    return JacobianMatrix(entries, times, BasisSet("hat", entries.shape[1]),
-                          np.zeros(3), None)
+    return JacobianMatrix(np.asarray(entries, dtype=float))
 
 
 def test_discrepancy_stop_examples():
@@ -104,26 +102,74 @@ def test_default_alpha0():
     assert default_alpha0(J, np.zeros(4)) == 1.0
 
 
-def test_power_iteration_sigma_max():
-    entries = np.diag([3.0, 1.0, 0.1])
-    np.testing.assert_allclose(power_iteration_sigma_max(entries), 3.0,
-                               rtol=1e-8)
-    assert power_iteration_sigma_max(np.zeros((3, 3))) == 0.0
-
-
 def test_regularized_solve_identity():
     # identity Jacobian and alpha = 0: the step equals the residual
     r = np.array([0.5, -0.25, 1.0])
-    np.testing.assert_allclose(_solve_regularized(np.eye(3), 0.0, r), r)
+    np.testing.assert_allclose(
+        _solve_regularized(mock_jacobian(np.eye(3)), 0.0, r), r)
     # large alpha shrinks the step toward zero
-    small = _solve_regularized(np.eye(3), 1e6, r)
+    small = _solve_regularized(mock_jacobian(np.eye(3)), 1e6, r)
     assert np.max(np.abs(small)) < 1e-5
 
 
 def test_regularized_solve_singular():
     J = np.ones((4, 3))  # rank one
     with pytest.raises(LinearSolveError):
-        _solve_regularized(J, 0.0, np.ones(4))
+        _solve_regularized(mock_jacobian(J), 0.0, np.ones(4))
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@hypothesis.settings(max_examples=50, deadline=None, database=None)
+@hypothesis.given(st.integers(1, 8), st.integers(1, 8), st.floats(1e-2, 10.0),
+                  st.integers(0, 2**32))
+@hypothesis.example(3, 6, 0.1, 0)  # wide: fewer samples than coefficients
+@hypothesis.example(6, 3, 0.1, 0)  # tall
+def test_svd_step_matches_normal_equations(ns, m, alpha, seed):
+    # the filter-factor step is the regularized normal-equation solution,
+    # and the closed-form condition number is that of J^T J + alpha I
+    rng = np.random.Generator(np.random.Philox(seed))
+    J = rng.standard_normal((ns, m))
+    r = rng.standard_normal(ns)
+    normal = J.T @ J + alpha * np.eye(m)
+    ref = np.linalg.solve(normal, J.T @ r)
+    step = _solve_regularized(mock_jacobian(J), alpha, r)
+    assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+    np.testing.assert_allclose(_normal_condition(mock_jacobian(J), alpha),
+                               np.linalg.cond(normal), rtol=1e-10)
+
+
+def test_frozen_newton_factors_the_jacobian_once(monkeypatch):
+    # every frozen step and the diagnostics spectrum read one SVD
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    cfg = ExperimentConfig(nx=41, nt=80, n_basis=7, sample_count=25,
+                           max_iter=4, noise=0.0, alpha0=1.0,
+                           diagnostics=True)
+    result = run_inversion(cfg)
+    assert result.report.stop_index >= 2
+    assert result.sigma is not None
+    assert len(calls) == 1
+
+
+def test_landweber_default_step_size():
+    # mu = None is 0.9 / ||J||_2^2 for the frozen Jacobian
+    ctx, init, truth, data = make_setup(m=5, noise=0.001, seed=3)
+    stop = StoppingRule(tau=2.0, delta=0.0, max_iter=3)
+    mu = 0.9 / np.linalg.norm(ctx.frozen_jacobian().entries, 2) ** 2
+    auto = landweber_run(data, init, True, None, stop, ctx)
+    given = landweber_run(data, init, True, mu, stop, ctx)
+    np.testing.assert_allclose(auto.residuals, given.residuals, rtol=1e-12)
+    np.testing.assert_allclose(auto.final.samples, given.final.samples,
+                               rtol=1e-12, atol=1e-15)
 
 
 def test_zero_residual_immediate_stop():
@@ -210,21 +256,6 @@ def test_unfrozen_variants_run():
     assert rep_n.residuals[-1] < rep_n.residuals[0]
     rep_l = landweber_run(data, init, False, None, stop, ctx, truth=truth)
     assert rep_l.residuals[-1] < rep_l.residuals[0]
-
-
-def test_halley_default_corrector_schedule():
-    # corrector schedule defaults to the predictor's: explicit passing of the
-    # same schedule reproduces the run exactly
-    ctx, init, truth, data = make_setup(m=7, noise=0.0)
-    stop = StoppingRule(tau=2.0, delta=0.0, max_iter=2)
-    sched = RegularizationSchedule(2.0)
-    rep_a = halley_run(data, init, sched, stop, ctx, truth=truth)
-    ctx2, init2, _, _ = make_setup(m=7, noise=0.0)
-    rep_b = halley_run(data, init2, sched, stop, ctx2, truth=truth,
-                       reg_corrector=sched)
-    np.testing.assert_allclose(rep_a.final.samples, rep_b.final.samples,
-                               rtol=1e-12)
-    assert rep_a.residuals == rep_b.residuals
 
 
 def test_stagnation_detection():

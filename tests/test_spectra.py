@@ -95,27 +95,33 @@ def test_pole_distinctness_clean_and_violated():
     assert not bad["distinct"] and len(bad["violations"]) == 2
 
 
+def decay(M):
+    """Singular values of M and their fitted decay rate."""
+    sigma = np.linalg.svd(M, compute_uv=False)
+    return sigma, svd_decay(sigma)
+
+
 def test_svd_decay_identity_and_rank_one():
     # identity: all singular values 1, fitted rate q = 1
-    sigma, q = svd_decay(np.eye(6))
+    sigma, q = decay(np.eye(6))
     np.testing.assert_allclose(sigma, 1.0)
     np.testing.assert_allclose(q, 1.0, atol=1e-12)
     # rank-one matrix: trailing singular values at noise level
     u = np.arange(1.0, 6.0)
-    sigma, q = svd_decay(np.outer(u, u))
+    sigma, q = decay(np.outer(u, u))
     assert sigma[1] < 1e-12 * sigma[0]
 
 
 def test_svd_decay_geometric():
     # exact geometric spectrum is recovered by the fit
     diag = 0.5 ** np.arange(8)
-    sigma, q = svd_decay(np.diag(diag))
+    sigma, q = decay(np.diag(diag))
     np.testing.assert_allclose(sigma, diag)
     np.testing.assert_allclose(q, 0.5, rtol=1e-10)
 
 
 def test_svd_decay_zero_matrix():
-    sigma, q = svd_decay(np.zeros((4, 4)))
+    sigma, q = decay(np.zeros((4, 4)))
     assert q == 1.0 and np.all(sigma == 0.0)
 
 
