@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,6 +24,7 @@ from .experiment import (
     build_problem,
     read_json_config,
     run_experiment,
+    write_error_report,
 )
 from .forward import Problem, manufactured_source, solve_forward
 from .grids import BoundaryCondition, MaterialParams, SpatialGrid, TimeGrid
@@ -158,6 +160,17 @@ def cmd_convergence_study(args) -> int:
     return 0
 
 
+def _run_sweep_entry(job) -> int:
+    """run_experiment for one sweep entry.  Any other exception becomes this
+    entry's error report (exit 4), so the other entries still finish."""
+    _, cfg, out_dir = job
+    try:
+        return run_experiment(cfg, out_dir)
+    except Exception as exc:  # a boundary: the sweep keeps running
+        traceback.print_exc()
+        return write_error_report(out_dir, f"{type(exc).__name__}: {exc}")
+
+
 def cmd_sweep(args) -> int:
     if not args.config:
         raise ConfigError("sweep requires --config pointing at a run list")
@@ -166,6 +179,9 @@ def cmd_sweep(args) -> int:
     if not isinstance(runs, list) or not runs:
         raise ConfigError('sweep config must be an object with a nonempty '
                           '"runs" list')
+    unknown = sorted(spec.keys() - {"runs"})
+    if unknown:
+        raise ConfigError(f"unknown sweep key {unknown[0]!r}")
     jobs = []
     for i, entry in enumerate(runs):
         if not isinstance(entry, dict):
@@ -174,13 +190,17 @@ def cmd_sweep(args) -> int:
         if not isinstance(name, str):
             raise ConfigError(f"sweep entry {i}: name must be a string")
         if "config" in entry:
+            unknown = sorted(entry.keys() - {"name", "config"})
+            if unknown:
+                raise ConfigError(f"sweep entry {i}: unknown key "
+                                  f"{unknown[0]!r}")
             entry = entry["config"]
         else:  # the entry is the config itself, next to its name
             entry = {k: v for k, v in entry.items() if k != "name"}
         cfg = ExperimentConfig.from_dict(entry)
         jobs.append((name, cfg, os.path.join(args.out, name)))
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        codes = list(pool.map(lambda j: run_experiment(j[1], j[2]), jobs))
+        codes = list(pool.map(_run_sweep_entry, jobs))
     for (name, _, out_dir), code in zip(jobs, codes):
         print(f"{name}: exit {code} -> {out_dir}")
     return max(codes)

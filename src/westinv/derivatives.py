@@ -4,9 +4,10 @@ assembly of the discretized Jacobian and directional Hessian over a basis.
 The sensitivity and second-derivative equations are integrated once in time
 and marched in the conservative form ((1 - 2 kappa p) u)_t + b A u
 + c^2 \\int A u = g by the forward solver's own Crank-Nicolson march
-(westinv.forward.march_linear); this makes the discrete solves the exact
+(westinv.forward.cn_march); this makes the discrete solves the exact
 first and second derivatives of the discrete forward map (up to the inner
-fixed-point tolerance).
+fixed-point tolerance).  The m Jacobian (or Hessian) columns march together
+as one (nx, m) block through the shared per-step matrices.
 
 The adjoint equation (1 - 2 kappa p) a_tt - b A a_t + c^2 A a = 0 is the
 continuous (optimize-then-discretize) adjoint.  In the time-reversed variable
@@ -18,6 +19,7 @@ integral of v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -27,8 +29,9 @@ from .forward import (
     Problem,
     StateField,
     _cumulative_trapezoid,
+    cn_march,
     kappa_samples,
-    march_linear,
+    sample_trace,
     solve_forward,
 )
 from .grids import DIRICHLET
@@ -54,7 +57,7 @@ class JacobianMatrix:
     sensitivity solution for basis direction e_j.  Shape (ns, m)."""
 
     entries: np.ndarray
-    sensitivities: list | None = None  # cached z fields, reused by the Hessian
+    sensitivities: np.ndarray | None = None  # (nx, m, nt + 1), for the Hessian
     _svd: tuple | None = field(default=None, init=False, repr=False)
 
     def svd(self) -> tuple:
@@ -71,47 +74,64 @@ def _check_same_grids(problem: Problem, *states: StateField):
             raise GridMismatchError("state field lives on different grids")
 
 
+def _march(problem: Problem, base: StateField, kap: np.ndarray, level,
+           trace_only: bool) -> StateField | np.ndarray:
+    """March ((1 - 2 kappa p) u)_t + b A u + c^2 \\int A u = d/dt level,
+    where level(n) is the integrated right-hand side at t_n, computed once
+    per level; a StateField, or with trace_only the observation row."""
+    tgrid = problem.tgrid
+    alpha = 1.0 - 2.0 * kap[:, None] * base.values
+    levels = pairwise(map(level, range(tgrid.nt + 1)))
+    u = cn_march(problem, ((new - old) / tgrid.dt for old, new in levels),
+                 lambda n, un, step: step(alpha[:, n], alpha[:, n + 1]),
+                 problem.obs_index if trace_only else slice(None))
+    return u if trace_only else StateField(u, problem.grid, tgrid)
+
+
 def solve_sensitivity(problem: Problem, base: StateField, kappa,
-                      direction: Direction) -> StateField:
+                      direction: Direction,
+                      trace_only: bool = False) -> StateField | np.ndarray:
     """Solve the linearized equation for z = G'(kappa) d-kappa:
 
     (1 - 2 kappa p) z_tt + c^2 A z + b A z_t - 4 kappa p_t z_t
         - 2 kappa p_tt z = 2 d-kappa (p p_tt + p_t^2),
 
-    via its once-integrated conservative form (no inner loop needed)."""
+    via its once-integrated conservative form (no inner loop needed).
+    Directions (nx, k) march together into z of shape (nx, k, nt + 1);
+    trace_only returns only z's observation row, (nt + 1,) or (k, nt + 1)."""
     _check_same_grids(problem, base)
     kap = kappa_samples(kappa, problem.grid)
-    if direction.samples.shape != (problem.grid.nx,):
+    d = direction.samples
+    if d.ndim not in (1, 2) or d.shape[0] != problem.grid.nx:
         raise GridMismatchError("direction does not match the spatial grid")
-    p = base.values
-    alpha = 1.0 - 2.0 * kap[:, None] * p
-    # integrated RHS: d-kappa * p^2 (its discrete time increment drives z)
-    rhs_levels = direction.samples[:, None] * p**2
-    z = march_linear(problem, alpha[:, :-1], alpha[:, 1:],
-                     np.diff(rhs_levels, axis=1) / problem.tgrid.dt)
-    return StateField(z, problem.grid, problem.tgrid)
+    # integrated RHS: d-kappa * p^2 (its discrete time increment drives z);
+    # transposed so that per-node vectors broadcast over the k columns
+    psq = base.values**2
+    return _march(problem, base, kap, lambda n: (d.T * psq[:, n]).T,
+                  trace_only)
 
 
 def solve_second_derivative(problem: Problem, base: StateField, kappa0,
                             z1: StateField, z2: StateField, d1: Direction,
-                            d2: Direction) -> StateField:
+                            d2: Direction, trace_only: bool = False
+                            ) -> StateField | np.ndarray:
     """Solve for w = G''(kappa0)[d1, d2]:
 
     ((1 - 2 kappa0 p) w)_tt + b A w_t + c^2 A w
         = 2 (kappa0 z1 z2 + p (d1 z2 + d2 z1))_tt,
 
-    marched in the once-integrated conservative form."""
+    marched in the once-integrated conservative form; batched (z, d) pairs
+    and trace_only work as in solve_sensitivity."""
     _check_same_grids(problem, base, z1, z2)
     kap = kappa_samples(kappa0, problem.grid)
     p = base.values
-    alpha = 1.0 - 2.0 * kap[:, None] * p
-    rhs_levels = 2.0 * (
-        kap[:, None] * z1.values * z2.values
-        + p * (d1.samples[:, None] * z2.values + d2.samples[:, None] * z1.values)
-    )
-    w = march_linear(problem, alpha[:, :-1], alpha[:, 1:],
-                     np.diff(rhs_levels, axis=1) / problem.tgrid.dt)
-    return StateField(w, problem.grid, problem.tgrid)
+
+    def level(n):
+        z1n, z2n = z1.values[..., n].T, z2.values[..., n].T
+        return (2.0 * (kap * z1n * z2n
+                       + p[:, n] * (d1.samples.T * z2n + d2.samples.T * z1n))).T
+
+    return _march(problem, base, kap, level, trace_only)
 
 
 def solve_adjoint(problem: Problem, base: StateField, kappa,
@@ -144,8 +164,10 @@ def solve_adjoint(problem: Problem, base: StateField, kappa,
     y_rev = residual.values[::-1]
     delta = np.zeros(grid.nx)
     delta[-1] = 2.0 / grid.dx  # discrete boundary delta at x = 1
-    forcing = delta[:, None] * (0.5 * (y_rev[:-1] + y_rev[1:]))[None, :]
-    v = march_linear(problem, alpha_mid, alpha_mid, forcing)
+    forcing = (delta * (0.5 * (y_rev[n] + y_rev[n + 1]))
+               for n in range(tgrid.nt))
+    v = cn_march(problem, forcing,
+                 lambda n, un, step: step(alpha_mid[:, n], alpha_mid[:, n]))
     u = _cumulative_trapezoid(v, tgrid.dt)
     return StateField(u[:, ::-1].copy(), grid, tgrid)
 
@@ -169,21 +191,17 @@ def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
                       base: StateField | None = None,
                       keep_sensitivities: bool = True) -> JacobianMatrix:
     """Column j = observation trace, at the sample times, of the sensitivity
-    solve for basis direction e_j at kappa0 (m linear solves)."""
+    solve for basis direction e_j at kappa0 (one march of m columns)."""
     kap = kappa_samples(kappa0, problem.grid)
     if base is None:
         base = solve_forward(problem, kap)
-    E = evaluate_basis(basis, problem.grid)
-    cols = []
-    zs = []
-    for j in range(basis.m):
-        d = Direction(E[:, j], np.eye(basis.m)[j])
-        z = solve_sensitivity(problem, base, kap, d)
-        cols.append(problem.sampled_trace(z))
-        if keep_sensitivities:
-            zs.append(z)
-    return JacobianMatrix(np.column_stack(cols),
-                          zs if keep_sensitivities else None)
+    E = Direction(evaluate_basis(basis, problem.grid))
+    if keep_sensitivities:
+        z = solve_sensitivity(problem, base, kap, E)
+        return JacobianMatrix(problem.sampled_trace(z), z.values)
+    traces = solve_sensitivity(problem, base, kap, E, trace_only=True)
+    return JacobianMatrix(sample_trace(traces, problem.tgrid,
+                                       problem.sample_times))
 
 
 def assemble_directional_hessian(problem: Problem, d: Direction, kappa0,
@@ -191,20 +209,16 @@ def assemble_directional_hessian(problem: Problem, d: Direction, kappa0,
                                  jacobian: JacobianMatrix) -> np.ndarray:
     """Discretized F''(kappa0)[d, .], shape (ns, m): column j is the sampled
     trace of the second-derivative solve for (d, e_j), reusing the
-    sensitivity fields cached on the Jacobian (m solves)."""
+    sensitivity fields cached on the Jacobian (one march of m columns)."""
     if jacobian.sensitivities is None:
         raise ValueError("jacobian was assembled without cached sensitivities")
     kap = kappa_samples(kappa0, problem.grid)
-    E = evaluate_basis(basis, problem.grid)
+    E = Direction(evaluate_basis(basis, problem.grid))
     zd = solve_sensitivity(problem, base, kap, d)
-    cols = []
-    for j in range(basis.m):
-        w = solve_second_derivative(
-            problem, base, kap, zd, jacobian.sensitivities[j], d,
-            Direction(E[:, j]),
-        )
-        cols.append(problem.sampled_trace(w))
-    return np.column_stack(cols)
+    z = StateField(jacobian.sensitivities, problem.grid, problem.tgrid)
+    traces = solve_second_derivative(problem, base, kap, zd, z, d, E,
+                                     trace_only=True)
+    return sample_trace(traces, problem.tgrid, problem.sample_times)
 
 
 def fd_jacobian_oracle(problem: Problem, kappa0, basis: BasisSet,

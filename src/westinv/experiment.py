@@ -401,17 +401,22 @@ def write_artifacts(result: ExperimentResult, out_dir) -> None:
         svd_csv(result.sigma, os.path.join(out_dir, "svd.csv"))
 
 
+def write_error_report(out_dir, message: str) -> int:
+    """Write a failed run's report.json; returns EXIT_SOLVER."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        json.dump({"error": message, "exit_code": EXIT_SOLVER}, fh,
+                  indent=2, sort_keys=True)
+        fh.write("\n")
+    return EXIT_SOLVER
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     """End-to-end pipeline; returns the process exit code."""
     cfg.validate()
     try:
         result = run_inversion(cfg)
     except WestinvError as exc:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump({"error": str(exc), "exit_code": EXIT_SOLVER}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
-        return EXIT_SOLVER
+        return write_error_report(out_dir, str(exc))
     write_artifacts(result, out_dir)
     return result.exit_code

@@ -56,35 +56,33 @@ class SourceTerm:
 
 @dataclass
 class StateField:
-    """Space-time sample of a PDE solution (p, z, a or w)."""
+    """Space-time sample of a PDE solution (p, z, a or w), or of k of them
+    marched together."""
 
-    values: np.ndarray  # shape (nx, nt + 1)
+    values: np.ndarray  # shape (nx, nt + 1), or (nx, k, nt + 1)
     grid: SpatialGrid
     tgrid: TimeGrid
     _dt_cache: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        shape = self.values.shape
         expected = (self.grid.nx, self.tgrid.nt + 1)
-        if self.values.shape != expected:
+        if len(shape) not in (2, 3) or (shape[0], shape[-1]) != expected:
             raise ValueError(
-                f"state shape {self.values.shape} does not match grids {expected}"
+                f"state shape {shape} does not match grids {expected}"
             )
 
     @property
     def time_derivative(self) -> np.ndarray:
         """First time derivative, second-order centered (one-sided at ends)."""
         if self._dt_cache is None:
-            self._dt_cache = _time_derivative(self.values, self.tgrid.dt)
+            u, dt2 = self.values, 2 * self.tgrid.dt
+            out = self._dt_cache = np.empty_like(u)
+            out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / dt2
+            out[..., 0] = (-3 * u[..., 0] + 4 * u[..., 1] - u[..., 2]) / dt2
+            out[..., -1] = (3 * u[..., -1] - 4 * u[..., -2] + u[..., -3]) / dt2
         return self._dt_cache
-
-
-def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    out = np.empty_like(values)
-    out[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2 * dt)
-    out[:, 0] = (-3 * values[:, 0] + 4 * values[:, 1] - values[:, 2]) / (2 * dt)
-    out[:, -1] = (3 * values[:, -1] - 4 * values[:, -2] + values[:, -3]) / (2 * dt)
-    return out
 
 
 def kappa_samples(kappa, grid: SpatialGrid) -> np.ndarray:
@@ -149,51 +147,55 @@ class Problem:
 
     def sampled_trace(self, state: StateField) -> np.ndarray:
         """The observation trace of a solution, linearly interpolated at the
-        sample times."""
+        sample times; (ns, k) for k solutions marched together."""
         return sample_trace(state.values[self.obs_index, :], self.tgrid,
                             self.sample_times)
 
 
 def sample_trace(trace_values: np.ndarray, tgrid: TimeGrid,
                  sample_times: np.ndarray) -> np.ndarray:
-    """Linear-interpolation sampling of a solver-grid trace at given times."""
+    """Linear-interpolation sampling of a solver-grid trace at given times;
+    the k rows of a (k, nt + 1) array give the k columns of the result."""
+    if trace_values.ndim == 2:
+        return np.column_stack([sample_trace(t, tgrid, sample_times)
+                                for t in trace_values])
     return np.interp(sample_times, tgrid.times, trace_values)
 
 
-def cn_march(problem: Problem, forcing: np.ndarray, advance) -> np.ndarray:
+def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray:
     """Crank-Nicolson march of (a u)_t + b A u + c^2 \\int_0^t A u = f with
     homogeneous initial data; the one time loop behind every solve.
 
-    forcing[:, n] is f on step n -> n + 1.  advance(n, un, step) returns
-    u^{n+1}, where step(a_old, a_new) solves
-    (a_new/dt + coef A) u = a_old un/dt + rest for the step's fixed
-    rest = f - coef A un - c^2 \\int_0^{t_n} A u (trapezoidal memory).
+    forcing yields f for steps n -> n + 1, n = 0, ..., nt - 1, shaped (nx,)
+    or (nx, k): k columns march through the same step matrices.
+    advance(n, un, step) returns u^{n+1}; step(a_old, a_new) solves
+    (a_new/dt + coef A) u = a_old un/dt + f - coef A un - c^2 \\int_0^{t_n} A u
+    (trapezoidal memory).  Returns u[keep] at every time level, time last.
     """
     A, params, tgrid = problem.operator, problem.params, problem.tgrid
     dt = tgrid.dt
     coef = params.b / 2 + params.c2 * dt / 4
-    u = np.zeros((A.nx, tgrid.nt + 1))
-    memory = np.zeros(A.nx)  # running integral of A u
+    ab = A.banded(0.0, coef)  # each step rewrites only the diagonal
+    steps = iter(forcing)
+    f = next(steps)
+    un = np.zeros(f.shape)
+    u = np.zeros(un[keep].shape + (tgrid.nt + 1,))
+    memory = np.zeros(f.shape)  # running integral of A u
+    Aun = A.apply(un)
     for n in range(tgrid.nt):
-        un = u[:, n]
-        Aun = A.apply(un)
-        rest = -coef * Aun - params.c2 * memory + forcing[:, n]
+        rest = -coef * Aun - params.c2 * memory + f
 
         def step(a_old, a_new):
-            ab = A.banded(a_new / dt, coef)
-            return A.solve_banded_system(ab, a_old * un / dt + rest)
+            ab[1] = a_new / dt + coef * A.diag
+            ab[1, A.dirichlet] = 1.0
+            return A.solve_banded_system(ab, (a_old * un.T).T / dt + rest)
 
-        u[:, n + 1] = advance(n, un, step)
-        memory += 0.5 * dt * (Aun + A.apply(u[:, n + 1]))
+        un = advance(n, un, step)
+        u[..., n + 1] = un[keep]
+        Aun_old, Aun = Aun, A.apply(un)
+        memory += 0.5 * dt * (Aun_old + Aun)
+        f = next(steps, None)
     return u
-
-
-def march_linear(problem: Problem, a_old: np.ndarray, a_new: np.ndarray,
-                 forcing: np.ndarray) -> np.ndarray:
-    """Linear march of cn_march with per-step coefficients a_old[:, n],
-    a_new[:, n] and forcing[:, n], all of shape (nx, nt)."""
-    return cn_march(problem, forcing,
-                    lambda n, un, step: step(a_old[:, n], a_new[:, n]))
 
 
 def solve_forward(problem: Problem, kappa) -> StateField:
@@ -230,7 +232,7 @@ def solve_forward(problem: Problem, kappa) -> StateField:
             )
         return pk
 
-    p = cn_march(problem, 0.5 * (R[:, :-1] + R[:, 1:]), advance)
+    p = cn_march(problem, (0.5 * (R[:, :-1] + R[:, 1:])).T, advance)
     return StateField(p, problem.grid, tgrid)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import SingularOperatorError
 from .grids import DIRICHLET, IMPEDANCE, NEUMANN, BoundaryCondition, SpatialGrid
@@ -36,17 +36,18 @@ class Laplace1D:
         return self.grid.nx
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Matrix-vector product A @ u (zero at Dirichlet rows)."""
-        out = self.diag * u
-        out[:-1] += self.upper[:-1] * u[1:]
-        out[1:] += self.lower[1:] * u[:-1]
-        return out
+        """A @ u for u of shape (nx,) or (nx, k), zero at Dirichlet rows (on
+        u.T, so the bands broadcast over the k columns)."""
+        ut = u.T
+        out = self.diag * ut
+        out[..., :-1] += self.upper[:-1] * ut[..., 1:]
+        out[..., 1:] += self.lower[1:] * ut[..., :-1]
+        return out.T
 
     def banded(self, diag_shift: np.ndarray | float, scale: float) -> np.ndarray:
         """Banded storage of diag(diag_shift) + scale * A with Dirichlet rows
-        replaced by the identity, ready for scipy.linalg.solve_banded."""
-        n = self.nx
-        ab = np.zeros((3, n))
+        replaced by the identity, ready for solve_banded_system."""
+        ab = np.zeros((3, self.nx))
         ab[0, 1:] = scale * self.upper[:-1]
         ab[1, :] = diag_shift + scale * self.diag
         ab[2, :-1] = scale * self.lower[1:]
@@ -54,9 +55,16 @@ class Laplace1D:
         return ab
 
     def solve_banded_system(self, ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        rhs = rhs.copy()
+        """Solve ab u = rhs, rhs (nx,) or (nx, k) and u = 0 at Dirichlet
+        nodes, by one LAPACK dgtsv call (what scipy's solve_banded runs for
+        (1, 1) bands); a zero pivot raises SingularOperatorError."""
+        rhs = np.array(rhs, dtype=float, order="F")
         rhs[self.dirichlet] = 0.0
-        return solve_banded((1, 1), ab, rhs, check_finite=False)
+        *_, u, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, overwrite_b=True)
+        if info > 0:
+            raise SingularOperatorError(
+                f"singular tridiagonal system (zero pivot in row {info})")
+        return u
 
     def solve(self, g: np.ndarray) -> np.ndarray:
         """Solve A u = g with the active boundary conditions (u = 0 at
@@ -65,8 +73,7 @@ class Laplace1D:
             raise SingularOperatorError(
                 "A is singular under pure Neumann conditions"
             )
-        ab = self.banded(0.0, 1.0)
-        return self.solve_banded_system(ab, np.asarray(g, dtype=float))
+        return self.solve_banded_system(self.banded(0.0, 1.0), g)
 
 
 def build_laplacian(grid: SpatialGrid, bc: BoundaryCondition) -> Laplace1D:

@@ -11,6 +11,7 @@ from westinv import (
     MaterialParams,
     OffGridError,
     Problem,
+    SingularOperatorError,
     SourceTerm,
     SpatialGrid,
     StateField,
@@ -245,3 +246,29 @@ def test_banded_identity_rows_at_dirichlet_nodes(left, right):
     rows = np.flatnonzero(A.dirichlet)
     assert len(rows) == [left, right].count("dirichlet")
     np.testing.assert_array_equal(dense[rows], np.eye(11)[rows])
+
+
+def test_singular_step_system_raises_named_error():
+    # a zero row of a step matrix is a zero pivot for dgtsv: a named solver
+    # error (exit 4), not scipy's LinAlgError
+    A = build_laplacian(SpatialGrid(11), BC)
+    ab = A.banded(np.linspace(1.0, 2.0, 11), 0.7)
+    ab[2, 3] = ab[1, 4] = ab[0, 5] = 0.0  # row 4 of the matrix
+    for rhs in (np.ones(11), np.ones((11, 3))):
+        with pytest.raises(SingularOperatorError, match="zero pivot"):
+            A.solve_banded_system(ab, rhs)
+
+
+def test_batched_apply_and_solve_equal_single_columns():
+    # k right-hand sides in one call give the k one-column results exactly
+    A = build_laplacian(SpatialGrid(11), BoundaryCondition.from_kinds(
+        "impedance", "neumann"))
+    shift = np.linspace(1.0, 2.0, 11)
+    ab = A.banded(shift, 0.7)
+    U = np.random.Generator(np.random.Philox(5)).standard_normal((11, 4))
+    AU, X = A.apply(U), A.solve_banded_system(ab, U)
+    for j in range(4):
+        assert np.array_equal(AU[:, j], A.apply(U[:, j]))
+        assert np.array_equal(X[:, j], A.solve_banded_system(ab, U[:, j]))
+    np.testing.assert_allclose(shift[:, None] * X + 0.7 * A.apply(X), U,
+                               rtol=1e-12, atol=1e-12)

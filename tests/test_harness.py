@@ -25,7 +25,7 @@ from westinv import (
     truth_field,
 )
 from westinv.cli import main as cli_main
-from westinv.experiment import EXIT_CONFIG, EXIT_MAX_ITER, EXIT_OK
+from westinv.experiment import EXIT_CONFIG, EXIT_MAX_ITER, EXIT_OK, EXIT_SOLVER
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
 BC = BoundaryCondition.from_kinds("dirichlet", "neumann")
@@ -423,3 +423,54 @@ def test_cli_newton_interior_observation_runs(tmp_path):
     path.write_text(json.dumps(_interior_observation("newton")))
     assert cli_main(["reconstruct", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("key, spec", [
+    ("jbos", lambda entry: {"runs": [entry], "jbos": 8}),
+    ("nmae", lambda entry: {"runs": [dict(entry, nmae="typo")]}),
+], ids=["top-level", "wrapped-entry"])
+def test_cli_sweep_unknown_key(tmp_path, capsys, key, spec):
+    # a misspelt key outside the configs is an error, not silently dropped
+    entry = {"name": "a", "config": small_config(max_iter=2).to_dict()}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec(entry)))
+    out = tmp_path / "o"
+    assert cli_main(["sweep", "--config", str(path), "--jobs", "1",
+                     "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err
+    assert not out.exists()
+
+
+def test_cli_sweep_isolates_an_entry_that_raises(tmp_path, capsys,
+                                                 monkeypatch):
+    # an unexpected exception in one entry becomes that entry's error
+    # report (exit 4); the other entries still finish and print their line
+    import westinv.experiment as experiment
+
+    real = experiment.run_inversion
+
+    def flaky(cfg):
+        if cfg.seed == 2:
+            raise RuntimeError("injected failure")
+        return real(cfg)
+
+    monkeypatch.setattr(experiment, "run_inversion", flaky)
+    runs = [{"name": name, "config": small_config(seed=seed,
+                                                  max_iter=2).to_dict()}
+            for name, seed in (("a", 1), ("bad", 2), ("c", 3))]
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"runs": runs}))
+    out = tmp_path / "o"
+    code = cli_main(["sweep", "--config", str(path), "--jobs", "2",
+                     "--out", str(out)])
+    assert code == EXIT_SOLVER
+    assert json.loads((out / "bad" / "report.json").read_text()) == {
+        "error": "RuntimeError: injected failure", "exit_code": EXIT_SOLVER}
+    for name in ("a", "c"):
+        report = json.loads((out / name / "report.json").read_text())
+        assert "error" not in report
+        assert report["exit_code"] in (EXIT_OK, EXIT_MAX_ITER)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["a", "bad", "c"]
+    assert "bad: exit 4" in lines[1]

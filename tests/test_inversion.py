@@ -160,6 +160,25 @@ def test_frozen_newton_factors_the_jacobian_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_frozen_newton_marches_the_jacobian_once(monkeypatch):
+    # the m Jacobian columns are one batched sensitivity march
+    import westinv.derivatives as derivatives
+
+    shapes = []
+    solve = derivatives.solve_sensitivity
+
+    def counting_solve(problem, base, kappa, direction, **kwargs):
+        shapes.append(direction.samples.shape)
+        return solve(problem, base, kappa, direction, **kwargs)
+
+    monkeypatch.setattr(derivatives, "solve_sensitivity", counting_solve)
+    cfg = ExperimentConfig(nx=41, nt=80, n_basis=7, sample_count=25,
+                           max_iter=4, noise=0.0, alpha0=1.0)
+    result = run_inversion(cfg)
+    assert result.report.stop_index >= 2
+    assert shapes == [(41, 7)]
+
+
 def test_landweber_default_step_size():
     # mu = None is 0.9 / ||J||_2^2 for the frozen Jacobian
     ctx, init, truth, data = make_setup(m=5, noise=0.001, seed=3)
