@@ -19,7 +19,6 @@ from westinv import (
     SpatialGrid,
     TimeGrid,
     manufactured_source,
-    observe,
     smooth_bump,
     solve_forward,
 )
@@ -68,10 +67,11 @@ def nonlinear_trace_comparison():
                                  grid, tgrid, BC)
     problem = Problem(PARAMS, grid, tgrid, BC, source)
     kappa = smooth_bump(grid, amplitude=0.3)
-    linear = observe(solve_forward(problem, None), 1.0)
-    nonlin = observe(solve_forward(problem, kappa), 1.0)
-    gap = np.max(np.abs(nonlin.values - linear.values))
-    rel = gap / np.max(np.abs(linear.values))
+    obs = problem.obs_index
+    linear = solve_forward(problem, None).values[obs]
+    nonlin = solve_forward(problem, kappa).values[obs]
+    gap = np.max(np.abs(nonlin - linear))
+    rel = gap / np.max(np.abs(linear))
     print(f"  max |h_nonlinear - h_linear| = {gap:.4e} "
           f"({100 * rel:.2f}% of the peak trace)")
     print("  this gap is the signal the reconstruction methods invert.")
@@ -80,7 +80,7 @@ def nonlinear_trace_comparison():
     path = os.path.join(OUT, "traces.csv")
     with open(path, "w") as fh:
         fh.write("t,h_linear,h_nonlinear\n")
-        for t, hl, hn in zip(tgrid.times, linear.values, nonlin.values):
+        for t, hl, hn in zip(tgrid.times, linear, nonlin):
             fh.write(f"{t:.17g},{hl:.17g},{hn:.17g}\n")
     print(f"  traces written to {path}")
 

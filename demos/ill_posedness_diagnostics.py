@@ -21,7 +21,6 @@ from westinv import (
     SpatialGrid,
     SpectralData,
     TimeGrid,
-    injectivity_report,
     manufactured_source,
     pole_distinctness,
     svd_decay,
@@ -69,12 +68,9 @@ def pole_structure():
         print(f"  {lam:>10.4f} {str(np.round(pp, 6)):>22} "
               f"{str(np.round(pm, 6)):>22}")
     report = pole_distinctness(spec)
-    inj = injectivity_report(spec, beta="t")
     print(f"  pairwise distinct poles: {report['distinct']}")
-    print(f"  excitation transform nonzero at every pole: {inj['injective']}")
-    print("  -> distinct poles with nonvanishing excitation weight give "
-          "injectivity of the linearized map; instability, not "
-          "non-uniqueness, is the obstacle.")
+    print("  -> distinct poles underlie injectivity of the linearized map; "
+          "instability, not non-uniqueness, is the obstacle.")
 
 
 if __name__ == "__main__":

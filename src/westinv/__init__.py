@@ -44,7 +44,6 @@ from .forward import (
     SourceTerm,
     StateField,
     manufactured_source,
-    observe,
     sample_trace,
     second_time_derivative_of_square,
     solve_forward,
@@ -75,7 +74,6 @@ from .laplacian import Laplace1D, build_laplacian
 from .spectra import (
     SpectralData,
     eigenvalues,
-    injectivity_report,
     pole_distinctness,
     pole_residual,
     poles,

@@ -103,6 +103,8 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = _config_from_args(args)
+    if args.what == "poles" and args.count < 1:
+        raise ConfigError("--count must be at least 1")
     os.makedirs(args.out, exist_ok=True)
     problem, basis, _ = build_problem(cfg)
     if args.what == "svd":
@@ -131,6 +133,8 @@ def cmd_diagnose(args) -> int:
 
 def cmd_convergence_study(args) -> int:
     cfg = _config_from_args(args)
+    if min(args.nx0, args.nt0) < 3:
+        raise ConfigError("--nx0 and --nt0 must be at least 3")
     params = MaterialParams(cfg.c2, cfg.b)
     bc = BoundaryCondition.from_kinds(cfg.bc_left, cfg.bc_right)
     f, f_xx = EXCITATIONS["sine_half"]
@@ -172,6 +176,8 @@ def _run_sweep_entry(job) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
     if not args.config:
         raise ConfigError("sweep requires --config pointing at a run list")
     spec = read_json_config(args.config)
@@ -189,6 +195,8 @@ def cmd_sweep(args) -> int:
         name = entry.get("name", f"run{i:03d}")
         if not isinstance(name, str):
             raise ConfigError(f"sweep entry {i}: name must be a string")
+        if any(name == job[0] for job in jobs):
+            raise ConfigError(f"sweep entry {i}: name {name!r} is repeated")
         if "config" in entry:
             unknown = sorted(entry.keys() - {"name", "config"})
             if unknown:

@@ -7,7 +7,7 @@ from scipy.interpolate import CubicSpline
 
 from .basis import CoefficientField
 from .errors import TooFewSamplesError
-from .forward import Problem, observe, solve_forward
+from .forward import Problem, solve_forward
 from .grids import SpatialGrid
 from .trace import TimeTrace
 
@@ -23,13 +23,11 @@ def add_noise(trace: TimeTrace, level: float, seed: int) -> TimeTrace:
     if level < 0:
         raise ValueError("noise level must be nonnegative")
     if level == 0:
-        return TimeTrace(trace.times.copy(), trace.values.copy(), 0.0,
-                         "synthetic-clean")
+        return TimeTrace(trace.times.copy(), trace.values.copy(), 0.0)
     eta = level * np.max(np.abs(trace.values))
     rng = np.random.Generator(np.random.Philox(seed))
     noise = rng.uniform(-eta, eta, size=trace.values.shape)
-    return TimeTrace(trace.times.copy(), trace.values + noise, eta,
-                     "synthetic-noisy")
+    return TimeTrace(trace.times.copy(), trace.values + noise, eta)
 
 
 def synthesize_data(problem: Problem, truth, noise_level: float, seed: int):
@@ -41,10 +39,10 @@ def synthesize_data(problem: Problem, truth, noise_level: float, seed: int):
     trace).
     """
     state = solve_forward(problem, truth)
-    full = observe(state, problem.obs_point)
+    full = TimeTrace(problem.tgrid.times.copy(),
+                     state.values[problem.obs_index].copy())
     coarse = TimeTrace(problem.sample_times.copy(),
-                       problem.sampled_trace(state), full.noise_level,
-                       full.provenance)
+                       problem.sampled_trace(state))
     noisy = add_noise(coarse, noise_level, seed)
     return full, coarse, noisy
 
@@ -59,7 +57,7 @@ def prefilter(raw: TimeTrace, target_nt: int) -> TimeTrace:
     smooth[1:-1] = (raw.values[:-2] + raw.values[1:-1] + raw.values[2:]) / 3.0
     spline = CubicSpline(raw.times, smooth)
     times = np.linspace(raw.times[0], raw.times[-1], target_nt + 1)
-    return TimeTrace(times, spline(times), raw.noise_level, "prefiltered")
+    return TimeTrace(times, spline(times), raw.noise_level)
 
 
 def smooth_bump(grid: SpatialGrid, amplitude: float = 0.2) -> np.ndarray:

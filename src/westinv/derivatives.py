@@ -43,7 +43,6 @@ class Direction:
     """A coefficient perturbation d-kappa sampled on the spatial grid."""
 
     samples: np.ndarray
-    coefficients: np.ndarray | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)

@@ -38,7 +38,6 @@ from .grids import (
     TimeGrid,
 )
 from .laplacian import Laplace1D, build_laplacian
-from .trace import TimeTrace
 
 
 @dataclass
@@ -46,7 +45,6 @@ class SourceTerm:
     """Excitation r(x, t) sampled on the space-time grid."""
 
     values: np.ndarray  # shape (nx, nt + 1)
-    tag: str | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -62,7 +60,6 @@ class StateField:
     values: np.ndarray  # shape (nx, nt + 1), or (nx, k, nt + 1)
     grid: SpatialGrid
     tgrid: TimeGrid
-    _dt_cache: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -72,17 +69,6 @@ class StateField:
             raise ValueError(
                 f"state shape {shape} does not match grids {expected}"
             )
-
-    @property
-    def time_derivative(self) -> np.ndarray:
-        """First time derivative, second-order centered (one-sided at ends)."""
-        if self._dt_cache is None:
-            u, dt2 = self.values, 2 * self.tgrid.dt
-            out = self._dt_cache = np.empty_like(u)
-            out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / dt2
-            out[..., 0] = (-3 * u[..., 0] + 4 * u[..., 1] - u[..., 2]) / dt2
-            out[..., -1] = (3 * u[..., -1] - 4 * u[..., -2] + u[..., -3]) / dt2
-        return self._dt_cache
 
 
 def kappa_samples(kappa, grid: SpatialGrid) -> np.ndarray:
@@ -236,16 +222,6 @@ def solve_forward(problem: Problem, kappa) -> StateField:
     return StateField(p, problem.grid, tgrid)
 
 
-def observe(state: StateField, obs_point: float) -> TimeTrace:
-    """Extract the time trace h(t) = p(obs_point, t); the observation point
-    must be a grid node (no interpolation)."""
-    idx = state.grid.node_index(obs_point)
-    if idx is None:
-        raise OffGridError(f"observation point {obs_point} is not a grid node")
-    return TimeTrace(state.tgrid.times.copy(), state.values[idx, :].copy(),
-                     noise_level=0.0, provenance="synthetic-clean")
-
-
 def manufactured_source(
     f,
     f_xx,
@@ -283,7 +259,7 @@ def manufactured_source(
         kap = kappa_samples(kappa, grid)
         sq_tt = 2.0 * (bt * bt2 + bt1**2)  # (beta^2)''
         r = r - (kap * fx**2)[:, None] * sq_tt[None, :]
-    return SourceTerm(r, tag="manufactured")
+    return SourceTerm(r)
 
 
 def _check_profile_bc(f, fx, grid: SpatialGrid, bc: BoundaryCondition):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSet, CoefficientField, clip_nonnegative
+from .basis import BasisSet, CoefficientField, clip_nonnegative, evaluate_basis
+from .data import prefilter
 from .derivatives import (
     Direction,
     JacobianMatrix,
@@ -75,7 +76,6 @@ class StoppingRule:
 class InversionReport:
     """Per-iteration history of an inversion run."""
 
-    iterates: list  # coefficient vectors
     residuals: list
     errors_linf: list
     errors_l2: list
@@ -121,7 +121,6 @@ class InversionContext:
     smoothing_s: int = 0
     _frozen_base: StateField | None = field(default=None, repr=False)
     _frozen_jacobian: JacobianMatrix | None = field(default=None, repr=False)
-    _frozen_psq_tt: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.kappa_frozen = kappa_samples(self.kappa_frozen, self.problem.grid)
@@ -138,21 +137,6 @@ class InversionContext:
                 base=self.frozen_base(),
             )
         return self._frozen_jacobian
-
-    def frozen_psq_tt(self) -> np.ndarray:
-        if self._frozen_psq_tt is None:
-            self._frozen_psq_tt = second_time_derivative_of_square(
-                self.frozen_base()
-            )
-        return self._frozen_psq_tt
-
-    def adjoint_direction(self, y_grid: np.ndarray, base: StateField, kappa,
-                          psq_tt: np.ndarray, s: int) -> Direction:
-        """F'(kappa)* applied to a solver-grid residual y, smoothed to
-        order s."""
-        a = solve_adjoint(self.problem, base, kappa,
-                          TimeTrace(self.problem.tgrid.times, y_grid))
-        return apply_gradient(self.problem, a, psq_tt, s)
 
 
 def discrepancy_stop(residual_norms, delta: float, tau: float):
@@ -225,17 +209,12 @@ def _run_loop(data, init, ctx, stop, truth, step_fn, divergence_guard=False):
         raise GridMismatchError("data is not sampled at the problem's "
                                 "sample times")
     kappa = init
-    iterates, residuals, errs_inf, errs_l2 = [], [], [], []
+    residuals, errs_inf, errs_l2 = [], [], []
     reason = "max-iter"
     while True:
         state = solve_forward(ctx.problem, kappa)
         r = data.values - ctx.problem.sampled_trace(state)
         rnorm = float(np.linalg.norm(r))
-        iterates.append(
-            np.array(kappa.coefficients)
-            if kappa.coefficients is not None
-            else kappa.samples.copy()
-        )
         residuals.append(rnorm)
         linf, l2 = _error_norms(kappa, truth, ctx.problem.grid)
         errs_inf.append(linf)
@@ -244,7 +223,7 @@ def _run_loop(data, init, ctx, stop, truth, step_fn, divergence_guard=False):
             raise DivergenceError(
                 f"residual {rnorm:.3g} exceeds 10x its initial value"
             )
-        if rnorm <= stop.tau * stop.delta:
+        if discrepancy_stop([rnorm], stop.delta, stop.tau) is not None:
             reason = "discrepancy"
             break
         if _stagnated(residuals):
@@ -255,7 +234,7 @@ def _run_loop(data, init, ctx, stop, truth, step_fn, divergence_guard=False):
             break
         kappa = step_fn(len(residuals) - 1, kappa, state, r)
     return InversionReport(
-        iterates, residuals, errs_inf, errs_l2,
+        residuals, errs_inf, errs_l2,
         stop_index=len(residuals) - 1, stop_reason=reason, final=kappa,
     )
 
@@ -274,8 +253,6 @@ def landweber_run(
     with the gradient applied through the adjoint PDE solve (at kappa0 when
     frozen).  mu = None selects 0.9 / sigma_0^2 from the SVD of the frozen
     Jacobian."""
-    from .data import prefilter  # deferred: data module imports forward
-
     problem = ctx.problem
     if data_on_grid is None:
         data_on_grid = prefilter(data, problem.tgrid.nt)
@@ -283,7 +260,7 @@ def landweber_run(
         mu = 0.9 / ctx.frozen_jacobian().svd()[1][0] ** 2
 
     base0 = ctx.frozen_base() if frozen else None
-    psq0 = ctx.frozen_psq_tt() if frozen else None
+    psq0 = second_time_derivative_of_square(base0) if frozen else None
 
     def step(n, kappa, state, r):
         if frozen:
@@ -292,11 +269,13 @@ def landweber_run(
             base, kap_lin = state, kappa.samples
             psq = second_time_derivative_of_square(state)
         y = data_on_grid.values - state.values[problem.obs_index, :]
-        g = ctx.adjoint_direction(y, base, kap_lin, psq, ctx.smoothing_s)
-        samples = kappa.samples + mu * g.samples
-        return clip_nonnegative(
-            CoefficientField.from_samples(samples, problem.grid, ctx.basis)
-        )
+        a = solve_adjoint(problem, base, kap_lin,
+                          TimeTrace(problem.tgrid.times, y))
+        g = apply_gradient(problem, a, psq, ctx.smoothing_s)
+        # clip, then project once: the same field as clip_nonnegative of
+        # the projected unclipped samples
+        samples = np.maximum(kappa.samples + mu * g.samples, 0.0)
+        return CoefficientField.from_samples(samples, problem.grid, ctx.basis)
 
     return _run_loop(data, init, ctx, stop, truth, step, divergence_guard=True)
 
@@ -356,13 +335,7 @@ def halley_run(
             reg_holder[0] = RegularizationSchedule(default_alpha0(J, r))
         alpha = reg_holder[0].alpha(n)
         d_coeffs = _solve_regularized(J, alpha, r)
-        d = Direction(
-            kappa_samples(
-                CoefficientField.from_coefficients(ctx.basis, d_coeffs, grid),
-                grid,
-            ),
-            d_coeffs,
-        )
+        d = Direction(evaluate_basis(ctx.basis, grid) @ d_coeffs)
         H = assemble_directional_hessian(
             ctx.problem, d, ctx.kappa_frozen, ctx.basis, ctx.frozen_base(), J
         )
@@ -387,8 +360,6 @@ def tikhonov_gradient(
 ) -> Direction:
     """Gradient of the Tikhonov functional,
     J_alpha'(kappa) = F'(kappa)^* (F(kappa) - h) + alpha (kappa - prior)."""
-    from .data import prefilter
-
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     problem = ctx.problem
@@ -396,8 +367,8 @@ def tikhonov_gradient(
         data_on_grid = prefilter(data, problem.tgrid.nt)
     state = solve_forward(problem, kappa)
     y = state.values[problem.obs_index, :] - data_on_grid.values
-    g = ctx.adjoint_direction(
-        y, state, kappa.samples, second_time_derivative_of_square(state), s
-    )
+    a = solve_adjoint(problem, state, kappa.samples,
+                      TimeTrace(problem.tgrid.times, y))
+    g = apply_gradient(problem, a, second_time_derivative_of_square(state), s)
     prior_samples = kappa_samples(prior, problem.grid)
     return Direction(g.samples + alpha * (kappa.samples - prior_samples))

@@ -1,7 +1,6 @@
-"""Ill-posedness and injectivity diagnostics: closed-form eigenvalues of the
-1-D negative Laplacian, resolvent poles of the linearized time-integrated
-problem, singular-value decay of the discretized linearized map and a
-Laplace-domain injectivity report for polynomial excitation profiles."""
+"""Ill-posedness diagnostics: closed-form eigenvalues of the 1-D negative
+Laplacian, resolvent poles of the linearized time-integrated problem and
+singular-value decay of the discretized linearized map."""
 
 from __future__ import annotations
 
@@ -134,29 +133,6 @@ def pole_distinctness(spec: SpectralData) -> dict:
                         {"family": family, "j": j + 1, "k": k + 1}
                     )
     return report
-
-
-def injectivity_report(spec: SpectralData, beta: str = "t") -> dict:
-    """Laplace-domain injectivity condition psi_hat(p) != 0 at every pole, for
-    excitation time profiles with a closed-form transform of (beta^2)''.
-
-    Only beta(t) = t is implemented ((t^2)'' = 2, transform 2/s); other
-    profiles are reported as skipped.
-    """
-    if beta != "t":
-        return {"beta": beta, "evaluated": False, "reason": "no closed form"}
-    entries = []
-    ok = True
-    for lam, (p_plus, p_minus) in zip(spec.eigenvalues, spec.pole_pairs):
-        for p in (p_plus, p_minus):
-            value = 2.0 / p  # psi_hat(s) = 2/s, nonzero away from the origin
-            nonzero = abs(value) > 0
-            ok = ok and nonzero
-            entries.append(
-                {"lambda": float(lam), "pole": [p.real, p.imag],
-                 "psi_hat_abs": abs(value), "nonzero": nonzero}
-            )
-    return {"beta": beta, "evaluated": True, "injective": ok, "poles": entries}
 
 
 def svd_csv(sigma: np.ndarray, path) -> None:

@@ -17,7 +17,6 @@ class TimeTrace:
     times: np.ndarray
     values: np.ndarray
     noise_level: float = 0.0
-    provenance: str = "synthetic-clean"
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

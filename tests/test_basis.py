@@ -133,3 +133,26 @@ def test_clip_idempotent_and_nonexpansive():
         # nonexpansive in the max norm
         assert (np.max(np.abs(cu.samples - cv.samples))
                 <= np.max(np.abs(u - v)) + 1e-15)
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(kind=st.sampled_from(["gaussian", "hat", "haar"]),
+                  nx=st.integers(5, 51), data=st.data())
+def test_clip_then_project_equals_clip_of_projection(kind, nx, data):
+    # the Landweber step clips the samples and projects once; that is the
+    # same field, bit for bit, as clip_nonnegative of the projected
+    # unclipped samples, and a second clip changes nothing
+    grid = SpatialGrid(nx)
+    basis = BasisSet(kind, data.draw(st.integers(1, (nx - 1) // 4)))
+    s = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=nx,
+                                    max_size=nx)))
+    clipped = clip_nonnegative(CoefficientField.from_samples(s, grid, basis))
+    direct = CoefficientField.from_samples(np.maximum(s, 0.0), grid, basis)
+    twice = clip_nonnegative(clipped)
+    for other in (direct, twice):
+        assert np.array_equal(other.samples, clipped.samples)
+        assert np.array_equal(other.coefficients, clipped.coefficients)

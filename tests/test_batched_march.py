@@ -62,7 +62,7 @@ def test_batched_marches_equal_single_columns(bc_id, kind, nx, nt, m,
     basis = BasisSet(kind, m)
     E = evaluate_basis(basis, problem.grid)
     c = np.random.Generator(np.random.Philox(seed)).uniform(-1.0, 1.0, m)
-    d = Direction(E @ c, c)
+    d = Direction(E @ c)
     obs = problem.obs_index
 
     Z = solve_sensitivity(problem, base, kap, Direction(E))

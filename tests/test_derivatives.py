@@ -2,6 +2,7 @@
 and the assembled Jacobian / directional Hessian."""
 
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -262,23 +263,23 @@ def test_directional_hessian_bilinear_and_quadratic_model():
     J = assemble_jacobian(problem, kap, basis, base=base)
     E = evaluate_basis(basis, grid)
     c = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
-    d = Direction(E @ c, c)
+    d = Direction(E @ c)
     H = assemble_directional_hessian(problem, d, kap, basis, base, J)
     # invariant: H_{2d} = 2 H_d (bilinearity in the frozen direction)
-    H2 = assemble_directional_hessian(problem, Direction(2 * d.samples, 2 * c),
+    H2 = assemble_directional_hessian(problem, Direction(2 * d.samples),
                                       kap, basis, base, J)
     np.testing.assert_allclose(H2, 2 * H, atol=1e-10)
     # quadratic model F + J c + 1/2 H_d c beats the linear model
     eps = 1e-2
-    step = Direction(eps * d.samples, eps * c)
+    step = Direction(eps * d.samples)
     Heps = assemble_directional_hessian(problem, step, kap, basis, base, J)
     obs = grid.node_index(1.0)
     pert = solve_forward(problem, kap + step.samples)
     Fp = sample_trace(pert.values[obs, :], tgrid, times)
     F0 = sample_trace(base.values[obs, :], tgrid, times)
-    lin_err = np.linalg.norm(Fp - F0 - J.entries @ step.coefficients)
+    lin_err = np.linalg.norm(Fp - F0 - J.entries @ (eps * c))
     quad_err = np.linalg.norm(
-        Fp - F0 - (J.entries + 0.5 * Heps) @ step.coefficients
+        Fp - F0 - (J.entries + 0.5 * Heps) @ (eps * c)
     )
     assert quad_err < 0.1 * lin_err
 
@@ -291,7 +292,65 @@ def test_zero_direction_hessian_is_zero():
     basis = BasisSet("gaussian", 4)
     J = assemble_jacobian(problem, kap, basis, base=base)
     H = assemble_directional_hessian(
-        problem, Direction(np.zeros(grid.nx), np.zeros(4)), kap, basis,
+        problem, Direction(np.zeros(grid.nx)), kap, basis,
         base, J,
     )
     assert np.max(np.abs(H)) < 1e-14
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+BASIS_PROPERTY = hypothesis.settings(max_examples=15, deadline=None,
+                                     database=None)
+
+
+@cache
+def basis_problem(bc_id):
+    # nx = 51 and nt = 200 for every boundary pair
+    return make_problem(51, 200,
+                        bc=BoundaryCondition.from_kinds(*bc_id.split("-")))
+
+
+def basis_direction(grid, kind, m, seed, low):
+    # hat or Haar direction with random coefficients in [low, 1], scaled to
+    # max |c| = 1
+    c = np.random.Generator(np.random.Philox(seed)).uniform(low, 1.0, m)
+    E = evaluate_basis(BasisSet(kind, m), grid)
+    return Direction(E @ (c / np.max(np.abs(c))))
+
+
+@BASIS_PROPERTY
+@hypothesis.given(bc_id=st.sampled_from(BC_IDS),
+                  kind=st.sampled_from(["hat", "haar"]),
+                  m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_sensitivity_taylor_second_order_basis_directions(bc_id, kind, m,
+                                                          seed):
+    # the Taylor test above, for signed hat and Haar directions
+    grid, tgrid, kap, problem, base = basis_problem(bc_id)
+    d = basis_direction(grid, kind, m, seed, -1.0)
+    z = solve_sensitivity(problem, base, kap, d)
+    rem = []
+    for h in (2e-2, 1e-2):
+        pert = solve_forward(problem, kap + h * d.samples)
+        rem.append(np.max(np.abs(pert.values - base.values - h * z.values)))
+    assert 3.3 <= rem[0] / rem[1] <= 4.7
+
+
+@BASIS_PROPERTY
+@hypothesis.given(bc_id=st.sampled_from(BC_IDS),
+                  kind=st.sampled_from(["hat", "haar"]),
+                  m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_adjoint_pairing_identity_basis_directions(bc_id, kind, m, seed):
+    # the pairing test above, for hat and Haar directions.  The coefficients
+    # are nonnegative: signed ones can cancel in <z(1, .), y>, and then a
+    # mismatch that is small against |d| |g| is large relative to lhs
+    grid, tgrid, kap, problem, base = basis_problem(bc_id)
+    rng = np.random.Generator(np.random.Philox(seed))
+    d = basis_direction(grid, kind, m, seed, 0.1)
+    yv = np.sin(np.pi * tgrid.times) * rng.uniform(0.5, 1.5)
+    z = solve_sensitivity(problem, base, kap, d)
+    a = solve_adjoint(problem, base, kap, TimeTrace(tgrid.times, yv))
+    g = apply_gradient(problem, a, second_time_derivative_of_square(base), 0)
+    lhs = np.trapezoid(z.values[-1, :] * yv, dx=tgrid.dt)
+    rhs = np.trapezoid(d.samples * g.samples, dx=grid.dx)
+    assert abs(lhs - rhs) / abs(lhs) <= 1e-3

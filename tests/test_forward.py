@@ -17,7 +17,6 @@ from westinv import (
     StateField,
     TimeGrid,
     manufactured_source,
-    observe,
     second_time_derivative_of_square,
     solve_forward,
 )
@@ -63,7 +62,7 @@ def test_zero_source_zero_solution():
     src = SourceTerm(np.zeros((21, 21)))
     state = solve_forward(Problem(PARAMS, grid, tgrid, BC, src), None)
     assert np.all(state.values == 0.0)
-    assert np.all(observe(state, 1.0).values == 0.0)
+    assert np.all(state.values[grid.node_index(1.0)] == 0.0)
 
 
 def test_manufactured_linear_second_order():
@@ -94,7 +93,9 @@ def test_initial_conditions_homogeneous():
     grid, tgrid = SpatialGrid(41), TimeGrid(80)
     state = solve_forward(make_problem(grid, tgrid), None)
     assert np.all(state.values[:, 0] == 0.0)
-    assert np.max(np.abs(state.time_derivative[:, 0])) < 1e-7
+    u = state.values  # one-sided second-order p_t at t = 0
+    p_t0 = (-3 * u[:, 0] + 4 * u[:, 1] - u[:, 2]) / (2 * tgrid.dt)
+    assert np.max(np.abs(p_t0)) < 1e-7
 
 
 def test_manufactured_source_closed_form():
@@ -138,13 +139,11 @@ def test_manufactured_source_incompatible_bc():
 
 
 def test_observe_closed_form_and_off_grid():
-    # h(t) = t^2 at x = 1; OffGrid for non-node points
+    # h(t) = t^2 at x = 1 (off-grid points: see the Problem test below)
     grid, tgrid = SpatialGrid(101), TimeGrid(200)
     state = solve_forward(make_problem(grid, tgrid), None)
-    h = observe(state, 1.0)
-    assert np.max(np.abs(h.values - tgrid.times**2)) < 1e-4
-    with pytest.raises(OffGridError):
-        observe(state, 0.505)
+    h = state.values[grid.node_index(1.0)]
+    assert np.max(np.abs(h - tgrid.times**2)) < 1e-4
 
 
 def test_problem_checks_observation_point_and_source_shape():
@@ -163,7 +162,7 @@ def test_observe_dirichlet_endpoint_zero():
     # boundary value pinned at a Dirichlet endpoint
     grid, tgrid = SpatialGrid(41), TimeGrid(40)
     state = solve_forward(make_problem(grid, tgrid), None)
-    assert np.max(np.abs(observe(state, 0.0).values)) < 1e-12
+    assert np.max(np.abs(state.values[grid.node_index(0.0)])) < 1e-12
 
 
 def test_linearity_at_zero_kappa():

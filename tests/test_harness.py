@@ -58,7 +58,6 @@ def test_zero_noise_returns_clean_samples():
     full, coarse, noisy = make_data(0.0, 0)
     np.testing.assert_array_equal(noisy.values, coarse.values)
     assert noisy.noise_level == 0.0
-    assert noisy.provenance == "synthetic-clean"
 
 
 def test_noise_bound_and_recorded_eta():
@@ -67,7 +66,6 @@ def test_noise_bound_and_recorded_eta():
     eta = 0.01 * np.max(np.abs(coarse.values))
     assert np.max(np.abs(noisy.values - coarse.values)) <= eta
     np.testing.assert_allclose(noisy.noise_level, eta)
-    assert noisy.provenance == "synthetic-noisy"
 
 
 def test_noise_seed_reproducible():
@@ -86,7 +84,6 @@ def test_prefilter_preserves_affine():
     out = prefilter(trace, 80)
     np.testing.assert_allclose(out.values, 3.0 * out.times + 1.0, atol=1e-12)
     assert len(out) == 81
-    assert out.provenance == "prefiltered"
 
 
 def test_prefilter_reduces_noise():
@@ -474,3 +471,40 @@ def test_cli_sweep_isolates_an_entry_that_raises(tmp_path, capsys,
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["a", "bad", "c"]
     assert "bad: exit 4" in lines[1]
+
+
+@pytest.mark.parametrize("names", [("a", "a"), ("run001", None)],
+                         ids=["named-twice", "default-name"])
+def test_cli_sweep_repeated_name(tmp_path, capsys, names):
+    # two entries with one name would write into one output directory; an
+    # entry without a name is named run<index>
+    entries = []
+    for seed, name in enumerate(names, start=1):
+        entry = small_config(seed=seed, max_iter=2).to_dict()
+        if name is not None:
+            entry["name"] = name
+        entries.append(entry)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"runs": entries}))
+    out = tmp_path / "o"
+    _expect_config_error(capsys, ["sweep", "--config", str(path), "--jobs",
+                                  "2", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--jobs", "0"],
+    ["diagnose", "poles", "--count", "0"],
+    ["convergence-study", "--nx0", "1"],
+    ["convergence-study", "--nt0", "1"],
+], ids=["jobs", "count", "nx0", "nt0"])
+def test_cli_integer_out_of_range(tmp_path, capsys, argv):
+    cfg_path = write_small_config(tmp_path)
+    if argv[0] == "sweep":
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"runs": [
+            {"name": "a", "config": small_config(max_iter=2).to_dict()}]}))
+    out = tmp_path / "o"
+    _expect_config_error(capsys, [*argv, "--config", str(cfg_path),
+                                  "--out", str(out)])
+    assert not out.exists()

@@ -1,5 +1,5 @@
 """Spectral / ill-posedness diagnostics: closed-form eigenvalues, resolvent
-poles, singular-value decay and the Laplace-domain injectivity report."""
+poles and singular-value decay."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from westinv import (
     SpectralData,
     UnsupportedObservationError,
     eigenvalues,
-    injectivity_report,
     pole_distinctness,
     pole_residual,
     poles,
@@ -123,18 +122,6 @@ def test_svd_decay_geometric():
 def test_svd_decay_zero_matrix():
     sigma, q = decay(np.zeros((4, 4)))
     assert q == 1.0 and np.all(sigma == 0.0)
-
-
-def test_injectivity_report():
-    spec = SpectralData.build(BC_DN, 8, 1.0, 1.0)
-    report = injectivity_report(spec, beta="t")
-    assert report["evaluated"] and report["injective"]
-    # psi_hat(s) = 2/s for beta(t) = t
-    for entry in report["poles"]:
-        p = complex(*entry["pole"])
-        np.testing.assert_allclose(entry["psi_hat_abs"], abs(2.0 / p))
-    skipped = injectivity_report(spec, beta="t2")
-    assert not skipped["evaluated"]
 
 
 def test_svd_csv(tmp_path):
