@@ -135,6 +135,8 @@ def cmd_convergence_study(args) -> int:
     cfg = _config_from_args(args)
     if min(args.nx0, args.nt0) < 3:
         raise ConfigError("--nx0 and --nt0 must be at least 3")
+    if args.levels < 1:
+        raise ConfigError("--levels must be at least 1")
     params = MaterialParams(cfg.c2, cfg.b)
     bc = BoundaryCondition.from_kinds(cfg.bc_left, cfg.bc_right)
     f, f_xx = EXCITATIONS["sine_half"]
@@ -195,6 +197,10 @@ def cmd_sweep(args) -> int:
         name = entry.get("name", f"run{i:03d}")
         if not isinstance(name, str):
             raise ConfigError(f"sweep entry {i}: name must be a string")
+        if name in ("", ".", "..") or any(
+                sep and sep in name for sep in ("/", os.sep, os.altsep)):
+            raise ConfigError(f"sweep entry {i}: name {name!r} is not one "
+                              "plain path component")
         if any(name == job[0] for job in jobs):
             raise ConfigError(f"sweep entry {i}: name {name!r} is repeated")
         if "config" in entry:

@@ -162,20 +162,21 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
     dt = tgrid.dt
     coef = params.b / 2 + params.c2 * dt / 4
     ab = A.banded(0.0, coef)  # each step rewrites only the diagonal
+    cdiag, fixed = coef * A.diag, np.flatnonzero(A.dirichlet)
     steps = iter(forcing)
     f = next(steps)
     un = np.zeros(f.shape)
     u = np.zeros(un[keep].shape + (tgrid.nt + 1,))
     memory = np.zeros(f.shape)  # running integral of A u
     Aun = A.apply(un)
+
+    def step(a_old, a_new):  # reads the loop's current un and rest
+        np.add(a_new / dt, cdiag, out=ab[1])
+        ab[1, fixed] = 1.0
+        return A.solve_banded_system(ab, (a_old * un.T).T / dt + rest)
+
     for n in range(tgrid.nt):
         rest = -coef * Aun - params.c2 * memory + f
-
-        def step(a_old, a_new):
-            ab[1] = a_new / dt + coef * A.diag
-            ab[1, A.dirichlet] = 1.0
-            return A.solve_banded_system(ab, (a_old * un.T).T / dt + rest)
-
         un = advance(n, un, step)
         u[..., n + 1] = un[keep]
         Aun_old, Aun = Aun, A.apply(un)
@@ -201,7 +202,7 @@ def solve_forward(problem: Problem, kappa) -> StateField:
         for _ in range(opts.max_inner):
             alpha_mid = 1.0 - kap * (pn + pk)
             pnew = step(alpha_mid, alpha_mid)
-            done = not nonlinear or np.max(np.abs(pnew - pk)) <= opts.inner_tol
+            done = not nonlinear or np.abs(pnew - pk).max() <= opts.inner_tol
             pk = pnew
             if done:
                 break
@@ -210,7 +211,7 @@ def solve_forward(problem: Problem, kappa) -> StateField:
                 f"inner iteration did not reach {opts.inner_tol} in "
                 f"{opts.max_inner} steps at t = {tgrid.times[n + 1]:.6g}"
             )
-        floor = np.min(1.0 - 2.0 * kap * pk)
+        floor = (1.0 - 2.0 * kap * pk).min()
         if floor < opts.positivity_floor:
             raise DegeneracyError(
                 f"1 - 2*kappa*p = {floor:.4g} fell below the floor "

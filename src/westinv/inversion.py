@@ -121,6 +121,7 @@ class InversionContext:
     smoothing_s: int = 0
     _frozen_base: StateField | None = field(default=None, repr=False)
     _frozen_jacobian: JacobianMatrix | None = field(default=None, repr=False)
+    _frozen_gradient_map: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.kappa_frozen = kappa_samples(self.kappa_frozen, self.problem.grid)
@@ -137,6 +138,34 @@ class InversionContext:
                 base=self.frozen_base(),
             )
         return self._frozen_jacobian
+
+    def frozen_gradient_map(self) -> np.ndarray:
+        """G, shape (nx, nt + 1), with G @ y = apply_gradient(solve_adjoint(
+        problem, base0, 0, y), (p0^2)_tt, s) up to rounding, for kappa0 = 0.
+        There the reversed adjoint march is time-invariant, so forcing in
+        reversed step j gives the step-0 impulse response a shifted by j
+        levels (exactly: the march from a zero state stays zero)."""
+        if self._frozen_gradient_map is None:
+            if self.kappa_frozen.any():
+                raise ValueError("the gradient map needs kappa_frozen = 0")
+            problem, base = self.problem, self.frozen_base()
+            nt, times = problem.tgrid.nt, problem.tgrid.times
+            impulse = np.zeros(nt + 1)
+            impulse[-1] = 2.0  # midpoint forcing 1 in the first reversed step
+            a = solve_adjoint(problem, base, None, TimeTrace(times, impulse))
+            w = np.full(nt + 1, problem.tgrid.dt)
+            w[[0, -1]] /= 2
+            wpsq = w * second_time_derivative_of_square(base)
+            # K[x, j] = sum_m wpsq[x, m] a[x, m + j], j = 0, ..., nt - 1
+            K = np.array([np.correlate(ax, wx, "full")[nt:2 * nt]
+                          for ax, wx in zip(a.values, wpsq)])
+            # reversed step j is forced by (y[nt - j] + y[nt - j - 1]) / 2
+            Kr = K[:, ::-1] / 2
+            G = np.pad(Kr, ((0, 0), (1, 0))) + np.pad(Kr, ((0, 0), (0, 1)))
+            if self.smoothing_s == 1:
+                G = problem.operator.solve(G)
+            self._frozen_gradient_map = G
+        return self._frozen_gradient_map
 
 
 def discrepancy_stop(residual_norms, delta: float, tau: float):
@@ -251,30 +280,29 @@ def landweber_run(
 ) -> InversionReport:
     """Landweber iteration kappa_{n+1} = clip(kappa_n + mu * F'(.)^* (h - F)),
     with the gradient applied through the adjoint PDE solve (at kappa0 when
-    frozen).  mu = None selects 0.9 / sigma_0^2 from the SVD of the frozen
-    Jacobian."""
+    frozen; frozen at kappa0 = 0, through ctx.frozen_gradient_map()).
+    mu = None selects 0.9 / sigma_0^2 from the SVD of the frozen Jacobian."""
     problem = ctx.problem
     if data_on_grid is None:
         data_on_grid = prefilter(data, problem.tgrid.nt)
     if mu is None:
         mu = 0.9 / ctx.frozen_jacobian().svd()[1][0] ** 2
 
-    base0 = ctx.frozen_base() if frozen else None
-    psq0 = second_time_derivative_of_square(base0) if frozen else None
-
     def step(n, kappa, state, r):
-        if frozen:
-            base, kap_lin, psq = base0, ctx.kappa_frozen, psq0
-        else:
-            base, kap_lin = state, kappa.samples
-            psq = second_time_derivative_of_square(state)
         y = data_on_grid.values - state.values[problem.obs_index, :]
-        a = solve_adjoint(problem, base, kap_lin,
-                          TimeTrace(problem.tgrid.times, y))
-        g = apply_gradient(problem, a, psq, ctx.smoothing_s)
+        if frozen and not ctx.kappa_frozen.any():
+            g = ctx.frozen_gradient_map() @ y
+        else:
+            base, kap_lin = ((ctx.frozen_base(), ctx.kappa_frozen) if frozen
+                             else (state, kappa.samples))
+            a = solve_adjoint(problem, base, kap_lin,
+                              TimeTrace(problem.tgrid.times, y))
+            g = apply_gradient(problem, a,
+                               second_time_derivative_of_square(base),
+                               ctx.smoothing_s).samples
         # clip, then project once: the same field as clip_nonnegative of
         # the projected unclipped samples
-        samples = np.maximum(kappa.samples + mu * g.samples, 0.0)
+        samples = np.maximum(kappa.samples + mu * g, 0.0)
         return CoefficientField.from_samples(samples, problem.grid, ctx.basis)
 
     return _run_loop(data, init, ctx, stop, truth, step, divergence_guard=True)

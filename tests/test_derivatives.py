@@ -340,6 +340,26 @@ def test_sensitivity_taylor_second_order_basis_directions(bc_id, kind, m,
 @hypothesis.given(bc_id=st.sampled_from(BC_IDS),
                   kind=st.sampled_from(["hat", "haar"]),
                   m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_second_derivative_taylor_third_order_basis_directions(bc_id, kind,
+                                                               m, seed):
+    # the third-order Taylor test above, for signed hat and Haar directions
+    grid, tgrid, kap, problem, base = basis_problem(bc_id)
+    d = basis_direction(grid, kind, m, seed, -1.0)
+    z = solve_sensitivity(problem, base, kap, d)
+    w = solve_second_derivative(problem, base, kap, z, z, d, d)
+    rem = []
+    for h in (4e-2, 2e-2):
+        pert = solve_forward(problem, kap + h * d.samples)
+        rem.append(np.max(np.abs(
+            pert.values - base.values - h * z.values - 0.5 * h**2 * w.values
+        )))
+    assert 6.0 <= rem[0] / rem[1] <= 10.0
+
+
+@BASIS_PROPERTY
+@hypothesis.given(bc_id=st.sampled_from(BC_IDS),
+                  kind=st.sampled_from(["hat", "haar"]),
+                  m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_adjoint_pairing_identity_basis_directions(bc_id, kind, m, seed):
     # the pairing test above, for hat and Haar directions.  The coefficients
     # are nonnegative: signed ones can cancel in <z(1, .), y>, and then a

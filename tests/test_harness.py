@@ -497,7 +497,9 @@ def test_cli_sweep_repeated_name(tmp_path, capsys, names):
     ["diagnose", "poles", "--count", "0"],
     ["convergence-study", "--nx0", "1"],
     ["convergence-study", "--nt0", "1"],
-], ids=["jobs", "count", "nx0", "nt0"])
+    ["convergence-study", "--levels", "0"],
+    ["convergence-study", "--levels", "-1"],
+], ids=["jobs", "count", "nx0", "nt0", "levels-0", "levels-negative"])
 def test_cli_integer_out_of_range(tmp_path, capsys, argv):
     cfg_path = write_small_config(tmp_path)
     if argv[0] == "sweep":
@@ -508,3 +510,19 @@ def test_cli_integer_out_of_range(tmp_path, capsys, argv):
     _expect_config_error(capsys, [*argv, "--config", str(cfg_path),
                                   "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "./a", "a/b", "../escaped"],
+                         ids=["empty", "dot", "dot-dot", "dot-slash",
+                              "nested", "escaped"])
+def test_cli_sweep_name_not_one_path_component(tmp_path, capsys, name):
+    # the name is the entry's directory under --out; one that is empty,
+    # "." or "..", or that holds a separator, would write elsewhere
+    runs = [{"name": "good", "config": small_config(max_iter=2).to_dict()},
+            {"name": name, "config": small_config(max_iter=2).to_dict()}]
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"runs": runs}))
+    out = tmp_path / "sweeps" / "o"
+    _expect_config_error(capsys, ["sweep", "--config", str(path), "--jobs",
+                                  "1", "--out", str(out)])
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["sweep.json"]

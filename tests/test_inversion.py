@@ -1,6 +1,8 @@
 """Iterative reconstruction: stopping rules, regularization schedules, the
 regularized linear solves, and the Landweber / Newton / Halley drivers."""
 
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -14,15 +16,20 @@ from westinv import (
     MaterialParams,
     Problem,
     RegularizationSchedule,
+    SingularOperatorError,
     SpatialGrid,
     StoppingRule,
     TimeGrid,
+    TimeTrace,
+    apply_gradient,
     discrepancy_stop,
     landweber_run,
     manufactured_source,
     newton_lm_run,
     prefilter,
     run_inversion,
+    second_time_derivative_of_square,
+    solve_adjoint,
     solve_forward,
     synthesize_data,
     tikhonov_gradient,
@@ -42,16 +49,16 @@ BC = BoundaryCondition.from_kinds("dirichlet", "neumann")
 
 
 def make_setup(nx=51, nt=100, m=9, noise=0.0, seed=0, amplitude=0.15,
-               sample_count=30):
+               sample_count=30, bc=BC):
     grid, tgrid = SpatialGrid(nx), TimeGrid(nt)
     basis = BasisSet("gaussian", m)
     f = lambda x: np.sin(np.pi * x / 2)
     f_xx = lambda x: -((np.pi / 2) ** 2) * np.sin(np.pi * x / 2)
     source = manufactured_source(
         f, f_xx, lambda t: t**2, lambda t: 2 * t,
-        lambda t: 2 * np.ones_like(t), PARAMS, grid, tgrid, BC,
+        lambda t: 2 * np.ones_like(t), PARAMS, grid, tgrid, bc,
     )
-    problem = Problem(PARAMS, grid, tgrid, BC, source,
+    problem = Problem(PARAMS, grid, tgrid, bc, source,
                       sample_times=np.linspace(0.0, 1.0, sample_count))
     truth = truth_field("smooth_bump", grid, amplitude)
     _, _, noisy = synthesize_data(problem, truth, noise, seed)
@@ -353,3 +360,98 @@ def test_report_serialization(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,residual,err_linf,err_l2"
     assert len(lines) == 1 + len(report.residuals)
+
+
+# the frozen gradient map G (kappa0 = 0): G @ y replaces the adjoint solve
+# plus apply_gradient in frozen Landweber; the boundary pairs are those of
+# the derivative identities in test_derivatives.py
+BC_IDS = ["dirichlet-neumann", "dirichlet-impedance", "impedance-neumann"]
+
+
+@cache
+def gradient_map_context(bc_id, s):
+    ctx = make_setup(bc=BoundaryCondition.from_kinds(*bc_id.split("-")))[0]
+    return InversionContext(ctx.problem, ctx.basis, smoothing_s=s)
+
+
+@hypothesis.settings(max_examples=30, deadline=None, database=None)
+@hypothesis.given(bc_id=st.sampled_from(BC_IDS), s=st.sampled_from([0, 1]),
+                  seed=st.integers(0, 2**32 - 1))
+def test_frozen_gradient_map_matches_the_adjoint_solve(bc_id, s, seed):
+    ctx = gradient_map_context(bc_id, s)
+    G, problem, base = ctx.frozen_gradient_map(), ctx.problem, ctx.frozen_base()
+    times = problem.tgrid.times
+    y = np.random.Generator(np.random.Philox(seed)).standard_normal(
+        len(times))
+    a = solve_adjoint(problem, base, ctx.kappa_frozen, TimeTrace(times, y))
+    ref = apply_gradient(problem, a, second_time_derivative_of_square(base),
+                         s).samples
+    assert G.shape == (problem.grid.nx, problem.tgrid.nt + 1)
+    assert np.max(np.abs(G @ y - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def count_adjoint_solves(monkeypatch):
+    import westinv.inversion as inversion
+
+    calls = []
+    solve = inversion.solve_adjoint
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "solve_adjoint", counting_solve)
+    return calls
+
+
+def test_frozen_landweber_solves_the_adjoint_once(monkeypatch):
+    # the impulse response behind the gradient map is the run's only
+    # adjoint solve
+    calls = count_adjoint_solves(monkeypatch)
+    cfg = ExperimentConfig(nx=41, nt=80, n_basis=7, sample_count=25,
+                           method="landweber", mu=0.01, max_iter=4,
+                           noise=0.0001)
+    result = run_inversion(cfg)
+    assert result.report.stop_index == 4
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("frozen", [True, False],
+                         ids=["frozen-at-nonzero-kappa0", "unfrozen"])
+def test_landweber_off_the_map_solves_the_adjoint_per_step(monkeypatch,
+                                                           frozen):
+    # the map holds only at kappa0 = 0; elsewhere every step solves the
+    # adjoint at its linearization point
+    ctx, init, truth, data = make_setup(m=5, noise=0.001, seed=3)
+    if frozen:
+        ctx = InversionContext(ctx.problem, ctx.basis,
+                               kappa_frozen=np.full(ctx.problem.grid.nx, 0.05))
+        with pytest.raises(ValueError):
+            ctx.frozen_gradient_map()
+    calls = count_adjoint_solves(monkeypatch)
+    stop = StoppingRule(tau=2.0, delta=0.0, max_iter=3)
+    report = landweber_run(data, init, frozen, None, stop, ctx)
+    assert report.stop_index == 3
+    assert len(calls) == 3
+
+
+def test_frozen_landweber_pure_neumann_smoothing_is_singular():
+    # s = 1 applies A^{-1}, which does not exist under pure Neumann
+    # conditions, whether per step or once for the whole map
+    grid, tgrid = SpatialGrid(41), TimeGrid(80)
+    bc = BoundaryCondition.from_kinds("neumann", "neumann")
+    source = manufactured_source(
+        lambda x: np.cos(np.pi * x), lambda x: -np.pi**2 * np.cos(np.pi * x),
+        lambda t: t**2, lambda t: 2 * t, lambda t: 2 * np.ones_like(t),
+        PARAMS, grid, tgrid, bc,
+    )
+    problem = Problem(PARAMS, grid, tgrid, bc, source,
+                      sample_times=np.linspace(0.0, 1.0, 25))
+    basis = BasisSet("gaussian", 5)
+    _, _, data = synthesize_data(problem, truth_field("smooth_bump", grid,
+                                                      0.1), 0.0, 0)
+    init = CoefficientField.from_coefficients(basis, np.zeros(5), grid)
+    ctx = InversionContext(problem, basis, smoothing_s=1)
+    with pytest.raises(SingularOperatorError):
+        landweber_run(data, init, True, 0.01,
+                      StoppingRule(tau=2.0, delta=0.0, max_iter=3), ctx)
