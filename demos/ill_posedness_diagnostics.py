@@ -45,7 +45,7 @@ def singular_value_decay():
     )
     problem = Problem(PARAMS, grid, tgrid, BC, source,
                       sample_times=np.linspace(0.0, 1.0, 50))
-    J = InversionContext(problem, BasisSet("gaussian", 41)).frozen_jacobian()
+    J = InversionContext(problem, BasisSet("gaussian", 41)).frozen_jacobian
     sigma = J.svd()[1]
     q = svd_decay(sigma)
     resolvable = int(np.sum(sigma > 1e-8 * sigma[0]))

@@ -68,7 +68,6 @@ from .inversion import (
     halley_run,
     landweber_run,
     newton_lm_run,
-    tikhonov_gradient,
 )
 from .laplacian import Laplace1D, build_laplacian
 from .spectra import (

@@ -72,12 +72,10 @@ def project(
     basis: BasisSet,
     samples: np.ndarray,
     grid: SpatialGrid,
-    return_residual: bool = False,
-):
+) -> np.ndarray:
     """Least-squares coefficients of grid samples via the normal equations.
 
     Raises RankDeficientError when the Gram matrix condition exceeds 1e12.
-    Optionally returns the relative fit residual alongside the coefficients.
     """
     samples = np.asarray(samples, dtype=float)
     if grid.nx < basis.m:
@@ -89,12 +87,7 @@ def project(
         raise RankDeficientError(
             f"basis Gram matrix condition {cond:.3g} exceeds 1e12"
         )
-    coeffs = np.linalg.solve(gram, E.T @ samples)
-    if return_residual:
-        norm = np.linalg.norm(samples)
-        res = np.linalg.norm(E @ coeffs - samples) / (norm if norm > 0 else 1.0)
-        return coeffs, res
-    return coeffs
+    return np.linalg.solve(gram, E.T @ samples)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from .experiment import (
     TIME_PROFILES,
     ExperimentConfig,
     _trace_csv,
+    _write_json,
     build_problem,
     read_json_config,
     run_experiment,
@@ -77,9 +78,7 @@ def cmd_synth(args) -> int:
     problem, _, truth = build_problem(cfg)
     full, coarse, noisy = synthesize_data(problem, truth, cfg.noise, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "config.json"), "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(cfg.to_dict(), os.path.join(args.out, "config.json"))
     _trace_csv(full, os.path.join(args.out, "trace_clean.csv"))
     _trace_csv(noisy, os.path.join(args.out, "trace_noisy.csv"))
     print(f"wrote clean and noisy traces to {args.out} "
@@ -108,7 +107,7 @@ def cmd_diagnose(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     problem, basis, _ = build_problem(cfg)
     if args.what == "svd":
-        sigma = InversionContext(problem, basis).frozen_jacobian().svd()[1]
+        sigma = InversionContext(problem, basis).frozen_jacobian.svd()[1]
         q = svd_decay(sigma)
         svd_csv(sigma, os.path.join(args.out, "svd.csv"))
         print(f"sigma_max = {sigma[0]:.6g}, sigma_min = {sigma[-1]:.6g}, "
@@ -123,9 +122,7 @@ def cmd_diagnose(args) -> int:
         "distinctness": pole_distinctness(spec),
     }
     path = os.path.join(args.out, "poles.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report, path)
     print(f"wrote {args.count} pole pairs to {path} "
           f"(distinct: {report['distinctness']['distinct']})")
     return 0

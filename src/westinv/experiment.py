@@ -340,7 +340,7 @@ def run_inversion(cfg: ExperimentConfig):
 
     sigma = q = None
     if cfg.diagnostics:
-        sigma = ctx.frozen_jacobian().svd()[1]
+        sigma = ctx.frozen_jacobian.svd()[1]
         q = svd_decay(sigma)
 
     exit_code = EXIT_OK if report.stop_reason in ("discrepancy", "stagnation") \
@@ -359,13 +359,17 @@ def _trace_csv(trace: TimeTrace, path) -> None:
             fh.write(f"{t:.17g},{h:.17g}\n")
 
 
+def _write_json(obj, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_artifacts(result: ExperimentResult, out_dir) -> None:
     """Persist the experiment artifacts to out_dir (deterministic bytes)."""
     os.makedirs(out_dir, exist_ok=True)
     cfg = result.config
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(cfg.to_dict(), os.path.join(out_dir, "config.json"))
     _trace_csv(result.traces["clean"], os.path.join(out_dir, "trace_clean.csv"))
     _trace_csv(result.traces["noisy"], os.path.join(out_dir, "trace_noisy.csv"))
     _trace_csv(result.traces["filtered"],
@@ -384,9 +388,7 @@ def write_artifacts(result: ExperimentResult, out_dir) -> None:
     })
     if result.q is not None:
         report["svd_decay_rate"] = float(result.q)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report, os.path.join(out_dir, "report.json"))
 
     result.report.history_csv(os.path.join(out_dir, "history.csv"))
 
@@ -404,10 +406,8 @@ def write_artifacts(result: ExperimentResult, out_dir) -> None:
 def write_error_report(out_dir, message: str) -> int:
     """Write a failed run's report.json; returns EXIT_SOLVER."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump({"error": message, "exit_code": EXIT_SOLVER}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json({"error": message, "exit_code": EXIT_SOLVER},
+                os.path.join(out_dir, "report.json"))
     return EXIT_SOLVER
 
 

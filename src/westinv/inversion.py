@@ -1,6 +1,6 @@
 """Regularized iterative reconstruction of the nonlinearity coefficient:
 (frozen) Landweber, (frozen) Levenberg-Marquardt / Newton, frozen Halley
-predictor-corrector, Tikhonov gradient and the discrepancy stopping rule.
+predictor-corrector and the discrepancy stopping rule.
 
 The data space is the vector of trace samples at the measurement times with
 the Euclidean norm; the recorded noise level delta must be expressed in that
@@ -9,7 +9,8 @@ norm (the harness converts the per-sample bound eta to sqrt(ns) * eta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,65 +108,53 @@ class InversionReport:
                 fh.write(f"{k},{res:.17g},{linf:.17g},{l2:.17g}\n")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class InversionContext:
     """Everything a reconstruction run needs besides the data: the forward
-    problem, the basis and the frozen linearization point (kappa0 = 0 by
-    default).  Frozen quantities are cached lazily, so the frozen Jacobian
-    and its SVD are computed at most once per run.  The data must be
-    sampled at problem.sample_times."""
+    problem, the basis and the smoothing order s of the Landweber gradient.
+    The frozen quantities linearize at kappa0 = 0 and are computed at most
+    once per context; the context is immutable, so they never go stale.
+    The data must be sampled at problem.sample_times."""
 
     problem: Problem
     basis: BasisSet
-    kappa_frozen: np.ndarray | None = None
     smoothing_s: int = 0
-    _frozen_base: StateField | None = field(default=None, repr=False)
-    _frozen_jacobian: JacobianMatrix | None = field(default=None, repr=False)
-    _frozen_gradient_map: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.kappa_frozen = kappa_samples(self.kappa_frozen, self.problem.grid)
+        if self.smoothing_s not in (0, 1):
+            raise ValueError("smoothing order s must be 0 or 1")
 
+    @cached_property
     def frozen_base(self) -> StateField:
-        if self._frozen_base is None:
-            self._frozen_base = solve_forward(self.problem, self.kappa_frozen)
-        return self._frozen_base
+        return solve_forward(self.problem, None)
 
+    @cached_property
     def frozen_jacobian(self) -> JacobianMatrix:
-        if self._frozen_jacobian is None:
-            self._frozen_jacobian = assemble_jacobian(
-                self.problem, self.kappa_frozen, self.basis,
-                base=self.frozen_base(),
-            )
-        return self._frozen_jacobian
+        return assemble_jacobian(self.problem, None, self.basis,
+                                 base=self.frozen_base)
 
+    @cached_property
     def frozen_gradient_map(self) -> np.ndarray:
         """G, shape (nx, nt + 1), with G @ y = apply_gradient(solve_adjoint(
-        problem, base0, 0, y), (p0^2)_tt, s) up to rounding, for kappa0 = 0.
-        There the reversed adjoint march is time-invariant, so forcing in
-        reversed step j gives the step-0 impulse response a shifted by j
-        levels (exactly: the march from a zero state stays zero)."""
-        if self._frozen_gradient_map is None:
-            if self.kappa_frozen.any():
-                raise ValueError("the gradient map needs kappa_frozen = 0")
-            problem, base = self.problem, self.frozen_base()
-            nt, times = problem.tgrid.nt, problem.tgrid.times
-            impulse = np.zeros(nt + 1)
-            impulse[-1] = 2.0  # midpoint forcing 1 in the first reversed step
-            a = solve_adjoint(problem, base, None, TimeTrace(times, impulse))
-            w = np.full(nt + 1, problem.tgrid.dt)
-            w[[0, -1]] /= 2
-            wpsq = w * second_time_derivative_of_square(base)
-            # K[x, j] = sum_m wpsq[x, m] a[x, m + j], j = 0, ..., nt - 1
-            K = np.array([np.correlate(ax, wx, "full")[nt:2 * nt]
-                          for ax, wx in zip(a.values, wpsq)])
-            # reversed step j is forced by (y[nt - j] + y[nt - j - 1]) / 2
-            Kr = K[:, ::-1] / 2
-            G = np.pad(Kr, ((0, 0), (1, 0))) + np.pad(Kr, ((0, 0), (0, 1)))
-            if self.smoothing_s == 1:
-                G = problem.operator.solve(G)
-            self._frozen_gradient_map = G
-        return self._frozen_gradient_map
+        problem, base0, None, y), (p0^2)_tt, s) up to rounding.  At kappa0 = 0
+        the reversed adjoint march is time-invariant, so forcing in reversed
+        step j gives the step-0 impulse response a shifted by j levels
+        (exactly: the march from a zero state stays zero)."""
+        problem, base = self.problem, self.frozen_base
+        nt, times = problem.tgrid.nt, problem.tgrid.times
+        impulse = np.zeros(nt + 1)
+        impulse[-1] = 2.0  # midpoint forcing 1 in the first reversed step
+        a = solve_adjoint(problem, base, None, TimeTrace(times, impulse))
+        w = np.full(nt + 1, problem.tgrid.dt)
+        w[[0, -1]] /= 2
+        wpsq = w * second_time_derivative_of_square(base)
+        # K[x, j] = sum_m wpsq[x, m] a[x, m + j], j = 0, ..., nt - 1
+        K = np.array([np.correlate(ax, wx, "full")[nt:2 * nt]
+                      for ax, wx in zip(a.values, wpsq)])
+        # reversed step j is forced by (y[nt - j] + y[nt - j - 1]) / 2
+        Kr = K[:, ::-1] / 2
+        G = np.pad(Kr, ((0, 0), (1, 0))) + np.pad(Kr, ((0, 0), (0, 1)))
+        return problem.operator.solve(G) if self.smoothing_s == 1 else G
 
 
 def discrepancy_stop(residual_norms, delta: float, tau: float):
@@ -278,27 +267,25 @@ def landweber_run(
     truth=None,
     data_on_grid: TimeTrace | None = None,
 ) -> InversionReport:
-    """Landweber iteration kappa_{n+1} = clip(kappa_n + mu * F'(.)^* (h - F)),
-    with the gradient applied through the adjoint PDE solve (at kappa0 when
-    frozen; frozen at kappa0 = 0, through ctx.frozen_gradient_map()).
+    """Landweber iteration kappa_{n+1} = clip(kappa_n + mu * F'(.)^* (h - F)):
+    frozen at kappa0 = 0, the gradient is ctx.frozen_gradient_map @ y;
+    unfrozen, it is the adjoint PDE solve at the current iterate.
     mu = None selects 0.9 / sigma_0^2 from the SVD of the frozen Jacobian."""
     problem = ctx.problem
     if data_on_grid is None:
         data_on_grid = prefilter(data, problem.tgrid.nt)
     if mu is None:
-        mu = 0.9 / ctx.frozen_jacobian().svd()[1][0] ** 2
+        mu = 0.9 / ctx.frozen_jacobian.svd()[1][0] ** 2
 
     def step(n, kappa, state, r):
         y = data_on_grid.values - state.values[problem.obs_index, :]
-        if frozen and not ctx.kappa_frozen.any():
-            g = ctx.frozen_gradient_map() @ y
+        if frozen:
+            g = ctx.frozen_gradient_map @ y
         else:
-            base, kap_lin = ((ctx.frozen_base(), ctx.kappa_frozen) if frozen
-                             else (state, kappa.samples))
-            a = solve_adjoint(problem, base, kap_lin,
+            a = solve_adjoint(problem, state, kappa.samples,
                               TimeTrace(problem.tgrid.times, y))
             g = apply_gradient(problem, a,
-                               second_time_derivative_of_square(base),
+                               second_time_derivative_of_square(state),
                                ctx.smoothing_s).samples
         # clip, then project once: the same field as clip_nonnegative of
         # the projected unclipped samples
@@ -320,19 +307,18 @@ def newton_lm_run(
     """Levenberg-Marquardt / regularized (frozen) Newton iteration
     c_{n+1} = c_n + (J^T J + alpha_n I)^{-1} J^T (h - F(kappa_n)); frozen
     steps all reuse the SVD of the frozen Jacobian."""
-    J_frozen = ctx.frozen_jacobian() if frozen else None
-
-    reg_holder = [reg]
+    J_frozen = ctx.frozen_jacobian if frozen else None
 
     def step(n, kappa, state, r):
+        nonlocal reg
         if frozen:
             J = J_frozen
         else:
             J = assemble_jacobian(ctx.problem, kappa.samples, ctx.basis,
                                   base=state, keep_sensitivities=False)
-        if reg_holder[0] is None:
-            reg_holder[0] = RegularizationSchedule(default_alpha0(J, r))
-        c_step = _solve_regularized(J, reg_holder[0].alpha(n), r)
+        if reg is None:
+            reg = RegularizationSchedule(default_alpha0(J, r))
+        c_step = _solve_regularized(J, reg.alpha(n), r)
         coeffs = kappa.coefficients + c_step
         return clip_nonnegative(
             CoefficientField.from_coefficients(ctx.basis, coeffs,
@@ -354,18 +340,18 @@ def halley_run(
     Levenberg-Marquardt step d (from the frozen Jacobian's SVD); the
     corrector re-solves against the same residual with system matrix
     J + H_d / 2, factored once per step, and the same alpha_n."""
-    J = ctx.frozen_jacobian()
+    J = ctx.frozen_jacobian
     grid = ctx.problem.grid
-    reg_holder = [reg]
 
     def step(n, kappa, state, r):
-        if reg_holder[0] is None:
-            reg_holder[0] = RegularizationSchedule(default_alpha0(J, r))
-        alpha = reg_holder[0].alpha(n)
+        nonlocal reg
+        if reg is None:
+            reg = RegularizationSchedule(default_alpha0(J, r))
+        alpha = reg.alpha(n)
         d_coeffs = _solve_regularized(J, alpha, r)
         d = Direction(evaluate_basis(ctx.basis, grid) @ d_coeffs)
         H = assemble_directional_hessian(
-            ctx.problem, d, ctx.kappa_frozen, ctx.basis, ctx.frozen_base(), J
+            ctx.problem, d, None, ctx.basis, ctx.frozen_base, J
         )
         c_step = _solve_regularized(JacobianMatrix(J.entries + 0.5 * H),
                                     alpha, r)
@@ -376,27 +362,3 @@ def halley_run(
 
     return _run_loop(data, init, ctx, stop, truth, step)
 
-
-def tikhonov_gradient(
-    kappa: CoefficientField,
-    prior,
-    alpha: float,
-    data: TimeTrace,
-    s: int,
-    ctx: InversionContext,
-    data_on_grid: TimeTrace | None = None,
-) -> Direction:
-    """Gradient of the Tikhonov functional,
-    J_alpha'(kappa) = F'(kappa)^* (F(kappa) - h) + alpha (kappa - prior)."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    problem = ctx.problem
-    if data_on_grid is None:
-        data_on_grid = prefilter(data, problem.tgrid.nt)
-    state = solve_forward(problem, kappa)
-    y = state.values[problem.obs_index, :] - data_on_grid.values
-    a = solve_adjoint(problem, state, kappa.samples,
-                      TimeTrace(problem.tgrid.times, y))
-    g = apply_gradient(problem, a, second_time_derivative_of_square(state), s)
-    prior_samples = kappa_samples(prior, problem.grid)
-    return Direction(g.samples + alpha * (kappa.samples - prior_samples))

@@ -1,6 +1,7 @@
 """Iterative reconstruction: stopping rules, regularization schedules, the
 regularized linear solves, and the Landweber / Newton / Halley drivers."""
 
+import dataclasses
 from functools import cache
 
 import numpy as np
@@ -32,7 +33,6 @@ from westinv import (
     solve_adjoint,
     solve_forward,
     synthesize_data,
-    tikhonov_gradient,
     truth_field,
 )
 from westinv.basis import BasisSet, evaluate_basis
@@ -190,7 +190,7 @@ def test_landweber_default_step_size():
     # mu = None is 0.9 / ||J||_2^2 for the frozen Jacobian
     ctx, init, truth, data = make_setup(m=5, noise=0.001, seed=3)
     stop = StoppingRule(tau=2.0, delta=0.0, max_iter=3)
-    mu = 0.9 / np.linalg.norm(ctx.frozen_jacobian().entries, 2) ** 2
+    mu = 0.9 / np.linalg.norm(ctx.frozen_jacobian.entries, 2) ** 2
     auto = landweber_run(data, init, True, None, stop, ctx)
     given = landweber_run(data, init, True, mu, stop, ctx)
     np.testing.assert_allclose(auto.residuals, given.residuals, rtol=1e-12)
@@ -295,53 +295,33 @@ def test_stagnation_detection():
         assert report.stop_index < 40
 
 
-def test_tikhonov_gradient_properties():
-    ctx, init, truth, _ = make_setup(noise=0.0)
-    grid = ctx.problem.grid
-    # data generated exactly at kappa: the alpha = 0 gradient is ~ 0
-    full, _, data = synthesize_data(ctx.problem, truth, 0.0, 0)
-    kap = CoefficientField.from_samples(truth.samples, grid, ctx.basis)
-    g0 = tikhonov_gradient(kap, np.zeros(grid.nx), 0.0, data, 0, ctx,
-                           data_on_grid=full)
-    scale = np.max(np.abs(truth.samples))
-    assert np.max(np.abs(g0.samples)) < 1e-8 * scale
-    # the penalty contributes exactly alpha * (kappa - prior)
-    prior = np.zeros(grid.nx)
-    g1 = tikhonov_gradient(kap, prior, 0.5, data, 0, ctx, data_on_grid=full)
-    np.testing.assert_allclose(g1.samples - g0.samples,
-                               0.5 * (kap.samples - prior), atol=1e-14)
-    with pytest.raises(ValueError):
-        tikhonov_gradient(kap, prior, -1.0, data, 0, ctx)
-
-
-def test_tikhonov_gradient_matches_fd():
-    # directional derivative of the Tikhonov functional by central
-    # differences matches the adjoint-based gradient
+def test_adjoint_gradient_matches_fd():
+    # directional derivative of the misfit 1/2 int (F - h)^2 dt by central
+    # differences matches the adjoint-based gradient at kappa != 0, the
+    # gradient unfrozen Landweber takes every step
     ctx, init, truth, _ = make_setup(nx=101, nt=200)
     problem = ctx.problem
     grid, tgrid = problem.grid, problem.tgrid
     _, _, data = synthesize_data(problem, truth, 0.0, 0)
     data_grid = prefilter(data, tgrid.nt)
-    alpha = 0.3
-    prior = np.zeros(grid.nx)
     kap = CoefficientField.from_samples(
         0.05 * np.sin(np.pi * grid.nodes / 2) ** 2, grid
     )
     dk = np.sin(np.pi * grid.nodes) * 0.1
 
-    def functional(samples):
+    def misfit(samples):
         state = solve_forward(problem, samples)
         y = state.values[problem.obs_index, :] - data_grid.values
-        misfit = 0.5 * np.trapezoid(y**2, dx=tgrid.dt)
-        penalty = 0.5 * alpha * np.trapezoid((samples - prior) ** 2,
-                                             dx=grid.dx)
-        return misfit + penalty
+        return 0.5 * np.trapezoid(y**2, dx=tgrid.dt)
 
     h = 1e-3
-    fd = (functional(kap.samples + h * dk)
-          - functional(kap.samples - h * dk)) / (2 * h)
-    g = tikhonov_gradient(kap, prior, alpha, data, 0, ctx,
-                          data_on_grid=data_grid)
+    fd = (misfit(kap.samples + h * dk)
+          - misfit(kap.samples - h * dk)) / (2 * h)
+    state = solve_forward(problem, kap)
+    y = state.values[problem.obs_index, :] - data_grid.values
+    a = solve_adjoint(problem, state, kap.samples,
+                      TimeTrace(tgrid.times, y))
+    g = apply_gradient(problem, a, second_time_derivative_of_square(state), 0)
     pairing = np.trapezoid(g.samples * dk, dx=grid.dx)
     assert abs(fd - pairing) / abs(fd) < 5e-3
 
@@ -379,15 +359,33 @@ def gradient_map_context(bc_id, s):
                   seed=st.integers(0, 2**32 - 1))
 def test_frozen_gradient_map_matches_the_adjoint_solve(bc_id, s, seed):
     ctx = gradient_map_context(bc_id, s)
-    G, problem, base = ctx.frozen_gradient_map(), ctx.problem, ctx.frozen_base()
+    G, problem, base = ctx.frozen_gradient_map, ctx.problem, ctx.frozen_base
     times = problem.tgrid.times
     y = np.random.Generator(np.random.Philox(seed)).standard_normal(
         len(times))
-    a = solve_adjoint(problem, base, ctx.kappa_frozen, TimeTrace(times, y))
+    a = solve_adjoint(problem, base, None, TimeTrace(times, y))
     ref = apply_gradient(problem, a, second_time_derivative_of_square(base),
                          s).samples
     assert G.shape == (problem.grid.nx, problem.tgrid.nt + 1)
     assert np.max(np.abs(G @ y - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_context_is_immutable():
+    # the frozen quantities are cached on the context, so it cannot change
+    # under them
+    ctx = gradient_map_context("dirichlet-neumann", 0)
+    G = ctx.frozen_gradient_map
+    assert ctx.frozen_gradient_map is G
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.smoothing_s = 1
+    assert ctx.frozen_gradient_map is G
+
+
+@pytest.mark.parametrize("s", [-1, 2])
+def test_context_rejects_a_bad_smoothing_order(s):
+    ctx = make_setup(m=5)[0]
+    with pytest.raises(ValueError, match="smoothing order s must be 0 or 1"):
+        InversionContext(ctx.problem, ctx.basis, smoothing_s=s)
 
 
 def count_adjoint_solves(monkeypatch):
@@ -416,21 +414,13 @@ def test_frozen_landweber_solves_the_adjoint_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("frozen", [True, False],
-                         ids=["frozen-at-nonzero-kappa0", "unfrozen"])
-def test_landweber_off_the_map_solves_the_adjoint_per_step(monkeypatch,
-                                                           frozen):
-    # the map holds only at kappa0 = 0; elsewhere every step solves the
-    # adjoint at its linearization point
+def test_unfrozen_landweber_solves_the_adjoint_per_step(monkeypatch):
+    # the map holds only at kappa0 = 0; unfrozen, every step solves the
+    # adjoint at its iterate
     ctx, init, truth, data = make_setup(m=5, noise=0.001, seed=3)
-    if frozen:
-        ctx = InversionContext(ctx.problem, ctx.basis,
-                               kappa_frozen=np.full(ctx.problem.grid.nx, 0.05))
-        with pytest.raises(ValueError):
-            ctx.frozen_gradient_map()
     calls = count_adjoint_solves(monkeypatch)
     stop = StoppingRule(tau=2.0, delta=0.0, max_iter=3)
-    report = landweber_run(data, init, frozen, None, stop, ctx)
+    report = landweber_run(data, init, False, None, stop, ctx)
     assert report.stop_index == 3
     assert len(calls) == 3
 
