@@ -5,6 +5,7 @@ piecewise-constant basis."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,6 +69,25 @@ def evaluate_basis(basis: BasisSet, grid: SpatialGrid) -> np.ndarray:
     return E
 
 
+@lru_cache(maxsize=16)
+def _normal_equations(basis: BasisSet, grid: SpatialGrid) -> tuple:
+    """Read-only E and Gram matrix E^T E of project, built and checked once
+    per (basis, grid); a failed check raises again on every call, since
+    lru_cache keeps no exceptions."""
+    if grid.nx < basis.m:
+        raise ValueError("need at least as many grid nodes as basis functions")
+    E = evaluate_basis(basis, grid)
+    gram = E.T @ E
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise RankDeficientError(
+            f"basis Gram matrix condition {cond:.3g} exceeds 1e12"
+        )
+    E.setflags(write=False)
+    gram.setflags(write=False)
+    return E, gram
+
+
 def project(
     basis: BasisSet,
     samples: np.ndarray,
@@ -78,15 +98,7 @@ def project(
     Raises RankDeficientError when the Gram matrix condition exceeds 1e12.
     """
     samples = np.asarray(samples, dtype=float)
-    if grid.nx < basis.m:
-        raise ValueError("need at least as many grid nodes as basis functions")
-    E = evaluate_basis(basis, grid)
-    gram = E.T @ E
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise RankDeficientError(
-            f"basis Gram matrix condition {cond:.3g} exceeds 1e12"
-        )
+    E, gram = _normal_equations(basis, grid)
     return np.linalg.solve(gram, E.T @ samples)
 
 

@@ -5,9 +5,9 @@ The sensitivity and second-derivative equations are integrated once in time
 and marched in the conservative form ((1 - 2 kappa p) u)_t + b A u
 + c^2 \\int A u = g by the forward solver's own Crank-Nicolson march
 (westinv.forward.cn_march); this makes the discrete solves the exact
-first and second derivatives of the discrete forward map (up to the inner
-fixed-point tolerance).  The m Jacobian (or Hessian) columns march together
-as one (nx, m) block through the shared per-step matrices.
+first and second derivatives of the discrete forward map (up to the forward
+solve's Newton tolerance).  The m Jacobian (or Hessian) columns march
+together as one (nx, m) block through the shared per-step matrices.
 
 The adjoint equation (1 - 2 kappa p) a_tt - b A a_t + c^2 A a = 0 is the
 continuous (optimize-then-discretize) adjoint.  In the time-reversed variable
@@ -82,7 +82,8 @@ def _march(problem: Problem, base: StateField, kap: np.ndarray, level,
     alpha = 1.0 - 2.0 * kap[:, None] * base.values
     levels = pairwise(map(level, range(tgrid.nt + 1)))
     u = cn_march(problem, ((new - old) / tgrid.dt for old, new in levels),
-                 lambda n, un, step: step(alpha[:, n], alpha[:, n + 1]),
+                 lambda n, un, step, _: step(alpha[:, n + 1],
+                                             (alpha[:, n] * un.T).T),
                  problem.obs_index if trace_only else slice(None))
     return u if trace_only else StateField(u, problem.grid, tgrid)
 
@@ -166,7 +167,8 @@ def solve_adjoint(problem: Problem, base: StateField, kappa,
     forcing = (delta * (0.5 * (y_rev[n] + y_rev[n + 1]))
                for n in range(tgrid.nt))
     v = cn_march(problem, forcing,
-                 lambda n, un, step: step(alpha_mid[:, n], alpha_mid[:, n]))
+                 lambda n, un, step, _: step(alpha_mid[:, n],
+                                             alpha_mid[:, n] * un))
     u = _cumulative_trapezoid(v, tgrid.dt)
     return StateField(u[:, ::-1].copy(), grid, tgrid)
 

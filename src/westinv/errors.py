@@ -10,7 +10,7 @@ class DegeneracyError(WestinvError):
 
 
 class NoConvergenceError(WestinvError):
-    """The inner fixed-point iteration of the forward solver did not converge."""
+    """The forward solver's Newton iteration did not meet its tolerance."""
 
 
 class OffGridError(WestinvError):

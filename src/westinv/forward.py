@@ -10,9 +10,10 @@ is integrated once in time and solved as a parabolic problem with memory,
 
 with A = -d2/dx2 (boundary conditions folded in) and R the running time
 integral of r.  Time stepping is Crank-Nicolson with the memory integral
-accumulated by the trapezoidal rule and the nonlinear factor resolved by an
-inner fixed-point loop.  The march (cn_march) is shared with the linear
-sensitivity, second-derivative and adjoint solves in westinv.derivatives.
+accumulated by the trapezoidal rule; each step's quadratic equation is
+solved by Newton's method from a quadratic extrapolation of the last three
+levels.  The march (cn_march) is shared with the linear sensitivity,
+second-derivative and adjoint solves in westinv.derivatives.
 """
 
 from __future__ import annotations
@@ -154,9 +155,11 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
 
     forcing yields f for steps n -> n + 1, n = 0, ..., nt - 1, shaped (nx,)
     or (nx, k): k columns march through the same step matrices.
-    advance(n, un, step) returns u^{n+1}; step(a_old, a_new) solves
-    (a_new/dt + coef A) u = a_old un/dt + f - coef A un - c^2 \\int_0^{t_n} A u
-    (trapezoidal memory).  Returns u[keep] at every time level, time last.
+    advance(n, un, step, u) returns u^{n+1}, where u is the returned array,
+    filled up to level n; step(a_new, old) solves
+    (a_new/dt + coef A) u = old/dt + f - coef A un - c^2 \\int_0^{t_n} A u
+    (trapezoidal memory), so a linear step passes old = a_old un.  Returns
+    u[keep] at every time level, time last.
     """
     A, params, tgrid = problem.operator, problem.params, problem.tgrid
     dt = tgrid.dt
@@ -170,14 +173,14 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
     memory = np.zeros(f.shape)  # running integral of A u
     Aun = A.apply(un)
 
-    def step(a_old, a_new):  # reads the loop's current un and rest
+    def step(a_new, old):  # reads the loop's current rest
         np.add(a_new / dt, cdiag, out=ab[1])
         ab[1, fixed] = 1.0
-        return A.solve_banded_system(ab, (a_old * un.T).T / dt + rest)
+        return A.solve_banded_system(ab, old / dt + rest)
 
     for n in range(tgrid.nt):
         rest = -coef * Aun - params.c2 * memory + f
-        un = advance(n, un, step)
+        un = advance(n, un, step, u)
         u[..., n + 1] = un[keep]
         Aun_old, Aun = Aun, A.apply(un)
         memory += 0.5 * dt * (Aun_old + Aun)
@@ -185,39 +188,54 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
     return u
 
 
+# weights of the constant, linear and quadratic extrapolation to t_{n+1}
+# from the levels p^{n-2}, p^{n-1}, p^n that exist, oldest first
+_EXTRAPOLATION = (np.array([1.0]), np.array([-1.0, 2.0]),
+                  np.array([1.0, -3.0, 3.0]))
+
+
 def solve_forward(problem: Problem, kappa) -> StateField:
     """Crank-Nicolson solve of the time-integrated Westervelt equation with
     homogeneous initial data.
 
+    Each step solves F(p) = (p - p^n - kappa (p^2 - (p^n)^2))/dt + coef A p
+    - rest = 0 by Newton's method, one tridiagonal solve per update, from
+    the quadratic extrapolation of the last three levels.  F is quadratic,
+    so after an update D the residual is exactly -kappa D^2/dt, and Varah's
+    bound for the diagonally dominant step matrix caps the next update at
+    max |kappa| D^2 / min(1 - 2 kappa p); the loop stops once that is at
+    most opts.inner_tol.  At kappa = 0 this is one linear solve per step.
+
     Raises DegeneracyError if 1 - 2*kappa*p drops below the positivity floor
-    and NoConvergenceError if the inner fixed-point loop stalls.
+    and NoConvergenceError if the bound is still above inner_tol after
+    max_inner updates.
     """
     opts, tgrid = problem.opts, problem.tgrid
     kap = kappa_samples(kappa, problem.grid)
+    two_kap, abs_kap = 2.0 * kap, np.abs(kap)
     R = _cumulative_trapezoid(problem.source.values, tgrid.dt)
-    nonlinear = np.any(kap != 0.0)
 
-    def advance(n, pn, step):
-        pk = pn
+    def advance(n, pn, step, p):
+        levels = p[:, max(n - 2, 0):n + 1]
+        pk = levels @ _EXTRAPOLATION[levels.shape[1] - 1]
         for _ in range(opts.max_inner):
-            alpha_mid = 1.0 - kap * (pn + pk)
-            pnew = step(alpha_mid, alpha_mid)
-            done = not nonlinear or np.abs(pnew - pk).max() <= opts.inner_tol
-            pk = pnew
-            if done:
+            pnew = step(1.0 - two_kap * pk, pn - kap * (pk**2 + pn**2))
+            margin = 1.0 - (two_kap * pnew).max()  # min(1 - 2 kappa p)
+            # multiplied out, so that a margin <= 0 never stops the loop
+            if (abs_kap * (pnew - pk)**2).max() <= opts.inner_tol * margin:
                 break
+            pk = pnew
         else:
             raise NoConvergenceError(
-                f"inner iteration did not reach {opts.inner_tol} in "
-                f"{opts.max_inner} steps at t = {tgrid.times[n + 1]:.6g}"
+                f"Newton's method did not reach {opts.inner_tol} in "
+                f"{opts.max_inner} updates at t = {tgrid.times[n + 1]:.6g}"
             )
-        floor = (1.0 - 2.0 * kap * pk).min()
-        if floor < opts.positivity_floor:
+        if margin < opts.positivity_floor:
             raise DegeneracyError(
-                f"1 - 2*kappa*p = {floor:.4g} fell below the floor "
+                f"1 - 2*kappa*p = {margin:.4g} fell below the floor "
                 f"{opts.positivity_floor} at t = {tgrid.times[n + 1]:.6g}"
             )
-        return pk
+        return pnew
 
     p = cn_march(problem, (0.5 * (R[:, :-1] + R[:, 1:])).T, advance)
     return StateField(p, problem.grid, tgrid)

@@ -91,6 +91,9 @@ class EndpointCondition:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
+        if self.kind == IMPEDANCE and not 0 < self.coefficient < np.inf:
+            raise ValueError("impedance coefficient must be positive and "
+                             f"finite, got {self.coefficient!r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,16 @@ class BoundaryCondition:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances for the nonlinear forward solver."""
+    """Tolerances for the nonlinear forward solver.
+
+    inner_tol bounds the next Newton update of each time step (max-norm):
+    a step stops once its a-priori bound on that update is at most
+    inner_tol, and raises NoConvergenceError if max_inner updates do not
+    get there.  The steps' remaining errors add up over the march, so the
+    field can sit several inner_tol from the exact discrete solution on a
+    coarse time grid.  1 - 2 kappa p must stay at or above
+    positivity_floor.
+    """
 
     inner_tol: float = 1e-10
     max_inner: int = 20

@@ -4,6 +4,7 @@ nonnegativity clip."""
 import numpy as np
 import pytest
 
+import westinv.basis
 from westinv import (
     BasisSet,
     CoefficientField,
@@ -89,6 +90,33 @@ def test_project_rank_deficient():
     basis = BasisSet("gaussian", 8, sigma=1e8)
     with pytest.raises(RankDeficientError):
         project(basis, grid.nodes, grid)
+
+
+def test_project_builds_the_normal_equations_once(monkeypatch):
+    # E, the Gram matrix and its check are built once per (basis, grid);
+    # every call still solves, so the result is the uncached formula bit
+    # for bit, and a rank-deficient basis raises on every call
+    calls = []
+
+    def counting(basis, grid):
+        calls.append(basis)
+        return evaluate_basis(basis, grid)
+
+    monkeypatch.setattr(westinv.basis, "evaluate_basis", counting)
+    westinv.basis._normal_equations.cache_clear()
+    grid, basis = SpatialGrid(101), BasisSet("gaussian", 15)
+    E = evaluate_basis(basis, grid)
+    rng = np.random.Generator(np.random.Philox(9))
+    for _ in range(3):
+        samples = rng.standard_normal(101)
+        assert np.array_equal(project(basis, samples, grid),
+                              np.linalg.solve(E.T @ E, E.T @ samples))
+    assert len(calls) == 1
+    bad = BasisSet("gaussian", 8, sigma=1e8)
+    for _ in range(2):
+        with pytest.raises(RankDeficientError):
+            project(bad, grid.nodes, grid)
+    assert len(calls) == 3
 
 
 def test_coefficient_field_roundtrip():

@@ -1,5 +1,7 @@
 """Forward solver: manufactured solutions, convergence order, linearity,
-degeneracy guard and the observation operator."""
+the Newton inner loop, degeneracy guard and the observation operator."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +9,14 @@ import pytest
 from westinv import (
     BoundaryCondition,
     DegeneracyError,
+    EndpointCondition,
     IncompatibleBCError,
     MaterialParams,
+    NoConvergenceError,
     OffGridError,
     Problem,
     SingularOperatorError,
+    SolverOptions,
     SourceTerm,
     SpatialGrid,
     StateField,
@@ -21,7 +26,8 @@ from westinv import (
     solve_forward,
 )
 from westinv.errors import GridTooCoarseError
-from westinv.laplacian import build_laplacian
+from westinv.experiment import ExperimentConfig, build_problem
+from westinv.laplacian import Laplace1D, build_laplacian
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
 BC = BoundaryCondition.from_kinds("dirichlet", "neumann")
@@ -207,6 +213,63 @@ def test_degeneracy_guard():
         solve_forward(make_problem(grid, tgrid), kap)
 
 
+def test_no_convergence_raised():
+    # no update meets a tolerance of 1e-300 within two updates
+    grid, tgrid = SpatialGrid(51), TimeGrid(100)
+    kap = np.full(51, 0.1)
+    problem = Problem(PARAMS, grid, tgrid, BC, make_source(grid, tgrid, kap),
+                      opts=SolverOptions(inner_tol=1e-300, max_inner=2))
+    with pytest.raises(NoConvergenceError, match="in 2 updates"):
+        solve_forward(problem, kap)
+
+
+# the boundary pairs of the derivative tests
+BC_IDS = ["dirichlet-neumann", "dirichlet-impedance", "impedance-neumann"]
+
+
+def criterion5_problem(bc_id="dirichlet-neumann", nx=101):
+    """The criterion-5 reconstruction problem (ramp excitation, nt = 400)
+    and its smooth-bump truth."""
+    left, right = bc_id.split("-")
+    cfg = ExperimentConfig(nx=nx, nt=400, truth_family="smooth_bump",
+                           truth_amplitude=0.3, time_profile="ramp",
+                           bc_left=left, bc_right=right)
+    problem, _, truth = build_problem(cfg)
+    return problem, truth
+
+
+@pytest.mark.parametrize("bc_id", BC_IDS)
+def test_newton_field_within_inner_tol_of_a_tight_solve(bc_id):
+    # inner_tol bounds each step's next Newton update, so the steps' errors
+    # add up over the march.  From the quadratic predictor they stay below
+    # inner_tol here (3.4e-11); the linear predictor 2 p^n - p^{n-1} stops
+    # after as many updates and leaves the field 2.6e-9 to 4.5e-9 off.
+    problem, truth = criterion5_problem(bc_id, nx=51)
+    tight = replace(problem, opts=SolverOptions(inner_tol=1e-14))
+    p = solve_forward(problem, truth).values
+    p_tight = solve_forward(tight, truth).values
+    assert np.max(np.abs(p - p_tight)) <= problem.opts.inner_tol
+
+
+def test_one_tridiagonal_solve_per_step(monkeypatch):
+    # kappa = 0 takes one linear solve per step; at the criterion-5 truth
+    # the quadratic predictor leaves about one Newton update per step
+    problem, truth = criterion5_problem()
+    nt, calls = problem.tgrid.nt, []
+    original = Laplace1D.solve_banded_system
+
+    def counting(self, ab, rhs):
+        calls.append(None)
+        return original(self, ab, rhs)
+
+    monkeypatch.setattr(Laplace1D, "solve_banded_system", counting)
+    solve_forward(problem, None)
+    assert len(calls) == nt
+    calls.clear()
+    solve_forward(problem, truth)
+    assert nt <= len(calls) <= 1.1 * nt
+
+
 def test_second_time_derivative_of_square():
     grid, tgrid = SpatialGrid(21), TimeGrid(40)
     t = tgrid.times
@@ -245,6 +308,17 @@ def test_banded_identity_rows_at_dirichlet_nodes(left, right):
     rows = np.flatnonzero(A.dirichlet)
     assert len(rows) == [left, right].count("dirichlet")
     np.testing.assert_array_equal(dense[rows], np.eye(11)[rows])
+
+
+@pytest.mark.parametrize("coefficient", [-5.0, 0.0, np.nan, np.inf])
+def test_impedance_coefficient_must_be_positive_and_finite(coefficient):
+    # A's row sums stay >= 0 only for a positive coefficient, which the
+    # forward solver's stopping bound needs
+    with pytest.raises(ValueError, match="impedance coefficient"):
+        EndpointCondition("impedance", coefficient)
+    with pytest.raises(ValueError, match="impedance coefficient"):
+        BoundaryCondition.from_kinds("dirichlet", "impedance", coefficient)
+    assert EndpointCondition("impedance", 2.5).coefficient == 2.5
 
 
 def test_singular_step_system_raises_named_error():
