@@ -2,8 +2,9 @@
 
 Solves the damped nonlinear wave model with a space-dependent nonlinearity
 coefficient, verifies second-order convergence against a manufactured
-solution, and shows how the nonlinearity distorts the boundary pressure
-trace relative to the linear model.
+solution with the ``westinv convergence-study`` subcommand, and shows how
+the nonlinearity distorts the boundary pressure trace relative to the
+linear model.
 
 Run from the repository root:  python3 demos/forward_simulation.py
 """
@@ -22,6 +23,7 @@ from westinv import (
     smooth_bump,
     solve_forward,
 )
+from westinv import cli
 
 OUT = os.path.join(os.path.dirname(__file__), "output", "forward")
 
@@ -37,21 +39,10 @@ def excitation():
 
 def convergence_study():
     print("Manufactured-solution refinement study (exact p = f(x) t^2):")
-    f, f_xx = excitation()
-    prev = None
-    for level in range(4):
-        nx, nt = 25 * 2**level + 1, 50 * 2**level
-        grid, tgrid = SpatialGrid(nx), TimeGrid(nt)
-        source = manufactured_source(
-            f, f_xx, lambda t: t**2, lambda t: 2 * t,
-            lambda t: 2 * np.ones_like(t), PARAMS, grid, tgrid, BC,
-        )
-        state = solve_forward(Problem(PARAMS, grid, tgrid, BC, source), None)
-        exact = f(grid.nodes)[:, None] * (tgrid.times**2)[None, :]
-        err = np.max(np.abs(state.values - exact))
-        order = f"{np.log2(prev / err):.3f}" if prev else "  -  "
-        print(f"  nx={nx:4d} nt={nt:5d}  max error {err:.3e}  order {order}")
-        prev = err
+    code = cli.main(["convergence-study", "--levels", "4", "--nx0", "26",
+                     "--nt0", "50", "--out", OUT])
+    if code != 0:
+        raise SystemExit(code)
 
 
 def nonlinear_trace_comparison():

@@ -64,7 +64,6 @@ from .inversion import (
     InversionReport,
     RegularizationSchedule,
     StoppingRule,
-    discrepancy_stop,
     halley_run,
     landweber_run,
     newton_lm_run,

@@ -19,7 +19,7 @@ HAAR = "haar"
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Basis of size m on [a, b].
+    """Basis of size m on the domain [0, 1] of SpatialGrid.
 
     For the Gaussian basis, sigma is the squared-width parameter in
     exp(-(x - x_j)^2 / sigma); by default adjacent bumps overlap at e^{-1},
@@ -28,8 +28,6 @@ class BasisSet:
 
     kind: str
     m: int
-    a: float = 0.0
-    b: float = 1.0
     sigma: float | None = None
 
     def __post_init__(self):
@@ -38,15 +36,16 @@ class BasisSet:
         if self.m < 1:
             raise ValueError("basis size must be at least 1")
         if self.kind == GAUSSIAN and self.sigma is None:
-            spacing = (self.b - self.a) / max(self.m - 1, 1)
-            object.__setattr__(self, "sigma", spacing**2)
+            object.__setattr__(self, "sigma", self.spacing**2)
+
+    @property
+    def spacing(self) -> float:  # between bump centers / hat nodes
+        return 1.0 / max(self.m - 1, 1)
 
     @property
     def nodes(self) -> np.ndarray:
         """Node locations (bump centers / hat nodes / Haar cell edges)."""
-        if self.kind == HAAR:
-            return np.linspace(self.a, self.b, self.m + 1)
-        return np.linspace(self.a, self.b, self.m)
+        return np.linspace(0.0, 1.0, self.m + 1 if self.kind == HAAR else self.m)
 
 
 def evaluate_basis(basis: BasisSet, grid: SpatialGrid) -> np.ndarray:
@@ -57,9 +56,9 @@ def evaluate_basis(basis: BasisSet, grid: SpatialGrid) -> np.ndarray:
         return np.exp(-((x[:, None] - centers[None, :]) ** 2) / basis.sigma)
     if basis.kind == HAT:
         centers = basis.nodes
-        spacing = (basis.b - basis.a) / max(basis.m - 1, 1)
-        return np.clip(1.0 - np.abs(x[:, None] - centers[None, :]) / spacing, 0.0, 1.0)
-    # Haar: indicator of equal-width cells, right-closed at x = b
+        return np.clip(1.0 - np.abs(x[:, None] - centers[None, :])
+                       / basis.spacing, 0.0, 1.0)
+    # Haar: indicator of equal-width cells, right-closed at x = 1
     edges = basis.nodes
     cell = np.minimum(
         np.searchsorted(edges, x, side="right") - 1, basis.m - 1

@@ -90,14 +90,12 @@ TRUTH_FAMILIES = {
 }
 
 
-def truth_field(
-    name: str, grid: SpatialGrid, amplitude: float = 0.2, basis=None
-) -> CoefficientField:
-    """Build a named truth coefficient as a CoefficientField (projected onto
-    the basis when one is given)."""
+def truth_field(name: str, grid: SpatialGrid,
+                amplitude: float = 0.2) -> CoefficientField:
+    """A named truth coefficient as a CoefficientField of grid samples."""
     if name not in TRUTH_FAMILIES:
         raise ValueError(
             f"unknown truth family {name!r}; choose from {sorted(TRUTH_FAMILIES)}"
         )
     samples = TRUTH_FAMILIES[name](grid, amplitude)
-    return CoefficientField.from_samples(samples, grid, basis)
+    return CoefficientField.from_samples(samples, grid)

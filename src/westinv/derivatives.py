@@ -35,7 +35,6 @@ from .forward import (
     solve_forward,
 )
 from .grids import DIRICHLET
-from .trace import TimeTrace
 
 
 @dataclass
@@ -135,20 +134,20 @@ def solve_second_derivative(problem: Problem, base: StateField, kappa0,
 
 
 def solve_adjoint(problem: Problem, base: StateField, kappa,
-                  residual: TimeTrace) -> StateField:
+                  residual: np.ndarray) -> StateField:
     """Solve the adjoint equation backward in time with end conditions
     a(T) = a_t(T) = 0 and the residual y entering as the flux condition
     d/dx (b a_t - c^2 a) = -y at the observation endpoint x = 1.
 
-    The residual must be sampled on the solver time grid (prefilter /
-    upsample beforehand).  Returns a in forward-time orientation."""
+    The residual y is an (nt + 1,) array on the solver time levels
+    (prefilter beforehand).  Returns a in forward-time orientation."""
     grid, tgrid = problem.grid, problem.tgrid
     _check_same_grids(problem, base)
-    if len(residual) != tgrid.nt + 1:
+    if np.shape(residual) != (tgrid.nt + 1,):
         raise GridMismatchError("residual is not sampled on the solver time grid")
     if problem.obs_index != grid.nx - 1:
         raise UnsupportedObservationError(
-            "only observation at the right boundary x = b is supported in 1-D"
+            "only observation at the right boundary x = 1 is supported in 1-D"
         )
     if problem.bc.right.kind == DIRICHLET:
         raise UnsupportedObservationError(
@@ -161,7 +160,7 @@ def solve_adjoint(problem: Problem, base: StateField, kappa,
     # alpha frozen at each step's midpoint and memory A u = \\int_0^s A v
     alpha_rev = (1.0 - 2.0 * kap[:, None] * base.values)[:, ::-1]
     alpha_mid = 0.5 * (alpha_rev[:, :-1] + alpha_rev[:, 1:])
-    y_rev = residual.values[::-1]
+    y_rev = np.asarray(residual, dtype=float)[::-1]
     delta = np.zeros(grid.nx)
     delta[-1] = 2.0 / grid.dx  # discrete boundary delta at x = 1
     forcing = (delta * (0.5 * (y_rev[n] + y_rev[n + 1]))

@@ -158,7 +158,7 @@ class ExperimentConfig:
         f, _ = EXCITATIONS[self.excitation]
         try:
             _check_profile_bc(
-                f, f(grid.nodes), grid,
+                f, f(grid.nodes),
                 BoundaryCondition.from_kinds(self.bc_left, self.bc_right),
             )
         except IncompatibleBCError as exc:
@@ -173,13 +173,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        """Read a schema-1 dict.  Bool fields take only JSON booleans, int
-        fields only integers and float fields only numbers; an unknown key,
-        a value of another type and any config validate rejects raise
-        ConfigError."""
+        """Read a schema-1 dict.  "schema" must be the integer 1.  Bool
+        fields take only JSON booleans, int fields only integers and float
+        fields only numbers; an unknown key, a value of another type and any
+        config validate rejects raise ConfigError."""
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-        if cfg.get("schema") != 1:
+        schema = cfg.get("schema")
+        if type(schema) is not int or schema != 1:
             raise ConfigError("config schema must be 1")
         sections = {None: cfg}
         for section, _, _ in _SCHEMA.values():
@@ -264,12 +265,12 @@ def _typed(name: str, value, kind):
 
 
 def read_json_config(path):
-    """Parse a JSON config file; unreadable or malformed files raise
-    ConfigError."""
+    """Parse a JSON config file; unreadable, malformed or too deeply nested
+    files raise ConfigError."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -331,7 +332,7 @@ def run_inversion(cfg: ExperimentConfig):
            if cfg.alpha0 is not None else None)
     if cfg.method == "landweber":
         report = landweber_run(noisy, init, cfg.frozen, cfg.mu, stop, ctx,
-                               truth=truth, data_on_grid=filtered)
+                               truth=truth)
     elif cfg.method == "newton":
         report = newton_lm_run(noisy, init, cfg.frozen, reg, stop, ctx,
                                truth=truth)

@@ -40,6 +40,8 @@ from .grids import (
 )
 from .laplacian import Laplace1D, build_laplacian
 
+POSITIVITY_FLOOR = 0.25  # least admissible 1 - 2 kappa p
+
 
 @dataclass
 class SourceTerm:
@@ -73,14 +75,11 @@ class StateField:
 
 
 def kappa_samples(kappa, grid: SpatialGrid) -> np.ndarray:
-    """Normalize a coefficient argument (None, array, or CoefficientField)
-    to grid samples."""
+    """Normalize a coefficient argument (None, an (nx,) array, or a
+    CoefficientField) to grid samples."""
     if kappa is None:
         return np.zeros(grid.nx)
-    samples = getattr(kappa, "samples", kappa)
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 0:
-        return np.full(grid.nx, float(samples))
+    samples = np.asarray(getattr(kappa, "samples", kappa), dtype=float)
     if samples.shape != (grid.nx,):
         raise ValueError("kappa samples do not match the spatial grid")
     return samples
@@ -206,7 +205,7 @@ def solve_forward(problem: Problem, kappa) -> StateField:
     max |kappa| D^2 / min(1 - 2 kappa p); the loop stops once that is at
     most opts.inner_tol.  At kappa = 0 this is one linear solve per step.
 
-    Raises DegeneracyError if 1 - 2*kappa*p drops below the positivity floor
+    Raises DegeneracyError if 1 - 2*kappa*p drops below POSITIVITY_FLOOR
     and NoConvergenceError if the bound is still above inner_tol after
     max_inner updates.
     """
@@ -230,10 +229,10 @@ def solve_forward(problem: Problem, kappa) -> StateField:
                 f"Newton's method did not reach {opts.inner_tol} in "
                 f"{opts.max_inner} updates at t = {tgrid.times[n + 1]:.6g}"
             )
-        if margin < opts.positivity_floor:
+        if margin < POSITIVITY_FLOOR:
             raise DegeneracyError(
                 f"1 - 2*kappa*p = {margin:.4g} fell below the floor "
-                f"{opts.positivity_floor} at t = {tgrid.times[n + 1]:.6g}"
+                f"{POSITIVITY_FLOOR} at t = {tgrid.times[n + 1]:.6g}"
             )
         return pnew
 
@@ -269,7 +268,7 @@ def manufactured_source(
 
     if abs(bt[0]) > 1e-12 or abs(bt1[0]) > 1e-12:
         raise ValueError("beta must satisfy beta(0) = beta'(0) = 0")
-    _check_profile_bc(f, fx, grid, bc)
+    _check_profile_bc(f, fx, bc)
 
     r = fx[:, None] * bt2[None, :] + Af[:, None] * (
         params.c2 * bt[None, :] + params.b * bt1[None, :]
@@ -281,12 +280,12 @@ def manufactured_source(
     return SourceTerm(r)
 
 
-def _check_profile_bc(f, fx, grid: SpatialGrid, bc: BoundaryCondition):
+def _check_profile_bc(f, fx, bc: BoundaryCondition):
     """Raise IncompatibleBCError if the profile f (fx = f at the nodes)
-    violates a Dirichlet or Neumann endpoint condition."""
+    violates a Dirichlet or Neumann endpoint condition of [0, 1]."""
     scale = max(np.max(np.abs(fx)), 1.0)
-    h = 1e-6 * (grid.b - grid.a)
-    for cond, endpoint, inward in ((bc.left, grid.a, 1.0), (bc.right, grid.b, -1.0)):
+    h = 1e-6
+    for cond, endpoint, inward in ((bc.left, 0.0, 1.0), (bc.right, 1.0, -1.0)):
         value = fx[0] if inward > 0 else fx[-1]
         if cond.kind == DIRICHLET and abs(value) > 1e-10 * scale:
             raise IncompatibleBCError(

@@ -15,30 +15,27 @@ _KINDS = (DIRICHLET, NEUMANN, IMPEDANCE)
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform spatial grid on [a, b] with nx nodes."""
+    """Uniform grid of nx nodes on the fixed domain [0, 1], which the
+    eigenvalues, truth families, excitations and adjoint flux assume too."""
 
     nx: int
-    a: float = 0.0
-    b: float = 1.0
 
     def __post_init__(self):
         if self.nx < 2:
             raise ValueError("nx must be at least 2")
-        if not self.b > self.a:
-            raise ValueError("domain endpoints must satisfy b > a")
 
     @property
     def dx(self) -> float:
-        return (self.b - self.a) / (self.nx - 1)
+        return 1.0 / (self.nx - 1)
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.nx)
+        return np.linspace(0.0, 1.0, self.nx)
 
-    def node_index(self, x: float, tol: float = 1e-9) -> int | None:
-        """Index of the node matching x, or None if x is off-grid."""
-        idx = int(round((x - self.a) / self.dx))
-        if 0 <= idx < self.nx and abs(self.a + idx * self.dx - x) <= tol:
+    def node_index(self, x: float) -> int | None:
+        """Index of the node within 1e-9 of x, or None if x is off-grid."""
+        idx = int(round(x / self.dx))
+        if 0 <= idx < self.nx and abs(idx * self.dx - x) <= 1e-9:
             return idx
         return None
 
@@ -124,18 +121,15 @@ class SolverOptions:
     inner_tol, and raises NoConvergenceError if max_inner updates do not
     get there.  The steps' remaining errors add up over the march, so the
     field can sit several inner_tol from the exact discrete solution on a
-    coarse time grid.  1 - 2 kappa p must stay at or above
-    positivity_floor.
+    coarse time grid.  1 - 2 kappa p must stay at or above the fixed floor
+    westinv.forward.POSITIVITY_FLOOR.
     """
 
     inner_tol: float = 1e-10
     max_inner: int = 20
-    positivity_floor: float = 0.25
 
     def __post_init__(self):
         if not self.inner_tol > 0:
             raise ValueError("inner_tol must be positive")
         if self.max_inner < 1:
             raise ValueError("max_inner must be at least 1")
-        if not 0 < self.positivity_floor < 1:
-            raise ValueError("positivity_floor must lie in (0, 1)")

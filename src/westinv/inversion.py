@@ -58,7 +58,8 @@ class RegularizationSchedule:
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Discrepancy principle parameters and the iteration cap."""
+    """Discrepancy principle parameters and the iteration cap: a run stops
+    at the first iterate whose residual norm is at most tau * delta."""
 
     tau: float = 2.0
     delta: float = 0.0
@@ -141,10 +142,10 @@ class InversionContext:
         step j gives the step-0 impulse response a shifted by j levels
         (exactly: the march from a zero state stays zero)."""
         problem, base = self.problem, self.frozen_base
-        nt, times = problem.tgrid.nt, problem.tgrid.times
+        nt = problem.tgrid.nt
         impulse = np.zeros(nt + 1)
         impulse[-1] = 2.0  # midpoint forcing 1 in the first reversed step
-        a = solve_adjoint(problem, base, None, TimeTrace(times, impulse))
+        a = solve_adjoint(problem, base, None, impulse)
         w = np.full(nt + 1, problem.tgrid.dt)
         w[[0, -1]] /= 2
         wpsq = w * second_time_derivative_of_square(base)
@@ -155,19 +156,6 @@ class InversionContext:
         Kr = K[:, ::-1] / 2
         G = np.pad(Kr, ((0, 0), (1, 0))) + np.pad(Kr, ((0, 0), (0, 1)))
         return problem.operator.solve(G) if self.smoothing_s == 1 else G
-
-
-def discrepancy_stop(residual_norms, delta: float, tau: float):
-    """Smallest index with residual <= tau * delta, or None."""
-    if not tau > 1:
-        raise ValueError("tau must exceed 1")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    threshold = tau * delta
-    for k, r in enumerate(residual_norms):
-        if r <= threshold:
-            return k
-    return None
 
 
 def default_alpha0(jacobian: JacobianMatrix, residual0: np.ndarray) -> float:
@@ -241,7 +229,7 @@ def _run_loop(data, init, ctx, stop, truth, step_fn, divergence_guard=False):
             raise DivergenceError(
                 f"residual {rnorm:.3g} exceeds 10x its initial value"
             )
-        if discrepancy_stop([rnorm], stop.delta, stop.tau) is not None:
+        if rnorm <= stop.tau * stop.delta:
             reason = "discrepancy"
             break
         if _stagnated(residuals):
@@ -265,15 +253,13 @@ def landweber_run(
     stop: StoppingRule,
     ctx: InversionContext,
     truth=None,
-    data_on_grid: TimeTrace | None = None,
 ) -> InversionReport:
-    """Landweber iteration kappa_{n+1} = clip(kappa_n + mu * F'(.)^* (h - F)):
-    frozen at kappa0 = 0, the gradient is ctx.frozen_gradient_map @ y;
-    unfrozen, it is the adjoint PDE solve at the current iterate.
+    """Landweber iteration kappa_{n+1} = clip(kappa_n + mu * F'(.)^* (h - F)),
+    h = prefilter(data, nt): frozen at kappa0 = 0, the gradient is
+    ctx.frozen_gradient_map @ y; unfrozen, the adjoint solve at the iterate.
     mu = None selects 0.9 / sigma_0^2 from the SVD of the frozen Jacobian."""
     problem = ctx.problem
-    if data_on_grid is None:
-        data_on_grid = prefilter(data, problem.tgrid.nt)
+    data_on_grid = prefilter(data, problem.tgrid.nt)
     if mu is None:
         mu = 0.9 / ctx.frozen_jacobian.svd()[1][0] ** 2
 
@@ -282,8 +268,7 @@ def landweber_run(
         if frozen:
             g = ctx.frozen_gradient_map @ y
         else:
-            a = solve_adjoint(problem, state, kappa.samples,
-                              TimeTrace(problem.tgrid.times, y))
+            a = solve_adjoint(problem, state, kappa.samples, y)
             g = apply_gradient(problem, a,
                                second_time_derivative_of_square(state),
                                ctx.smoothing_s).samples

@@ -99,13 +99,13 @@ def pole_residual(p: complex, b: float, c2: float, lam: float) -> float:
     return value / max(1.0, abs(p) ** 2)
 
 
-def svd_decay(sigma: np.ndarray, floor_factor: float = 1e3) -> float:
+def svd_decay(sigma: np.ndarray) -> float:
     """Geometric decay rate q = exp(slope) of descending singular values,
     from a least-squares fit of log sigma_k against k restricted to the
-    values above the machine-noise floor (floor_factor * eps * sigma_0)."""
+    values above the machine-noise floor 1e3 * eps * sigma_0."""
     if sigma[0] == 0:
         return 1.0
-    floor = floor_factor * np.finfo(float).eps * sigma[0]
+    floor = 1e3 * np.finfo(float).eps * sigma[0]
     k = np.flatnonzero(sigma > floor)
     if len(k) < 2:
         return 1.0

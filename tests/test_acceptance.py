@@ -20,7 +20,6 @@ from westinv import (
     SpectralData,
     StoppingRule,
     TimeGrid,
-    TimeTrace,
     apply_gradient,
     assemble_jacobian,
     fd_jacobian_oracle,
@@ -30,7 +29,6 @@ from westinv import (
     halley_run,
     pole_distinctness,
     pole_residual,
-    prefilter,
     run_experiment,
     second_time_derivative_of_square,
     solve_adjoint,
@@ -122,7 +120,6 @@ def run_reconstruction(cfg):
     report plus the pieces needed for cross-method comparisons."""
     problem, basis, truth = build_problem(cfg)
     _, _, noisy = synthesize_data(problem, truth, cfg.noise, cfg.seed)
-    filtered = prefilter(noisy, problem.tgrid.nt)
     delta = np.sqrt(cfg.sample_count) * noisy.noise_level
     ctx = InversionContext(problem, basis)
     init = CoefficientField.from_coefficients(basis, np.zeros(basis.m),
@@ -138,7 +135,7 @@ def run_reconstruction(cfg):
     else:
         stop = StoppingRule(cfg.tau, 0.0, cfg.max_iter)  # run the full budget
         report = landweber_run(noisy, init, cfg.frozen, cfg.mu, stop, ctx,
-                               truth=truth, data_on_grid=filtered)
+                               truth=truth)
     return report, truth, delta
 
 
@@ -169,7 +166,7 @@ def test_criterion_2_adjoint_consistency():
             d = smooth_direction(grid, seed + 100)
             y = np.sin(np.pi * tgrid.times) * rng.uniform(0.5, 1.5)
             z = solve_sensitivity(problem, base, kap, d)
-            a = solve_adjoint(problem, base, kap, TimeTrace(tgrid.times, y))
+            a = solve_adjoint(problem, base, kap, y)
             g = apply_gradient(problem, a, psq, 0)
             lhs = np.trapezoid(z.values[-1, :] * y, dx=tgrid.dt)
             rhs = np.trapezoid(d.samples * g.samples, dx=grid.dx)

@@ -17,7 +17,6 @@ from westinv import (
     SpatialGrid,
     StateField,
     TimeGrid,
-    TimeTrace,
     UnsupportedObservationError,
     apply_gradient,
     assemble_directional_hessian,
@@ -152,26 +151,32 @@ def test_second_derivative_symmetric_and_zero():
 def test_adjoint_zero_residual():
     # y == 0 -> a == 0
     grid, tgrid, kap, problem, base = make_problem()
-    y = TimeTrace(tgrid.times, np.zeros(tgrid.nt + 1))
-    a = solve_adjoint(problem, base, kap, y)
+    a = solve_adjoint(problem, base, kap, np.zeros(tgrid.nt + 1))
     assert np.all(a.values == 0.0)
 
 
 def test_adjoint_end_conditions():
     grid, tgrid, kap, problem, base = make_problem()
-    y = TimeTrace(tgrid.times, np.sin(2 * np.pi * tgrid.times))
-    a = solve_adjoint(problem, base, kap, y)
+    a = solve_adjoint(problem, base, kap, np.sin(2 * np.pi * tgrid.times))
     assert np.all(a.values[:, -1] == 0.0)
 
 
 def test_adjoint_unsupported_observation():
     grid, tgrid, kap, problem, base = make_problem()
-    y = TimeTrace(tgrid.times, np.ones(tgrid.nt + 1))
+    y = np.ones(tgrid.nt + 1)
     with pytest.raises(UnsupportedObservationError):
         solve_adjoint(replace(problem, obs_point=0.5), base, kap, y)
     bc_dd = BoundaryCondition.from_kinds("dirichlet", "dirichlet")
     with pytest.raises(UnsupportedObservationError):
         solve_adjoint(replace(problem, bc=bc_dd), base, kap, y)
+
+
+def test_adjoint_residual_off_the_solver_grid():
+    # the residual must have one value per solver time level
+    grid, tgrid, kap, problem, base = make_problem()
+    for y in (np.ones(tgrid.nt), np.ones(tgrid.nt + 2)):
+        with pytest.raises(GridMismatchError):
+            solve_adjoint(problem, base, kap, y)
 
 
 @pytest.mark.parametrize(
@@ -187,9 +192,8 @@ def test_adjoint_pairing_identity(bc, nx, nt):
         rng = np.random.Generator(np.random.Philox(seed))
         d = smooth_direction(grid, seed + 10)
         yv = np.sin(np.pi * tgrid.times) * rng.uniform(0.5, 1.5)
-        y = TimeTrace(tgrid.times, yv)
         z = solve_sensitivity(problem, base, kap, d)
-        a = solve_adjoint(problem, base, kap, y)
+        a = solve_adjoint(problem, base, kap, yv)
         g = apply_gradient(problem, a, psq, 0)
         lhs = np.trapezoid(z.values[-1, :] * yv, dx=tgrid.dt)
         rhs = np.trapezoid(d.samples * g.samples, dx=grid.dx)
@@ -369,7 +373,7 @@ def test_adjoint_pairing_identity_basis_directions(bc_id, kind, m, seed):
     d = basis_direction(grid, kind, m, seed, 0.1)
     yv = np.sin(np.pi * tgrid.times) * rng.uniform(0.5, 1.5)
     z = solve_sensitivity(problem, base, kap, d)
-    a = solve_adjoint(problem, base, kap, TimeTrace(tgrid.times, yv))
+    a = solve_adjoint(problem, base, kap, yv)
     g = apply_gradient(problem, a, second_time_derivative_of_square(base), 0)
     lhs = np.trapezoid(z.values[-1, :] * yv, dx=tgrid.dt)
     rhs = np.trapezoid(d.samples * g.samples, dx=grid.dx)

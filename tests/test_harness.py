@@ -526,3 +526,49 @@ def test_cli_sweep_name_not_one_path_component(tmp_path, capsys, name):
     _expect_config_error(capsys, ["sweep", "--config", str(path), "--jobs",
                                   "1", "--out", str(out)])
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["sweep.json"]
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "sweep"])
+def test_cli_deeply_nested_config(tmp_path, capsys, command):
+    # the JSON parser recurses per nesting level; a file nested past the
+    # recursion limit is a config error, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    _expect_config_error(capsys, [command, "--config", str(path),
+                                  "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("schema", [True, 1.0, "1"])
+def test_config_schema_must_be_the_integer_one(schema):
+    cfg = small_config().to_dict()
+    cfg["schema"] = schema
+    with pytest.raises(ConfigError, match="schema"):
+        ExperimentConfig.from_dict(cfg)
+
+
+def write_degenerate_config(tmp_path):
+    # kappa far past the degeneracy budget: 1 - 2 kappa p turns negative
+    # while the data are synthesized
+    return write_small_config(tmp_path, nx=21, nt=40, n_basis=5,
+                              sample_count=10, truth_amplitude=5.0)
+
+
+def test_cli_solver_error_exit_code(tmp_path, capsys):
+    # a WestinvError outside run_experiment reaches main: exit 4
+    path = write_degenerate_config(tmp_path)
+    code = cli_main(["synth", "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER
+    assert "solver error: 1 - 2*kappa*p" in capsys.readouterr().err
+
+
+def test_cli_reconstruct_reports_solver_failure(tmp_path, capsys):
+    # run_experiment turns the failure into report.json and exit 4, and
+    # reconstruct prints it
+    path, out = write_degenerate_config(tmp_path), tmp_path / "o"
+    code = cli_main(["reconstruct", "--config", str(path),
+                     "--out", str(out)])
+    assert code == EXIT_SOLVER
+    report = json.loads((out / "report.json").read_text())
+    assert capsys.readouterr().out == f"solver failure: {report['error']}\n"
+    assert report["exit_code"] == EXIT_SOLVER

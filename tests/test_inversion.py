@@ -21,9 +21,8 @@ from westinv import (
     SpatialGrid,
     StoppingRule,
     TimeGrid,
-    TimeTrace,
     apply_gradient,
-    discrepancy_stop,
+    halley_run,
     landweber_run,
     manufactured_source,
     newton_lm_run,
@@ -36,7 +35,7 @@ from westinv import (
     truth_field,
 )
 from westinv.basis import BasisSet, evaluate_basis
-from westinv.experiment import ExperimentConfig
+from westinv.experiment import ExperimentConfig, build_problem
 from westinv.inversion import (
     _normal_condition,
     _solve_regularized,
@@ -71,15 +70,20 @@ def mock_jacobian(entries):
     return JacobianMatrix(np.asarray(entries, dtype=float))
 
 
-def test_discrepancy_stop_examples():
-    # first index with residual <= tau * delta
-    assert discrepancy_stop([0.05, 0.03, 0.019], 0.01, 2.0) == 2
-    assert discrepancy_stop([0.05, 0.03, 0.021], 0.01, 2.0) is None
-    assert discrepancy_stop([0.0], 0.0, 2.0) == 0
-    with pytest.raises(ValueError):
-        discrepancy_stop([0.1], 0.01, 1.0)
-    with pytest.raises(ValueError):
-        discrepancy_stop([0.1], -0.01, 2.0)
+def test_discrepancy_stop_at_zero_residual_and_zero_delta():
+    # the rule is residual <= tau * delta, so data equal to F(0) with
+    # delta = 0 (residual exactly 0) stops every method at iterate 0
+    ctx, init, truth, _ = make_setup()
+    _, _, data = synthesize_data(ctx.problem, None, 0.0, 0)
+    stop = StoppingRule(tau=2.0, delta=0.0, max_iter=5)
+    reg = RegularizationSchedule(1.0)
+    for report in (
+        newton_lm_run(data, init, True, reg, stop, ctx),
+        landweber_run(data, init, True, 0.1, stop, ctx),
+        halley_run(data, init, reg, stop, ctx),
+    ):
+        assert report.residuals == [0.0]
+        assert (report.stop_index, report.stop_reason) == (0, "discrepancy")
 
 
 def test_regularization_schedule():
@@ -184,6 +188,24 @@ def test_frozen_newton_marches_the_jacobian_once(monkeypatch):
     result = run_inversion(cfg)
     assert result.report.stop_index >= 2
     assert shapes == [(41, 7)]
+
+
+def test_halley_default_alpha0():
+    # alpha0 = None takes ||J^T r0||_inf from the frozen Jacobian and the
+    # initial residual; the run with that alpha0 given is the same run
+    cfg = ExperimentConfig(nx=41, nt=80, n_basis=7, sample_count=25,
+                           method="halley", alpha0=None, max_iter=4,
+                           noise=0.001, time_profile="ramp",
+                           truth_amplitude=0.3)
+    auto = run_inversion(cfg)
+    assert auto.report.stop_index >= 2
+    problem, basis, _ = build_problem(cfg)
+    r0 = (auto.traces["noisy"].values
+          - problem.sampled_trace(solve_forward(problem, None)))
+    J = InversionContext(problem, basis).frozen_jacobian
+    given = run_inversion(dataclasses.replace(cfg,
+                                              alpha0=default_alpha0(J, r0)))
+    assert auto.report.to_dict() == given.report.to_dict()
 
 
 def test_landweber_default_step_size():
@@ -319,8 +341,7 @@ def test_adjoint_gradient_matches_fd():
           - misfit(kap.samples - h * dk)) / (2 * h)
     state = solve_forward(problem, kap)
     y = state.values[problem.obs_index, :] - data_grid.values
-    a = solve_adjoint(problem, state, kap.samples,
-                      TimeTrace(tgrid.times, y))
+    a = solve_adjoint(problem, state, kap.samples, y)
     g = apply_gradient(problem, a, second_time_derivative_of_square(state), 0)
     pairing = np.trapezoid(g.samples * dk, dx=grid.dx)
     assert abs(fd - pairing) / abs(fd) < 5e-3
@@ -363,7 +384,7 @@ def test_frozen_gradient_map_matches_the_adjoint_solve(bc_id, s, seed):
     times = problem.tgrid.times
     y = np.random.Generator(np.random.Philox(seed)).standard_normal(
         len(times))
-    a = solve_adjoint(problem, base, None, TimeTrace(times, y))
+    a = solve_adjoint(problem, base, None, y)
     ref = apply_gradient(problem, a, second_time_derivative_of_square(base),
                          s).samples
     assert G.shape == (problem.grid.nx, problem.tgrid.nt + 1)
