@@ -9,6 +9,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .experiment import (
     EXCITATIONS,
     EXIT_CONFIG,
     EXIT_SOLVER,
+    METHODS,
     TIME_PROFILES,
     ExperimentConfig,
     _trace_csv,
@@ -27,48 +29,31 @@ from .experiment import (
     run_experiment,
     write_error_report,
 )
-from .forward import Problem, manufactured_source, solve_forward
-from .grids import BoundaryCondition, MaterialParams, SpatialGrid, TimeGrid
+from .forward import solve_forward
+from .grids import IMPEDANCE
 from .inversion import InversionContext
 from .spectra import SpectralData, pole_distinctness, svd_csv, svd_decay
 
-
-def _add_common_flags(parser):
-    parser.add_argument("--config", help="JSON config file (schema 1)")
-    parser.add_argument("--method", choices=["landweber", "newton", "halley"])
-    parser.add_argument("--noise", type=float, help="relative noise level")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--basis", choices=["hat", "gauss", "haar"])
-    parser.add_argument("--n-basis", type=int, default=None,
-                        help="basis size (default 41)")
-    parser.add_argument("--tau", type=float, default=None,
-                        help="discrepancy parameter (default 2.0)")
-    parser.add_argument("--alpha0", type=float, default=None)
-    parser.add_argument("--theta", type=float, default=None,
-                        help="regularization decay factor (default 0.5)")
-    parser.add_argument("--max-iter", type=int, default=None)
-    parser.add_argument("--out", default="out", help="output directory")
+# ExperimentConfig field -> (override flag, help, argparse keywords)
+OVERRIDES = {
+    "method": ("--method", "reconstruction method", {"choices": METHODS}),
+    "noise": ("--noise", "relative noise level", {"type": float}),
+    "seed": ("--seed", "noise seed", {"type": int}),
+    "basis_kind": ("--basis", "basis", {"choices": ["hat", "gauss", "haar"]}),
+    "n_basis": ("--n-basis", "basis size", {"type": int}),
+    "tau": ("--tau", "discrepancy parameter", {"type": float}),
+    "alpha0": ("--alpha0", "first regularization parameter", {"type": float}),
+    "theta": ("--theta", "regularization decay factor", {"type": float}),
+    "max_iter": ("--max-iter", "iteration cap", {"type": int}),
+}
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = ExperimentConfig.from_json(args.config)
-    else:
-        cfg = ExperimentConfig()
-    overrides = {
-        "method": getattr(args, "method", None),
-        "noise": getattr(args, "noise", None),
-        "seed": getattr(args, "seed", None),
-        "basis_kind": getattr(args, "basis", None),
-        "n_basis": getattr(args, "n_basis", None),
-        "tau": getattr(args, "tau", None),
-        "alpha0": getattr(args, "alpha0", None),
-        "theta": getattr(args, "theta", None),
-        "max_iter": getattr(args, "max_iter", None),
-    }
-    for name, value in overrides.items():
-        if value is not None:
-            setattr(cfg, name, value)
+    cfg = (ExperimentConfig.from_json(args.config) if args.config
+           else ExperimentConfig())
+    for name in OVERRIDES:
+        if getattr(args, name, None) is not None:
+            setattr(cfg, name, getattr(args, name))
     cfg.validate()
     return cfg
 
@@ -134,20 +119,20 @@ def cmd_convergence_study(args) -> int:
         raise ConfigError("--nx0 and --nt0 must be at least 3")
     if args.levels < 1:
         raise ConfigError("--levels must be at least 1")
-    params = MaterialParams(cfg.c2, cfg.b)
-    bc = BoundaryCondition.from_kinds(cfg.bc_left, cfg.bc_right)
-    f, f_xx = EXCITATIONS["sine_half"]
-    beta, beta_t, beta_tt = TIME_PROFILES["t2"]
+    if IMPEDANCE in (cfg.bc_left, cfg.bc_right):  # f beta does not satisfy it
+        raise ConfigError("convergence-study needs Dirichlet or Neumann ends")
+    f = EXCITATIONS[cfg.excitation][0]
+    beta = TIME_PROFILES[cfg.time_profile][0]
     rows = []
     prev_err = None
     for level in range(args.levels):
         nx = (args.nx0 - 1) * 2**level + 1
         nt = args.nt0 * 2**level
-        grid, tgrid = SpatialGrid(nx), TimeGrid(nt, cfg.t_final)
-        source = manufactured_source(f, f_xx, beta, beta_t, beta_tt, params,
-                                     grid, tgrid, bc)
-        state = solve_forward(Problem(params, grid, tgrid, bc, source), None)
-        exact = f(grid.nodes)[:, None] * beta(tgrid.times)[None, :]
+        # the study reads the whole field: no trace node, no projected truth
+        problem = build_problem(replace(cfg, nx=nx, nt=nt, obs_point=1.0,
+                                        truth_in_span=False))[0]
+        state = solve_forward(problem, None)
+        exact = np.outer(f(problem.grid.nodes), beta(problem.tgrid.times))
         err = float(np.max(np.abs(state.values - exact)))
         order = np.log2(prev_err / err) if prev_err else float("nan")
         rows.append((nx, nt, err, order))
@@ -217,6 +202,21 @@ def cmd_sweep(args) -> int:
     return max(codes)
 
 
+def _subcommand(sub, name, func, summary, overrides=()):
+    """A subparser that takes --config, --out and the override flags of the
+    named ExperimentConfig fields; any other flag is a usage error (exit 2)."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(func=func)
+    p.add_argument("--config", help="JSON config file (schema 1)")
+    for key in overrides:
+        flag, text, kwargs = OVERRIDES[key]
+        default = getattr(ExperimentConfig, key)
+        p.add_argument(flag, dest=key, **kwargs, help=text if default is None
+                       else f"{text} (default {default})")
+    p.add_argument("--out", default="out", help="output directory")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="westinv",
@@ -224,35 +224,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "of the 1-D Westervelt equation from boundary time traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # synth records every setting in config.json
+    _subcommand(sub, "synth", cmd_synth, "generate clean and noisy traces",
+                OVERRIDES)
+    _subcommand(sub, "reconstruct", cmd_reconstruct, "run a reconstruction",
+                OVERRIDES)
 
-    p = sub.add_parser("synth", help="generate clean and noisy traces")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("reconstruct", help="run a reconstruction")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("diagnose", help="ill-posedness diagnostics")
+    p = _subcommand(sub, "diagnose", cmd_diagnose, "ill-posedness diagnostics",
+                    ("basis_kind", "n_basis"))
     p.add_argument("what", choices=["svd", "poles"])
     p.add_argument("--count", type=int, default=20,
                    help="number of eigenvalues for the pole table")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("convergence-study",
-                       help="manufactured-solution refinement study")
+    p = _subcommand(sub, "convergence-study", cmd_convergence_study,
+                    "manufactured-solution refinement study")
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--nx0", type=int, default=26)
     p.add_argument("--nt0", type=int, default=50)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_convergence_study)
 
-    p = sub.add_parser("sweep", help="run many configs concurrently")
+    p = _subcommand(sub, "sweep", cmd_sweep, "run many configs concurrently")
     p.add_argument("--jobs", type=int, default=4)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_sweep)
-
     return parser
 
 

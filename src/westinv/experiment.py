@@ -20,13 +20,11 @@ from .data import (
     prefilter,
     synthesize_data,
     truth_field,
-    TRUTH_FAMILIES,
 )
-from .errors import ConfigError, IncompatibleBCError, WestinvError
-from .forward import Problem, _check_profile_bc, manufactured_source
+from .errors import ConfigError, IncompatibleBCError, OffGridError, WestinvError
+from .forward import Problem, manufactured_source
 from .grids import (
     DIRICHLET,
-    IMPEDANCE,
     NEUMANN,
     BoundaryCondition,
     MaterialParams,
@@ -109,60 +107,56 @@ class ExperimentConfig:
     smoothing_s: int = 0
 
     def validate(self) -> None:
+        """Raise ConfigError unless a run can be built from this config.
+
+        Checked here, as no constructor owns them: finite floats, nx and nt
+        at least 3, not pure Neumann, the basis, excitation, time profile
+        and method names, noise and seed nonnegative, sample_count at least
+        4, mu positive, n_basis at most nx, Halley frozen and Landweber
+        observing at x = 1.  The rest comes from building what a run builds
+        (build_problem, StoppingRule, RegularizationSchedule and
+        InversionContext): their ValueError, IncompatibleBCError and
+        OffGridError become ConfigError."""
         for name, value in vars(self).items():
             if isinstance(value, float) and not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
         checks = [
             (self.nx >= 3, "nx must be at least 3"),
             (self.nt >= 3, "nt must be at least 3"),
-            (self.t_final > 0, "t_final must be positive"),
-            (self.c2 > 0 and self.b > 0, "c2 and b must be positive"),
-            (self.bc_left in (DIRICHLET, NEUMANN, IMPEDANCE),
-             f"unknown left boundary kind {self.bc_left!r}"),
-            (self.bc_right in (DIRICHLET, NEUMANN, IMPEDANCE),
-             f"unknown right boundary kind {self.bc_right!r}"),
             (not (self.bc_left == NEUMANN and self.bc_right == NEUMANN),
              "pure Neumann conditions are not supported"),
             (self.basis_kind in BASIS_ALIASES,
              f"unknown basis {self.basis_kind!r}"),
-            (self.n_basis >= 1, "n_basis must be at least 1"),
-            (self.truth_family in TRUTH_FAMILIES,
-             f"unknown truth family {self.truth_family!r}"),
             (self.excitation in EXCITATIONS,
              f"unknown excitation {self.excitation!r}"),
             (self.time_profile in TIME_PROFILES,
              f"unknown time profile {self.time_profile!r}"),
             (self.noise >= 0, "noise must be nonnegative"),
+            (self.seed >= 0, "seed must be nonnegative"),
             (self.sample_count >= 4, "sample_count must be at least 4"),
             (self.method in METHODS, f"unknown method {self.method!r}"),
-            (self.tau > 1, "tau must exceed 1"),
-            (self.alpha0 is None or self.alpha0 > 0, "alpha0 must be positive"),
-            (0 < self.theta < 1, "theta must lie in (0, 1)"),
-            (self.max_iter >= 1, "max_iter must be at least 1"),
             (self.mu is None or self.mu > 0, "mu must be positive"),
-            (self.smoothing_s in (0, 1), "smoothing_s must be 0 or 1"),
             (self.n_basis <= self.nx,
              f"n_basis = {self.n_basis} exceeds nx = {self.nx}"),
+            (self.method != "halley" or self.frozen,
+             "halley runs only frozen; frozen must be true"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        grid = SpatialGrid(self.nx)
-        obs = grid.node_index(self.obs_point)
-        if obs is None:
-            raise ConfigError(f"obs_point {self.obs_point} is not a grid node")
-        if self.method == "landweber" and obs != grid.nx - 1:
+        try:
+            problem, basis, _ = build_problem(self)
+            StoppingRule(self.tau, 0.0, self.max_iter)
+            # alpha0 unset: the run picks it; 1.0 stands in so theta is checked
+            RegularizationSchedule(
+                1.0 if self.alpha0 is None else self.alpha0, self.theta)
+            InversionContext(problem, basis, self.smoothing_s)
+        except (ValueError, IncompatibleBCError, OffGridError) as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.method == "landweber" and problem.obs_index != self.nx - 1:
             # the adjoint solve takes the residual as a boundary flux there
             raise ConfigError("landweber needs obs_point 1.0, got "
                               f"{self.obs_point}")
-        f, _ = EXCITATIONS[self.excitation]
-        try:
-            _check_profile_bc(
-                f, f(grid.nodes),
-                BoundaryCondition.from_kinds(self.bc_left, self.bc_right),
-            )
-        except IncompatibleBCError as exc:
-            raise ConfigError(f"excitation {self.excitation!r}: {exc}") from exc
 
     def to_dict(self) -> dict:
         out = {"schema": 1}

@@ -22,8 +22,10 @@ def floats(lo, hi):
 def valid_configs(draw):
     nx = draw(st.integers(3, 60))
     method = draw(st.sampled_from(METHODS))
-    # Landweber's adjoint solve needs the observation at x = 1
+    # Landweber's adjoint solve needs the observation at x = 1, and Halley
+    # runs only frozen
     obs = nx - 1 if method == "landweber" else draw(st.integers(0, nx - 1))
+    frozen = True if method == "halley" else draw(st.booleans())
     return ExperimentConfig(
         nx=nx,
         nt=draw(st.integers(3, 500)),
@@ -44,7 +46,7 @@ def valid_configs(draw):
         seed=draw(st.integers(0, 2**32)),
         sample_count=draw(st.integers(4, 200)),
         method=method,
-        frozen=draw(st.booleans()),
+        frozen=frozen,
         tau=draw(floats(1.01, 10.0)),
         alpha0=draw(st.none() | floats(1e-6, 1e3)),
         theta=draw(floats(0.01, 0.99)),

@@ -114,6 +114,11 @@ def test_config_validation_errors():
         {"bc_left": "neumann", "bc_right": "neumann"},
         {"theta": 1.5},
         {"smoothing_s": 2},
+        {"c2": 0.0},
+        {"obs_point": 0.51},  # between the nodes 0.5 and 0.525
+        {"bc_left": "robin"},
+        {"seed": -1},  # the noise generator takes only nonnegative seeds
+        {"method": "halley", "frozen": False},  # Halley runs only frozen
     ):
         with pytest.raises(ConfigError):
             small_config(**overrides).validate()
@@ -345,10 +350,14 @@ def _basis_exceeds_grid(cfg):
     cfg["basis"]["m"] = 30
 
 
+def _source_overflow(cfg):
+    cfg["time"]["t_final"] = 1e200  # finite, but t^2 overflows
+
+
 @pytest.mark.parametrize("edit", [
-    _right_dirichlet, _obs_off_grid, _basis_exceeds_grid,
+    _right_dirichlet, _obs_off_grid, _basis_exceeds_grid, _source_overflow,
 ], ids=["excitation-vs-dirichlet", "obs-point-off-grid",
-        "basis-exceeds-grid"])
+        "basis-exceeds-grid", "source-overflow"])
 def test_cli_config_rejected_before_solving(tmp_path, capsys, edit):
     # mistakes a solver or the basis projection would only find later
     path = _write_config(tmp_path, edit)
@@ -357,16 +366,17 @@ def test_cli_config_rejected_before_solving(tmp_path, capsys, edit):
 
 
 def test_cli_sweep_rejects_bad_entry_before_running(tmp_path, capsys):
-    good = small_config(max_iter=2).to_dict()
-    bad = small_config().to_dict()
-    _basis_exceeds_grid(bad)
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps({"runs": [{"name": "good", "config": good},
-                                         {"name": "bad", "config": bad}]}))
-    out = tmp_path / "o"
-    _expect_config_error(capsys, ["sweep", "--config", str(path),
-                                  "--jobs", "1", "--out", str(out)])
-    assert not (out / "good").exists()
+    for edit in (_basis_exceeds_grid, _source_overflow):
+        good = small_config(max_iter=2).to_dict()
+        bad = small_config().to_dict()
+        edit(bad)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"runs": [{"name": "good", "config": good},
+                                             {"name": "bad", "config": bad}]}))
+        out = tmp_path / "o"
+        _expect_config_error(capsys, ["sweep", "--config", str(path),
+                                      "--jobs", "1", "--out", str(out)])
+        assert not (out / "good").exists()
 
 
 @pytest.mark.parametrize("section", [None, "grid", "time", "params", "bc",
@@ -544,6 +554,45 @@ def test_config_schema_must_be_the_integer_one(schema):
     cfg["schema"] = schema
     with pytest.raises(ConfigError, match="schema"):
         ExperimentConfig.from_dict(cfg)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--method", "halley"],
+    ["sweep", "--max-iter", "99"],
+    ["convergence-study", "--noise", "0.5"],
+    ["convergence-study", "--basis", "hat"],
+    ["diagnose", "svd", "--method", "halley"],
+    ["diagnose", "poles", "--tau", "3"],
+], ids=["sweep-method", "sweep-max-iter", "convergence-noise",
+        "convergence-basis", "diagnose-method", "diagnose-tau"])
+def test_cli_rejects_an_override_it_does_not_read(tmp_path, capsys, argv):
+    # a flag that would change nothing is a usage error, not dropped
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*argv, "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_convergence_study_reads_the_config(tmp_path, capsys):
+    # the manufactured solution is f(x) beta(t) with the config's f and beta
+    path = write_small_config(tmp_path, time_profile="t3")
+    assert cli_main(["convergence-study", "--config", str(path), "--levels",
+                     "1", "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert "nx=   26 nt=    50  err=2.0473e-04" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cli_convergence_study_rejects_impedance(tmp_path, capsys, side):
+    # f beta does not satisfy an impedance condition, so the measured error
+    # would not converge to zero
+    path = _write_config(tmp_path, lambda cfg: cfg["bc"].update(
+        {side: "impedance"}))
+    out = tmp_path / "o"
+    _expect_config_error(capsys, ["convergence-study", "--config", str(path),
+                                  "--out", str(out)])
+    assert not out.exists()
 
 
 def write_degenerate_config(tmp_path):
