@@ -9,6 +9,11 @@ first and second derivatives of the discrete forward map (up to the forward
 solve's Newton tolerance).  The m Jacobian (or Hessian) columns march
 together as one (nx, m) block through the shared per-step matrices.
 
+At kappa0 = 0 the sensitivity march is time-invariant and A is self-adjoint
+in the trapezoid-weighted inner product, so by reciprocity one impulse march
+at the observation node gives the frozen Jacobian by convolution, with no
+m-column march (the discrete-adjoint argument of Giles & Pierce, 2000).
+
 The adjoint equation (1 - 2 kappa p) a_tt - b A a_t + c^2 A a = 0 is the
 continuous (optimize-then-discretize) adjoint.  In the time-reversed variable
 u(s) = a(T - s), with the observation residual entering as a boundary flux at
@@ -19,7 +24,7 @@ integral of v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import chain, pairwise, repeat
 
 import numpy as np
 
@@ -187,11 +192,35 @@ def apply_gradient(problem: Problem, adjoint: StateField, psq_tt: np.ndarray,
     return Direction(g)
 
 
+def _frozen_traces(problem: Problem, base: StateField,
+                   E: np.ndarray) -> np.ndarray:
+    """Observation rows (m, nt + 1) of the kappa0 = 0 sensitivity march for
+    the columns of E.  With u the march forced by e_obs in step 0 and w = 1/2
+    at the endpoints, 1 elsewhere, R[x, j] = (w_x / w_obs) u[x, j + 1] is the
+    lag-j observation response to unit forcing at x (u vanishes at Dirichlet
+    nodes), and trace i is sum_x E[x, i] (R[x] conv Delta(p0^2)[x] / dt)."""
+    _check_same_grids(problem, base)
+    nx, nt, obs = problem.grid.nx, problem.tgrid.nt, problem.obs_index
+    impulse, ones = np.zeros(nx), np.ones(nx)
+    impulse[obs] = 1.0
+    u = cn_march(problem, chain([impulse], repeat(np.zeros(nx), nt - 1)),
+                 lambda n, un, step, _: step(ones, un))
+    w = np.ones(nx)
+    w[[0, -1]] = 0.5
+    R = (w / w[obs])[:, None] * u[:, 1:]
+    D = np.diff(base.values**2, axis=1) / problem.tgrid.dt
+    spectrum = E.T @ (np.fft.rfft(R, 2 * nt) * np.fft.rfft(D, 2 * nt))
+    return np.pad(np.fft.irfft(spectrum, 2 * nt)[:, :nt], ((0, 0), (1, 0)))
+
+
 def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
                       base: StateField | None = None,
                       keep_sensitivities: bool = True) -> JacobianMatrix:
     """Column j = observation trace, at the sample times, of the sensitivity
-    solve for basis direction e_j at kappa0 (one march of m columns)."""
+    solve for basis direction e_j at kappa0: one march of m columns.  For
+    the frozen linearization (kappa0 None, i.e. 0) without kept
+    sensitivities, one single-column impulse march and a convolution give
+    the same columns up to rounding (_frozen_traces)."""
     kap = kappa_samples(kappa0, problem.grid)
     if base is None:
         base = solve_forward(problem, kap)
@@ -199,7 +228,8 @@ def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
     if keep_sensitivities:
         z = solve_sensitivity(problem, base, kap, E)
         return JacobianMatrix(problem.sampled_trace(z), z.values)
-    traces = solve_sensitivity(problem, base, kap, E, trace_only=True)
+    traces = (_frozen_traces(problem, base, E.samples) if kappa0 is None
+              else solve_sensitivity(problem, base, kap, E, trace_only=True))
     return JacobianMatrix(sample_trace(traces, problem.tgrid,
                                        problem.sample_times))
 

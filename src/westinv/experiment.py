@@ -147,9 +147,7 @@ class ExperimentConfig:
         try:
             problem, basis, _ = build_problem(self)
             StoppingRule(self.tau, 0.0, self.max_iter)
-            # alpha0 unset: the run picks it; 1.0 stands in so theta is checked
-            RegularizationSchedule(
-                1.0 if self.alpha0 is None else self.alpha0, self.theta)
+            RegularizationSchedule(self.alpha0, self.theta)
             InversionContext(problem, basis, self.smoothing_s)
         except (ValueError, IncompatibleBCError, OffGridError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -292,8 +290,10 @@ def build_problem(cfg: ExperimentConfig):
     basis = BasisSet(BASIS_ALIASES[cfg.basis_kind], cfg.n_basis)
     f, f_xx = EXCITATIONS[cfg.excitation]
     beta, beta_t, beta_tt = TIME_PROFILES[cfg.time_profile]
-    source = manufactured_source(f, f_xx, beta, beta_t, beta_tt, params,
-                                 grid, tgrid, bc)
+    # an overflowing profile is reported by SourceTerm as non-finite values
+    with np.errstate(over="ignore", invalid="ignore"):
+        source = manufactured_source(f, f_xx, beta, beta_t, beta_tt, params,
+                                     grid, tgrid, bc)
     problem = Problem(
         params, grid, tgrid, bc, source, obs_point=cfg.obs_point,
         sample_times=np.linspace(0.0, cfg.t_final, cfg.sample_count),
@@ -322,8 +322,7 @@ def run_inversion(cfg: ExperimentConfig):
         basis, np.zeros(basis.m), problem.grid
     )
     stop = StoppingRule(cfg.tau, delta, cfg.max_iter)
-    reg = (RegularizationSchedule(cfg.alpha0, cfg.theta)
-           if cfg.alpha0 is not None else None)
+    reg = RegularizationSchedule(cfg.alpha0, cfg.theta)
     if cfg.method == "landweber":
         report = landweber_run(noisy, init, cfg.frozen, cfg.mu, stop, ctx,
                                truth=truth)

@@ -203,7 +203,8 @@ def solve_forward(problem: Problem, kappa) -> StateField:
     so after an update D the residual is exactly -kappa D^2/dt, and Varah's
     bound for the diagonally dominant step matrix caps the next update at
     max |kappa| D^2 / min(1 - 2 kappa p); the loop stops once that is at
-    most opts.inner_tol.  At kappa = 0 this is one linear solve per step.
+    most opts.inner_tol.  At kappa = 0 this is one linear solve per step,
+    taken directly: the same solve, without the predictor or the bound.
 
     Raises DegeneracyError if 1 - 2*kappa*p drops below POSITIVITY_FLOOR
     and NoConvergenceError if the bound is still above inner_tol after
@@ -236,7 +237,13 @@ def solve_forward(problem: Problem, kappa) -> StateField:
             )
         return pnew
 
-    p = cn_march(problem, (0.5 * (R[:, :-1] + R[:, 1:])).T, advance)
+    ones = np.ones(problem.grid.nx)
+
+    def linear(n, pn, step, p):  # kappa = 0: Newton's single solve
+        return step(ones, pn)
+
+    p = cn_march(problem, (0.5 * (R[:, :-1] + R[:, 1:])).T,
+                 advance if kap.any() else linear)
     return StateField(p, problem.grid, tgrid)
 
 

@@ -9,7 +9,7 @@ norm (the harness converts the per-sample bound eta to sqrt(ns) * eta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -41,13 +41,15 @@ STAGNATION_WINDOW = 5
 
 @dataclass(frozen=True)
 class RegularizationSchedule:
-    """Geometrically decaying regularization parameters alpha_n = theta^n alpha0."""
+    """Geometrically decaying regularization parameters alpha_n = theta^n alpha0.
+    alpha0 None is left to the run, which sets default_alpha0 at its first
+    step and keeps theta."""
 
-    alpha0: float
+    alpha0: float | None = None
     theta: float = 0.5
 
     def __post_init__(self):
-        if not self.alpha0 > 0:
+        if self.alpha0 is not None and not self.alpha0 > 0:
             raise ValueError("alpha0 must be positive")
         if not 0 < self.theta < 1:
             raise ValueError("theta must lie in (0, 1)")
@@ -131,8 +133,10 @@ class InversionContext:
 
     @cached_property
     def frozen_jacobian(self) -> JacobianMatrix:
+        """J at kappa0 = 0 without sensitivities (one impulse march)."""
         return assemble_jacobian(self.problem, None, self.basis,
-                                 base=self.frozen_base)
+                                 base=self.frozen_base,
+                                 keep_sensitivities=False)
 
     @cached_property
     def frozen_gradient_map(self) -> np.ndarray:
@@ -218,7 +222,8 @@ def _run_loop(data, init, ctx, stop, truth, step_fn, divergence_guard=False):
     residuals, errs_inf, errs_l2 = [], [], []
     reason = "max-iter"
     while True:
-        state = solve_forward(ctx.problem, kappa)
+        state = (solve_forward(ctx.problem, kappa) if kappa.samples.any()
+                 else ctx.frozen_base)
         r = data.values - ctx.problem.sampled_trace(state)
         rnorm = float(np.linalg.norm(r))
         residuals.append(rnorm)
@@ -291,18 +296,19 @@ def newton_lm_run(
 ) -> InversionReport:
     """Levenberg-Marquardt / regularized (frozen) Newton iteration
     c_{n+1} = c_n + (J^T J + alpha_n I)^{-1} J^T (h - F(kappa_n)); frozen
-    steps all reuse the SVD of the frozen Jacobian."""
-    J_frozen = ctx.frozen_jacobian if frozen else None
+    steps, and an unfrozen step at kappa = 0, reuse the SVD of the frozen
+    Jacobian.  reg None is RegularizationSchedule()."""
+    reg = reg or RegularizationSchedule()
 
     def step(n, kappa, state, r):
         nonlocal reg
-        if frozen:
-            J = J_frozen
+        if frozen or not kappa.samples.any():
+            J = ctx.frozen_jacobian
         else:
             J = assemble_jacobian(ctx.problem, kappa.samples, ctx.basis,
                                   base=state, keep_sensitivities=False)
-        if reg is None:
-            reg = RegularizationSchedule(default_alpha0(J, r))
+        if reg.alpha0 is None:
+            reg = replace(reg, alpha0=default_alpha0(J, r))
         c_step = _solve_regularized(J, reg.alpha(n), r)
         coeffs = kappa.coefficients + c_step
         return clip_nonnegative(
@@ -322,16 +328,19 @@ def halley_run(
     truth=None,
 ) -> InversionReport:
     """Frozen Halley predictor-corrector: the predictor is the frozen
-    Levenberg-Marquardt step d (from the frozen Jacobian's SVD); the
+    Levenberg-Marquardt step d (from the SVD of J at kappa0 = 0); the
     corrector re-solves against the same residual with system matrix
-    J + H_d / 2, factored once per step, and the same alpha_n."""
-    J = ctx.frozen_jacobian
+    J + H_d / 2, factored once per step, and the same alpha_n.  J is
+    marched once, keeping the sensitivities every H_d reuses.  reg None is
+    RegularizationSchedule()."""
+    reg = reg or RegularizationSchedule()
     grid = ctx.problem.grid
+    J = assemble_jacobian(ctx.problem, None, ctx.basis, base=ctx.frozen_base)
 
     def step(n, kappa, state, r):
         nonlocal reg
-        if reg is None:
-            reg = RegularizationSchedule(default_alpha0(J, r))
+        if reg.alpha0 is None:
+            reg = replace(reg, alpha0=default_alpha0(J, r))
         alpha = reg.alpha(n)
         d_coeffs = _solve_regularized(J, alpha, r)
         d = Direction(evaluate_basis(ctx.basis, grid) @ d_coeffs)
@@ -346,4 +355,3 @@ def halley_run(
         )
 
     return _run_loop(data, init, ctx, stop, truth, step)
-

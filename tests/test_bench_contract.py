@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import pathlib
 import sys
+from dataclasses import replace
 
 from westinv.experiment import ExperimentConfig, build_problem, run_inversion
 from westinv.forward import Problem
@@ -56,6 +57,8 @@ def test_tracer_patches_resolve_and_are_undone():
         for owner, attr, original in sites:
             assert getattr(owner, attr).__wrapped__ is original, attr
         report = run_inversion(cfg).report
+        # frozen Newton's Jacobian marches no sensitivities; Halley's does
+        run_inversion(replace(cfg, method="halley"))
     for owner, attr, original in sites:
         assert getattr(owner, attr) is original, attr
     summary = tracer.summary()

@@ -246,6 +246,25 @@ def test_jacobian_matches_fd_oracle(bc, nx, nt):
     assert rel < 1e-4
 
 
+@pytest.mark.parametrize("obs_point", [1.0, 0.5])
+@pytest.mark.parametrize("kind", ["gaussian", "hat", "haar"])
+@pytest.mark.parametrize("bc", [BC, BC_DI, BC_IN], ids=BC_IDS)
+def test_frozen_jacobian_from_one_impulse_response(bc, kind, obs_point):
+    # at kappa0 = 0 without kept sensitivities, J is one impulse march and a
+    # convolution; it equals the m-column sensitivity march up to rounding
+    times = np.linspace(0.0, 1.0, 23)  # off the solver time levels
+    grid, tgrid, kap, problem, base = make_problem(41, 90, kappa_const=0.0,
+                                                   bc=bc, sample_times=times)
+    problem = replace(problem, obs_point=obs_point)
+    basis = BasisSet(kind, 7)
+    marched = assemble_jacobian(problem, None, basis, base=base).entries
+    lean = assemble_jacobian(problem, None, basis, base=base,
+                             keep_sensitivities=False)
+    assert lean.sensitivities is None
+    assert (np.max(np.abs(lean.entries - marched))
+            <= 1e-13 * np.max(np.abs(marched)))
+
+
 def test_fd_oracle_step_halving_quarters_error():
     # invariant: oracle truncation error is O(h^2) against the exact
     # discrete derivative

@@ -355,11 +355,14 @@ def _source_overflow(cfg):
 
 
 @pytest.mark.parametrize("edit", [
-    _right_dirichlet, _obs_off_grid, _basis_exceeds_grid, _source_overflow,
+    _right_dirichlet, _obs_off_grid, _basis_exceeds_grid,
+    pytest.param(_source_overflow,
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ], ids=["excitation-vs-dirichlet", "obs-point-off-grid",
         "basis-exceeds-grid", "source-overflow"])
 def test_cli_config_rejected_before_solving(tmp_path, capsys, edit):
-    # mistakes a solver or the basis projection would only find later
+    # mistakes a solver or the basis projection would only find later; the
+    # overflowing source is reported without numpy's RuntimeWarnings first
     path = _write_config(tmp_path, edit)
     _expect_config_error(capsys, ["reconstruct", "--config", str(path),
                                   "--out", str(tmp_path / "o")])

@@ -3,6 +3,7 @@ regularized linear solves, and the Landweber / Newton / Halley drivers."""
 
 import dataclasses
 from functools import cache
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from westinv import (
     StoppingRule,
     TimeGrid,
     apply_gradient,
+    assemble_jacobian,
     halley_run,
     landweber_run,
     manufactured_source,
@@ -171,23 +173,29 @@ def test_frozen_newton_factors_the_jacobian_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_frozen_newton_marches_the_jacobian_once(monkeypatch):
-    # the m Jacobian columns are one batched sensitivity march
+def test_frozen_newton_marches_one_impulse_response(monkeypatch):
+    # the m frozen Jacobian columns come from one single-column march and
+    # no sensitivity march
     import westinv.derivatives as derivatives
 
-    shapes = []
-    solve = derivatives.solve_sensitivity
+    shapes, sensitivities = [], []
+    march = derivatives.cn_march
 
-    def counting_solve(problem, base, kappa, direction, **kwargs):
-        shapes.append(direction.samples.shape)
-        return solve(problem, base, kappa, direction, **kwargs)
+    def counting_march(problem, forcing, advance, *args):
+        forcing = iter(forcing)
+        first = next(forcing)
+        shapes.append(first.shape)
+        return march(problem, chain([first], forcing), advance, *args)
 
-    monkeypatch.setattr(derivatives, "solve_sensitivity", counting_solve)
+    monkeypatch.setattr(derivatives, "cn_march", counting_march)
+    monkeypatch.setattr(derivatives, "solve_sensitivity",
+                        lambda *args, **kwargs: sensitivities.append(1))
     cfg = ExperimentConfig(nx=41, nt=80, n_basis=7, sample_count=25,
                            max_iter=4, noise=0.0, alpha0=1.0)
     result = run_inversion(cfg)
     assert result.report.stop_index >= 2
-    assert shapes == [(41, 7)]
+    assert shapes == [(41,)]
+    assert sensitivities == []
 
 
 def test_halley_default_alpha0():
@@ -202,10 +210,25 @@ def test_halley_default_alpha0():
     problem, basis, _ = build_problem(cfg)
     r0 = (auto.traces["noisy"].values
           - problem.sampled_trace(solve_forward(problem, None)))
-    J = InversionContext(problem, basis).frozen_jacobian
+    J = assemble_jacobian(problem, None, basis,
+                          base=InversionContext(problem, basis).frozen_base)
     given = run_inversion(dataclasses.replace(cfg,
                                               alpha0=default_alpha0(J, r0)))
     assert auto.report.to_dict() == given.report.to_dict()
+
+
+@pytest.mark.parametrize("method", ["newton", "halley"])
+def test_default_alpha0_keeps_theta(method):
+    # alpha_n = theta^n alpha0 with the configured theta, also when alpha0
+    # is left to the run: step 0 uses alpha0 alone, later steps differ
+    cfg = ExperimentConfig(nx=41, nt=80, n_basis=7, sample_count=25,
+                           max_iter=3, noise=1e-4, truth_amplitude=0.3,
+                           method=method)
+    low, high = (run_inversion(dataclasses.replace(cfg, theta=theta))
+                 .report.residuals for theta in (0.5, 0.9))
+    assert len(low) == len(high) == 4
+    assert low[:2] == high[:2]
+    assert all(a != b for a, b in zip(low[2:], high[2:]))
 
 
 def test_landweber_default_step_size():
