@@ -6,13 +6,13 @@ and marched in the conservative form ((1 - 2 kappa p) u)_t + b A u
 + c^2 \\int A u = g by the forward solver's own Crank-Nicolson march
 (westinv.forward.cn_march); this makes the discrete solves the exact
 first and second derivatives of the discrete forward map (up to the forward
-solve's Newton tolerance).  The m Jacobian (or Hessian) columns march
-together as one (nx, m) block through the shared per-step matrices.
+solve's Newton tolerance).  The m Jacobian columns march together as one
+(nx, m) block through the shared per-step matrices.
 
-At kappa0 = 0 the sensitivity march is time-invariant and A is self-adjoint
-in the trapezoid-weighted inner product, so by reciprocity one impulse march
-at the observation node gives the frozen Jacobian by convolution, with no
-m-column march (the discrete-adjoint argument of Giles & Pierce, 2000).
+At kappa0 = 0 the linear march is time-invariant and A is self-adjoint in
+the trapezoid-weighted inner product, so by reciprocity one impulse march at
+the observation node gives any observation trace by convolution (Giles &
+Pierce, 2000): the frozen Jacobian, and the F''(0) tensor of the Hessian.
 
 The adjoint equation (1 - 2 kappa p) a_tt - b A a_t + c^2 A a = 0 is the
 continuous (optimize-then-discretize) adjoint.  In the time-reversed variable
@@ -60,8 +60,9 @@ class JacobianMatrix:
     sensitivity solution for basis direction e_j.  Shape (ns, m)."""
 
     entries: np.ndarray
-    sensitivities: np.ndarray | None = None  # (nx, m, nt + 1), for the Hessian
+    sensitivities: np.ndarray | None = None  # kept for the Hessian tensor
     _svd: tuple | None = field(default=None, init=False, repr=False)
+    _hessian: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def svd(self) -> tuple:
         """Thin SVD (U, sigma, Vt) of the entries, sigma descending;
@@ -117,15 +118,14 @@ def solve_sensitivity(problem: Problem, base: StateField, kappa,
 
 def solve_second_derivative(problem: Problem, base: StateField, kappa0,
                             z1: StateField, z2: StateField, d1: Direction,
-                            d2: Direction, trace_only: bool = False
-                            ) -> StateField | np.ndarray:
+                            d2: Direction) -> StateField:
     """Solve for w = G''(kappa0)[d1, d2]:
 
     ((1 - 2 kappa0 p) w)_tt + b A w_t + c^2 A w
         = 2 (kappa0 z1 z2 + p (d1 z2 + d2 z1))_tt,
 
     marched in the once-integrated conservative form; batched (z, d) pairs
-    and trace_only work as in solve_sensitivity."""
+    work as in solve_sensitivity."""
     _check_same_grids(problem, base, z1, z2)
     kap = kappa_samples(kappa0, problem.grid)
     p = base.values
@@ -135,7 +135,7 @@ def solve_second_derivative(problem: Problem, base: StateField, kappa0,
         return (2.0 * (kap * z1n * z2n
                        + p[:, n] * (d1.samples.T * z2n + d2.samples.T * z1n))).T
 
-    return _march(problem, base, kap, level, trace_only)
+    return _march(problem, base, kap, level, False)
 
 
 def solve_adjoint(problem: Problem, base: StateField, kappa,
@@ -192,14 +192,14 @@ def apply_gradient(problem: Problem, adjoint: StateField, psq_tt: np.ndarray,
     return Direction(g)
 
 
-def _frozen_traces(problem: Problem, base: StateField,
-                   E: np.ndarray) -> np.ndarray:
-    """Observation rows (m, nt + 1) of the kappa0 = 0 sensitivity march for
-    the columns of E.  With u the march forced by e_obs in step 0 and w = 1/2
-    at the endpoints, 1 elsewhere, R[x, j] = (w_x / w_obs) u[x, j + 1] is the
-    lag-j observation response to unit forcing at x (u vanishes at Dirichlet
-    nodes), and trace i is sum_x E[x, i] (R[x] conv Delta(p0^2)[x] / dt)."""
-    _check_same_grids(problem, base)
+def _frozen_traces(problem: Problem, E: np.ndarray, levels):
+    """For each level (nx, nt + 1) of levels, the observation rows
+    (m, nt + 1) of the kappa0 = 0 march forced by E[:, i] Delta(level) / dt,
+    from one impulse march.  With u the march forced by e_obs in step 0 and
+    w = 1/2 at the endpoints, 1 elsewhere, R[x, j] = (w_x / w_obs) u[x, j + 1]
+    is the lag-j observation response to unit forcing at x (u vanishes at
+    Dirichlet nodes), and row i is sum_x E[x, i] (R[x] conv
+    Delta(level)[x] / dt)."""
     nx, nt, obs = problem.grid.nx, problem.tgrid.nt, problem.obs_index
     impulse, ones = np.zeros(nx), np.ones(nx)
     impulse[obs] = 1.0
@@ -207,10 +207,12 @@ def _frozen_traces(problem: Problem, base: StateField,
                  lambda n, un, step, _: step(ones, un))
     w = np.ones(nx)
     w[[0, -1]] = 0.5
-    R = (w / w[obs])[:, None] * u[:, 1:]
-    D = np.diff(base.values**2, axis=1) / problem.tgrid.dt
-    spectrum = E.T @ (np.fft.rfft(R, 2 * nt) * np.fft.rfft(D, 2 * nt))
-    return np.pad(np.fft.irfft(spectrum, 2 * nt)[:, :nt], ((0, 0), (1, 0)))
+    kernel = np.fft.rfft((w / w[obs])[:, None] * u[:, 1:], 2 * nt)
+    for level in levels:
+        D = np.diff(level, axis=1) / problem.tgrid.dt
+        # kernel first: numpy's complex product is not bitwise commutative
+        spectrum = E.T @ np.multiply(kernel, np.fft.rfft(D, 2 * nt))
+        yield np.pad(np.fft.irfft(spectrum, 2 * nt)[:, :nt], ((0, 0), (1, 0)))
 
 
 def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
@@ -224,31 +226,37 @@ def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
     kap = kappa_samples(kappa0, problem.grid)
     if base is None:
         base = solve_forward(problem, kap)
+    _check_same_grids(problem, base)
     E = Direction(evaluate_basis(basis, problem.grid))
     if keep_sensitivities:
         z = solve_sensitivity(problem, base, kap, E)
         return JacobianMatrix(problem.sampled_trace(z), z.values)
-    traces = (_frozen_traces(problem, base, E.samples) if kappa0 is None
+    traces = (next(_frozen_traces(problem, E.samples, [base.values**2]))
+              if kappa0 is None
               else solve_sensitivity(problem, base, kap, E, trace_only=True))
     return JacobianMatrix(sample_trace(traces, problem.tgrid,
                                        problem.sample_times))
 
 
-def assemble_directional_hessian(problem: Problem, d: Direction, kappa0,
+def assemble_directional_hessian(problem: Problem, c: np.ndarray,
                                  basis: BasisSet, base: StateField,
                                  jacobian: JacobianMatrix) -> np.ndarray:
-    """Discretized F''(kappa0)[d, .], shape (ns, m): column j is the sampled
-    trace of the second-derivative solve for (d, e_j), reusing the
-    sensitivity fields cached on the Jacobian (one march of m columns)."""
+    """Discretized F''(0)[E c, .], shape (ns, m), as T @ c: T[s, i, j] =
+    F''(0)[e_i, e_j] = T1[s, i, j] + T1[s, j, i], where T1[:, :, j] samples
+    _frozen_traces for level 2 p0 z_j.  The jacobian must be marched at
+    kappa0 = 0 (None) with its sensitivities z_j; T is built on the first
+    call, one column j at a time, and cached on it."""
     if jacobian.sensitivities is None:
         raise ValueError("jacobian was assembled without cached sensitivities")
-    kap = kappa_samples(kappa0, problem.grid)
-    E = Direction(evaluate_basis(basis, problem.grid))
-    zd = solve_sensitivity(problem, base, kap, d)
-    z = StateField(jacobian.sensitivities, problem.grid, problem.tgrid)
-    traces = solve_second_derivative(problem, base, kap, zd, z, d, E,
-                                     trace_only=True)
-    return sample_trace(traces, problem.tgrid, problem.sample_times)
+    if jacobian._hessian is None:
+        _check_same_grids(problem, base)
+        levels = (2.0 * base.values * z
+                  for z in jacobian.sensitivities.transpose(1, 0, 2))
+        E = evaluate_basis(basis, problem.grid)
+        T1 = np.stack([sample_trace(t, problem.tgrid, problem.sample_times)
+                       for t in _frozen_traces(problem, E, levels)], axis=2)
+        jacobian._hessian = T1 + T1.transpose(0, 2, 1)
+    return jacobian._hessian @ c
 
 
 def fd_jacobian_oracle(problem: Problem, kappa0, basis: BasisSet,

@@ -142,10 +142,11 @@ def sample_trace(trace_values: np.ndarray, tgrid: TimeGrid,
                  sample_times: np.ndarray) -> np.ndarray:
     """Linear-interpolation sampling of a solver-grid trace at given times;
     the k rows of a (k, nt + 1) array give the k columns of the result."""
+    times = tgrid.times
     if trace_values.ndim == 2:
-        return np.column_stack([sample_trace(t, tgrid, sample_times)
+        return np.column_stack([np.interp(sample_times, times, t)
                                 for t in trace_values])
-    return np.interp(sample_times, tgrid.times, trace_values)
+    return np.interp(sample_times, times, trace_values)
 
 
 def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray:

@@ -14,10 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisSet, CoefficientField, clip_nonnegative, evaluate_basis
+from .basis import BasisSet, CoefficientField, clip_nonnegative
 from .data import prefilter
 from .derivatives import (
-    Direction,
     JacobianMatrix,
     apply_gradient,
     assemble_directional_hessian,
@@ -328,11 +327,11 @@ def halley_run(
     truth=None,
 ) -> InversionReport:
     """Frozen Halley predictor-corrector: the predictor is the frozen
-    Levenberg-Marquardt step d (from the SVD of J at kappa0 = 0); the
+    Levenberg-Marquardt step d = E c (from the SVD of J at kappa0 = 0); the
     corrector re-solves against the same residual with system matrix
-    J + H_d / 2, factored once per step, and the same alpha_n.  J is
-    marched once, keeping the sensitivities every H_d reuses.  reg None is
-    RegularizationSchedule()."""
+    J + H_d / 2 = J + T c / 2, factored once per step, and the same alpha_n.
+    J is marched once, keeping the sensitivities every H_d reuses (through
+    the F''(0) tensor T).  reg None is RegularizationSchedule()."""
     reg = reg or RegularizationSchedule()
     grid = ctx.problem.grid
     J = assemble_jacobian(ctx.problem, None, ctx.basis, base=ctx.frozen_base)
@@ -342,11 +341,9 @@ def halley_run(
         if reg.alpha0 is None:
             reg = replace(reg, alpha0=default_alpha0(J, r))
         alpha = reg.alpha(n)
-        d_coeffs = _solve_regularized(J, alpha, r)
-        d = Direction(evaluate_basis(ctx.basis, grid) @ d_coeffs)
         H = assemble_directional_hessian(
-            ctx.problem, d, None, ctx.basis, ctx.frozen_base, J
-        )
+            ctx.problem, _solve_regularized(J, alpha, r), ctx.basis,
+            ctx.frozen_base, J)
         c_step = _solve_regularized(JacobianMatrix(J.entries + 0.5 * H),
                                     alpha, r)
         coeffs = kappa.coefficients + c_step

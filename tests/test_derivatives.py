@@ -1,6 +1,7 @@
 """Sensitivity, second-derivative and adjoint solves, gradient application,
-and the assembled Jacobian / directional Hessian."""
+and the assembled Jacobian / directional Hessian (the F''(0) tensor)."""
 
+import tracemalloc
 from dataclasses import replace
 from functools import cache
 
@@ -279,25 +280,72 @@ def test_fd_oracle_step_halving_quarters_error():
     assert 3.3 <= errs[0] / errs[1] <= 4.7
 
 
+@pytest.mark.parametrize("obs_point", [1.0, 0.5])
+@pytest.mark.parametrize("kind", ["gaussian", "hat", "haar"])
+@pytest.mark.parametrize("bc", [BC, BC_DI, BC_IN], ids=BC_IDS)
+def test_hessian_tensor_matches_the_marched_second_derivative(bc, kind,
+                                                             obs_point):
+    # at kappa0 = 0, H_d = T c for d = E c equals the traces of the batched
+    # second-derivative march for (d, e_j), up to rounding, and the tensor
+    # T[s, i, j] = F''(0)[e_i, e_j] (column j of T is T e_j) is symmetric
+    times = np.linspace(0.0, 1.0, 23)  # off the solver time levels
+    grid, tgrid, kap, problem, base = make_problem(41, 90, kappa_const=0.0,
+                                                   bc=bc, sample_times=times)
+    problem = replace(problem, obs_point=obs_point)
+    basis = BasisSet(kind, 7)
+    E = evaluate_basis(basis, grid)
+    c = np.random.Generator(np.random.Philox(7)).uniform(-1.0, 1.0, 7)
+    d = Direction(E @ c)
+    J = assemble_jacobian(problem, None, basis, base=base)
+    Z = solve_sensitivity(problem, base, None, Direction(E))
+    zd = solve_sensitivity(problem, base, None, d)
+    marched = problem.sampled_trace(
+        solve_second_derivative(problem, base, None, zd, Z, d, Direction(E)))
+    H = assemble_directional_hessian(problem, c, basis, base, J)
+    assert np.max(np.abs(H - marched)) <= 1e-13 * np.max(np.abs(marched))
+    T = np.stack([assemble_directional_hessian(problem, e, basis, base, J)
+                  for e in np.eye(basis.m)], axis=2)
+    assert np.array_equal(T, T.transpose(0, 2, 1))
+
+
+def test_hessian_tensor_builds_one_column_at_a_time():
+    # at the criterion-5 size the tensor build holds at most half of the
+    # sensitivities' bytes at once: it never forms an (nx, m, nt + 1)
+    # intermediate
+    times = np.linspace(0.0, 1.0, 50)
+    grid, tgrid, kap, problem, base = make_problem(101, 400,
+                                                   kappa_const=0.0,
+                                                   sample_times=times)
+    basis = BasisSet("gaussian", 41)
+    J = assemble_jacobian(problem, None, basis, base=base)
+    tracemalloc.start()
+    try:
+        assemble_directional_hessian(problem, np.ones(basis.m), basis, base,
+                                     J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * J.sensitivities.nbytes
+
+
 def test_directional_hessian_bilinear_and_quadratic_model():
     times = np.linspace(0.0, 1.0, 25)
-    grid, tgrid, kap, problem, base = make_problem(sample_times=times)
+    grid, tgrid, kap, problem, base = make_problem(kappa_const=0.0,
+                                                   sample_times=times)
     basis = BasisSet("gaussian", 5)
-    J = assemble_jacobian(problem, kap, basis, base=base)
+    J = assemble_jacobian(problem, None, basis, base=base)
     E = evaluate_basis(basis, grid)
     c = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
     d = Direction(E @ c)
-    H = assemble_directional_hessian(problem, d, kap, basis, base, J)
+    H = assemble_directional_hessian(problem, c, basis, base, J)
     # invariant: H_{2d} = 2 H_d (bilinearity in the frozen direction)
-    H2 = assemble_directional_hessian(problem, Direction(2 * d.samples),
-                                      kap, basis, base, J)
+    H2 = assemble_directional_hessian(problem, 2 * c, basis, base, J)
     np.testing.assert_allclose(H2, 2 * H, atol=1e-10)
     # quadratic model F + J c + 1/2 H_d c beats the linear model
     eps = 1e-2
-    step = Direction(eps * d.samples)
-    Heps = assemble_directional_hessian(problem, step, kap, basis, base, J)
+    Heps = assemble_directional_hessian(problem, eps * c, basis, base, J)
     obs = grid.node_index(1.0)
-    pert = solve_forward(problem, kap + step.samples)
+    pert = solve_forward(problem, kap + eps * d.samples)
     Fp = sample_trace(pert.values[obs, :], tgrid, times)
     F0 = sample_trace(base.values[obs, :], tgrid, times)
     lin_err = np.linalg.norm(Fp - F0 - J.entries @ (eps * c))
@@ -311,13 +359,12 @@ def test_zero_direction_hessian_is_zero():
     # zero frozen direction -> zero Hessian columns, so the
     # corrector matrix J + H/2 reduces to the plain Newton matrix
     times = np.linspace(0.0, 1.0, 15)
-    grid, tgrid, kap, problem, base = make_problem(sample_times=times)
+    grid, tgrid, kap, problem, base = make_problem(kappa_const=0.0,
+                                                   sample_times=times)
     basis = BasisSet("gaussian", 4)
-    J = assemble_jacobian(problem, kap, basis, base=base)
-    H = assemble_directional_hessian(
-        problem, Direction(np.zeros(grid.nx)), kap, basis,
-        base, J,
-    )
+    J = assemble_jacobian(problem, None, basis, base=base)
+    H = assemble_directional_hessian(problem, np.zeros(basis.m), basis, base,
+                                     J)
     assert np.max(np.abs(H)) < 1e-14
 
 

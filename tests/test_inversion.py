@@ -198,6 +198,37 @@ def test_frozen_newton_marches_one_impulse_response(monkeypatch):
     assert sensitivities == []
 
 
+def test_halley_builds_the_hessian_tensor_once(monkeypatch):
+    # a Halley run marches J with its sensitivities once, and every step's
+    # H_d is a contraction of the tensor built from them: no second-
+    # derivative march, no further sensitivity march
+    import westinv.derivatives as derivatives
+    import westinv.inversion as inversion
+
+    calls = {"solve_sensitivity": 0, "solve_second_derivative": 0,
+             "assemble_directional_hessian": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(derivatives, "solve_sensitivity")
+    counting(derivatives, "solve_second_derivative")
+    counting(inversion, "assemble_directional_hessian")
+    cfg = ExperimentConfig(nx=41, nt=80, n_basis=7, sample_count=25,
+                           method="halley", max_iter=4, noise=0.0,
+                           alpha0=1.0)
+    report = run_inversion(cfg).report
+    assert report.stop_index >= 2
+    assert calls == {"solve_sensitivity": 1, "solve_second_derivative": 0,
+                     "assemble_directional_hessian": report.stop_index}
+
+
 def test_halley_default_alpha0():
     # alpha0 = None takes ||J^T r0||_inf from the frozen Jacobian and the
     # initial residual; the run with that alpha0 given is the same run
