@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 from .basis import CoefficientField
 from .errors import TooFewSamplesError
@@ -47,6 +47,27 @@ def synthesize_data(problem: Problem, truth, noise_level: float, seed: int):
     return full, coarse, noisy
 
 
+def _spline(x: np.ndarray, y: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """scipy's not-a-knot CubicSpline(x, y)(xs) for n >= 4 ascending finite x
+    and xs in [x[0], x[-1]]: its slope system, solved by the dgtsv that its
+    solve_banded calls, and its power form y + m s + c1 s^2 + c0 s^2 s."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    rhs = np.r_[((dx[0] + 2 * d0) * dx[1] * slope[0]
+                 + dx[0] * dx[0] * slope[1]) / d0,
+                3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+                (dx[-1] * dx[-1] * slope[-2]
+                 + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]
+    m = dgtsv(np.r_[dx[1:], d1], np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]],
+              np.r_[d0, dx[:-1]], rhs, overwrite_b=True)[3]
+    t = (m[:-1] + m[1:] - 2 * slope) / dx
+    i = np.clip(np.searchsorted(x, xs, "right") - 1, 0, len(dx) - 1)
+    s = xs - x[i]
+    return (y[i] + m[i] * s + ((slope - m[:-1]) / dx - t)[i] * (s * s)
+            + (t / dx)[i] * (s * s * s))
+
+
 def prefilter(raw: TimeTrace, target_nt: int) -> TimeTrace:
     """Smooth a coarse trace with a centered moving average (window 3, the
     endpoints kept as-is so affine traces pass through unchanged) and
@@ -55,9 +76,10 @@ def prefilter(raw: TimeTrace, target_nt: int) -> TimeTrace:
         raise TooFewSamplesError("prefilter needs at least 4 samples")
     smooth = raw.values.copy()
     smooth[1:-1] = (raw.values[:-2] + raw.values[1:-1] + raw.values[2:]) / 3.0
-    spline = CubicSpline(raw.times, smooth)
+    if not (np.all(np.isfinite(raw.times)) and np.all(np.isfinite(smooth))):
+        raise ValueError("prefilter needs finite sample times and values")
     times = np.linspace(raw.times[0], raw.times[-1], target_nt + 1)
-    return TimeTrace(times, spline(times), raw.noise_level)
+    return TimeTrace(times, _spline(raw.times, smooth, times), raw.noise_level)
 
 
 def smooth_bump(grid: SpatialGrid, amplitude: float = 0.2) -> np.ndarray:

@@ -210,8 +210,9 @@ def _frozen_traces(problem: Problem, E: np.ndarray, levels):
     kernel = np.fft.rfft((w / w[obs])[:, None] * u[:, 1:], 2 * nt)
     for level in levels:
         D = np.diff(level, axis=1) / problem.tgrid.dt
-        # kernel first: numpy's complex product is not bitwise commutative
-        spectrum = E.T @ np.multiply(kernel, np.fft.rfft(D, 2 * nt))
+        # kernel first (complex products do not commute bitwise); E is real
+        X = np.multiply(kernel, np.fft.rfft(D, 2 * nt))
+        spectrum = (E.T @ X.view(float)).view(complex)
         yield np.pad(np.fft.irfft(spectrum, 2 * nt)[:, :nt], ((0, 0), (1, 0)))
 
 

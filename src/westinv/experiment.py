@@ -334,7 +334,8 @@ def run_inversion(cfg: ExperimentConfig):
 
     sigma = q = None
     if cfg.diagnostics:
-        sigma = ctx.frozen_jacobian.svd()[1]
+        sigma = (ctx.marched_jacobian if cfg.method == "halley"
+                 else ctx.frozen_jacobian).svd()[1]
         q = svd_decay(sigma)
 
     exit_code = EXIT_OK if report.stop_reason in ("discrepancy", "stagnation") \

@@ -138,6 +138,12 @@ class InversionContext:
                                  keep_sensitivities=False)
 
     @cached_property
+    def marched_jacobian(self) -> JacobianMatrix:
+        """J at kappa0 = 0, marched, with the sensitivities Halley needs."""
+        return assemble_jacobian(self.problem, None, self.basis,
+                                 base=self.frozen_base)
+
+    @cached_property
     def frozen_gradient_map(self) -> np.ndarray:
         """G, shape (nx, nt + 1), with G @ y = apply_gradient(solve_adjoint(
         problem, base0, None, y), (p0^2)_tt, s) up to rounding.  At kappa0 = 0
@@ -330,11 +336,11 @@ def halley_run(
     Levenberg-Marquardt step d = E c (from the SVD of J at kappa0 = 0); the
     corrector re-solves against the same residual with system matrix
     J + H_d / 2 = J + T c / 2, factored once per step, and the same alpha_n.
-    J is marched once, keeping the sensitivities every H_d reuses (through
-    the F''(0) tensor T).  reg None is RegularizationSchedule()."""
+    J is ctx.marched_jacobian, with the sensitivities every H_d reuses
+    (through the F''(0) tensor T).  reg None is RegularizationSchedule()."""
     reg = reg or RegularizationSchedule()
     grid = ctx.problem.grid
-    J = assemble_jacobian(ctx.problem, None, ctx.basis, base=ctx.frozen_base)
+    J = ctx.marched_jacobian
 
     def step(n, kappa, state, r):
         nonlocal reg

@@ -2,10 +2,14 @@
 validation, artifact persistence, exit codes and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import westinv
 from westinv import (
     BoundaryCondition,
     ConfigError,
@@ -25,7 +29,13 @@ from westinv import (
     truth_field,
 )
 from westinv.cli import main as cli_main
-from westinv.experiment import EXIT_CONFIG, EXIT_MAX_ITER, EXIT_OK, EXIT_SOLVER
+from westinv.experiment import (
+    EXIT_CONFIG,
+    EXIT_MAX_ITER,
+    EXIT_OK,
+    EXIT_SOLVER,
+    build_problem,
+)
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
 BC = BoundaryCondition.from_kinds("dirichlet", "neumann")
@@ -102,6 +112,75 @@ def test_prefilter_too_few_samples():
     times = np.linspace(0.0, 1.0, 3)
     with pytest.raises(TooFewSamplesError):
         prefilter(TimeTrace(times, times), 10)
+
+
+def scipy_prefilter(raw, target_nt):
+    # the same moving average, then scipy's not-a-knot CubicSpline
+    from scipy.interpolate import CubicSpline
+
+    smooth = raw.values.copy()
+    smooth[1:-1] = (raw.values[:-2] + raw.values[1:-1] + raw.values[2:]) / 3.0
+    times = np.linspace(raw.times[0], raw.times[-1], target_nt + 1)
+    return times, CubicSpline(raw.times, smooth)(times)
+
+
+def assert_close_to_scipy(values, expected):
+    # rtol 1e-12, and rounding of the largest term where the spline crosses 0
+    np.testing.assert_allclose(values, expected, rtol=1e-12,
+                               atol=1e-14 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("t_final, nt", [(1.0, 400), (2.0, 400), (1.0, 200),
+                                         (2.0, 200)])
+def test_prefilter_matches_scipy_on_the_bench_sample_grids(t_final, nt):
+    # 50 noisy samples on [0, t_final], splined onto nt + 1 solver levels
+    cfg = ExperimentConfig(nx=41, nt=nt, t_final=t_final, n_basis=7,
+                           time_profile="ramp", truth_family="tent")
+    problem, _, truth = build_problem(cfg)
+    _, _, noisy = synthesize_data(problem, truth, cfg.noise, 11)
+    assert len(noisy) == 50
+    times, expected = scipy_prefilter(noisy, nt)
+    out = prefilter(noisy, nt)
+    np.testing.assert_array_equal(out.times, times)
+    assert_close_to_scipy(out.values, expected)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_prefilter_matches_scipy_on_random_grids(seed):
+    # n = 4 (the smallest the prefilter takes) up to 80 uneven samples
+    rng = np.random.default_rng(seed)
+    n = 4 if seed < 3 else int(rng.integers(4, 81))
+    times = np.cumsum(rng.uniform(0.01, 1.0, n)) - rng.uniform(0.0, 2.0)
+    raw = TimeTrace(times, rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3))
+    target_nt = int(rng.integers(3, 500))
+    _, expected = scipy_prefilter(raw, target_nt)
+    assert_close_to_scipy(prefilter(raw, target_nt).values, expected)
+
+
+@pytest.mark.parametrize("where", ["time", "value"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prefilter_rejects_non_finite_samples(where, bad):
+    # a NaN time passes TimeTrace's ascending check; the spline rejects it
+    times, values = np.linspace(0.0, 1.0, 8), np.ones(8)
+    (times if where == "time" else values)[-1] = bad
+    raw = TimeTrace(times, values)
+    with pytest.raises(ValueError, match="finite"):
+        prefilter(raw, 20)
+
+
+def test_no_scipy_interpolate_import():
+    # the prefilter's spline runs on LAPACK's dgtsv; importing the package and
+    # building the default problem must not load scipy.interpolate
+    code = ("import sys, westinv, westinv.cli, westinv.experiment\n"
+            "from westinv.experiment import ExperimentConfig, build_problem\n"
+            "build_problem(ExperimentConfig())\n"
+            "print('scipy.interpolate' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(westinv.__path__[0]),
+         *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_config_validation_errors():

@@ -229,6 +229,27 @@ def test_halley_builds_the_hessian_tensor_once(monkeypatch):
                      "assemble_directional_hessian": report.stop_index}
 
 
+def test_halley_diagnostics_assemble_one_jacobian(monkeypatch):
+    # the diagnostics spectrum of a Halley run is read off the marched J the
+    # run itself factors: one Jacobian, one SVD
+    import westinv.inversion as inversion
+
+    assembled, factored = [], []
+    assemble = inversion.assemble_jacobian
+    svd = np.linalg.svd
+    monkeypatch.setattr(inversion, "assemble_jacobian",
+                        lambda *a, **k: assembled.append(k) or assemble(*a, **k))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: factored.append(a) or svd(*a, **k))
+    cfg = ExperimentConfig(nx=41, nt=80, n_basis=7, sample_count=25,
+                           method="halley", alpha0=1.0, max_iter=3,
+                           diagnostics=True)
+    result = run_inversion(cfg)
+    assert len(assembled) == 1 and len(factored) == 1
+    np.testing.assert_array_equal(
+        result.sigma, svd(factored[0][0], full_matrices=False)[1])
+
+
 def test_halley_default_alpha0():
     # alpha0 = None takes ||J^T r0||_inf from the frozen Jacobian and the
     # initial residual; the run with that alpha0 given is the same run
