@@ -18,6 +18,7 @@ from .derivatives import (
     assemble_directional_hessian,
     assemble_jacobian,
     fd_jacobian_oracle,
+    frozen_hessian_tensor,
     solve_adjoint,
     solve_second_derivative,
     solve_sensitivity,

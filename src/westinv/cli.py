@@ -33,6 +33,7 @@ from .forward import solve_forward
 from .grids import IMPEDANCE
 from .inversion import InversionContext
 from .spectra import SpectralData, pole_distinctness, svd_csv, svd_decay
+from .trace import write_csv
 
 # ExperimentConfig field -> (override flag, help, argparse keywords)
 OVERRIDES = {
@@ -138,11 +139,8 @@ def cmd_convergence_study(args) -> int:
         rows.append((nx, nt, err, order))
         prev_err = err
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "convergence.csv")
-    with open(path, "w") as fh:
-        fh.write("nx,nt,err_linf,order\n")
-        for nx, nt, err, order in rows:
-            fh.write(f"{nx},{nt},{err:.17g},{order:.17g}\n")
+    write_csv(os.path.join(args.out, "convergence.csv"),
+              "nx,nt,err_linf,order", rows)
     for nx, nt, err, order in rows:
         print(f"nx={nx:5d} nt={nt:6d}  err={err:.4e}  order={order:.3f}")
     return 0

@@ -11,8 +11,9 @@ solve's Newton tolerance).  The m Jacobian columns march together as one
 
 At kappa0 = 0 the linear march is time-invariant and A is self-adjoint in
 the trapezoid-weighted inner product, so by reciprocity one impulse march at
-the observation node gives any observation trace by convolution (Giles &
-Pierce, 2000): the frozen Jacobian, and the F''(0) tensor of the Hessian.
+the observation node (Problem.impulse_response) gives any observation trace
+by convolution (Giles & Pierce, 2000): the frozen Jacobian, and the F''(0)
+tensor of frozen Halley.
 
 The adjoint equation (1 - 2 kappa p) a_tt - b A a_t + c^2 A a = 0 is the
 continuous (optimize-then-discretize) adjoint.  In the time-reversed variable
@@ -24,7 +25,7 @@ integral of v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, pairwise, repeat
+from itertools import pairwise
 
 import numpy as np
 
@@ -60,9 +61,7 @@ class JacobianMatrix:
     sensitivity solution for basis direction e_j.  Shape (ns, m)."""
 
     entries: np.ndarray
-    sensitivities: np.ndarray | None = None  # kept for the Hessian tensor
     _svd: tuple | None = field(default=None, init=False, repr=False)
-    _hessian: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def svd(self) -> tuple:
         """Thin SVD (U, sigma, Vt) of the entries, sigma descending;
@@ -193,71 +192,56 @@ def apply_gradient(problem: Problem, adjoint: StateField, psq_tt: np.ndarray,
 
 
 def _frozen_traces(problem: Problem, E: np.ndarray, levels):
-    """For each level (nx, nt + 1) of levels, the observation rows
-    (m, nt + 1) of the kappa0 = 0 march forced by E[:, i] Delta(level) / dt,
-    from one impulse march.  With u the march forced by e_obs in step 0 and
-    w = 1/2 at the endpoints, 1 elsewhere, R[x, j] = (w_x / w_obs) u[x, j + 1]
-    is the lag-j observation response to unit forcing at x (u vanishes at
-    Dirichlet nodes), and row i is sum_x E[x, i] (R[x] conv
-    Delta(level)[x] / dt)."""
-    nx, nt, obs = problem.grid.nx, problem.tgrid.nt, problem.obs_index
-    impulse, ones = np.zeros(nx), np.ones(nx)
-    impulse[obs] = 1.0
-    u = cn_march(problem, chain([impulse], repeat(np.zeros(nx), nt - 1)),
-                 lambda n, un, step, _: step(ones, un))
-    w = np.ones(nx)
-    w[[0, -1]] = 0.5
-    kernel = np.fft.rfft((w / w[obs])[:, None] * u[:, 1:], 2 * nt)
+    """Per level (nx, nt + 1), the observation rows (m, nt + 1) of the
+    kappa0 = 0 march forced by E[:, i] Delta(level) / dt: sum_x E[x, i]
+    (R[x] conv Delta(level)[x] / dt), R the problem.impulse_response kernel."""
+    nt = problem.tgrid.nt
     for level in levels:
         D = np.diff(level, axis=1) / problem.tgrid.dt
         # kernel first (complex products do not commute bitwise); E is real
-        X = np.multiply(kernel, np.fft.rfft(D, 2 * nt))
+        X = np.multiply(problem.impulse_response, np.fft.rfft(D, 2 * nt))
         spectrum = (E.T @ X.view(float)).view(complex)
         yield np.pad(np.fft.irfft(spectrum, 2 * nt)[:, :nt], ((0, 0), (1, 0)))
 
 
 def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
-                      base: StateField | None = None,
-                      keep_sensitivities: bool = True) -> JacobianMatrix:
+                      base: StateField | None = None) -> JacobianMatrix:
     """Column j = observation trace, at the sample times, of the sensitivity
-    solve for basis direction e_j at kappa0: one march of m columns.  For
-    the frozen linearization (kappa0 None, i.e. 0) without kept
-    sensitivities, one single-column impulse march and a convolution give
-    the same columns up to rounding (_frozen_traces)."""
+    solve for basis direction e_j at kappa0: one trace-only march of m
+    columns.  For the frozen linearization (kappa0 None, i.e. 0) the
+    problem's impulse response and a convolution give the same columns up
+    to rounding (_frozen_traces); an explicit zero array still marches."""
     kap = kappa_samples(kappa0, problem.grid)
     if base is None:
         base = solve_forward(problem, kap)
     _check_same_grids(problem, base)
-    E = Direction(evaluate_basis(basis, problem.grid))
-    if keep_sensitivities:
-        z = solve_sensitivity(problem, base, kap, E)
-        return JacobianMatrix(problem.sampled_trace(z), z.values)
-    traces = (next(_frozen_traces(problem, E.samples, [base.values**2]))
+    E = evaluate_basis(basis, problem.grid)
+    traces = (next(_frozen_traces(problem, E, [base.values**2]))
               if kappa0 is None
-              else solve_sensitivity(problem, base, kap, E, trace_only=True))
+              else solve_sensitivity(problem, base, kap, Direction(E),
+                                     trace_only=True))
     return JacobianMatrix(sample_trace(traces, problem.tgrid,
                                        problem.sample_times))
 
 
-def assemble_directional_hessian(problem: Problem, c: np.ndarray,
-                                 basis: BasisSet, base: StateField,
-                                 jacobian: JacobianMatrix) -> np.ndarray:
-    """Discretized F''(0)[E c, .], shape (ns, m), as T @ c: T[s, i, j] =
-    F''(0)[e_i, e_j] = T1[s, i, j] + T1[s, j, i], where T1[:, :, j] samples
-    _frozen_traces for level 2 p0 z_j.  The jacobian must be marched at
-    kappa0 = 0 (None) with its sensitivities z_j; T is built on the first
-    call, one column j at a time, and cached on it."""
-    if jacobian.sensitivities is None:
-        raise ValueError("jacobian was assembled without cached sensitivities")
-    if jacobian._hessian is None:
-        _check_same_grids(problem, base)
-        levels = (2.0 * base.values * z
-                  for z in jacobian.sensitivities.transpose(1, 0, 2))
-        E = evaluate_basis(basis, problem.grid)
-        T1 = np.stack([sample_trace(t, problem.tgrid, problem.sample_times)
-                       for t in _frozen_traces(problem, E, levels)], axis=2)
-        jacobian._hessian = T1 + T1.transpose(0, 2, 1)
-    return jacobian._hessian @ c
+def frozen_hessian_tensor(problem: Problem, basis: BasisSet,
+                          base: StateField) -> np.ndarray:
+    """Discretized F''(0), shape (ns, m, m), base the kappa = 0 solution:
+    T[s, i, j] = F''(0)[e_i, e_j] = T1[s, i, j] + T1[s, j, i], where
+    T1[:, :, j] samples _frozen_traces for level 2 p0 z_j.  The kappa0 = 0
+    sensitivities z_j are marched once; T is built one column j at a time."""
+    E = evaluate_basis(basis, problem.grid)
+    z = solve_sensitivity(problem, base, None, Direction(E)).values
+    levels = (2.0 * base.values * zj for zj in z.transpose(1, 0, 2))
+    T1 = np.stack([sample_trace(t, problem.tgrid, problem.sample_times)
+                   for t in _frozen_traces(problem, E, levels)], axis=2)
+    return T1 + T1.transpose(0, 2, 1)
+
+
+def assemble_directional_hessian(tensor: np.ndarray, c) -> np.ndarray:
+    """Discretized F''(0)[E c, .], shape (ns, m): the frozen_hessian_tensor
+    contracted with the coefficients c of the direction E c."""
+    return tensor @ c
 
 
 def fd_jacobian_oracle(problem: Problem, kappa0, basis: BasisSet,

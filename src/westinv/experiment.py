@@ -40,7 +40,7 @@ from .inversion import (
     newton_lm_run,
 )
 from .spectra import svd_csv, svd_decay
-from .trace import TimeTrace
+from .trace import TimeTrace, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -334,8 +334,7 @@ def run_inversion(cfg: ExperimentConfig):
 
     sigma = q = None
     if cfg.diagnostics:
-        sigma = (ctx.marched_jacobian if cfg.method == "halley"
-                 else ctx.frozen_jacobian).svd()[1]
+        sigma = ctx.frozen_jacobian.svd()[1]
         q = svd_decay(sigma)
 
     exit_code = EXIT_OK if report.stop_reason in ("discrepancy", "stagnation") \
@@ -348,10 +347,7 @@ def run_inversion(cfg: ExperimentConfig):
 
 
 def _trace_csv(trace: TimeTrace, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,h\n")
-        for t, h in zip(trace.times, trace.values):
-            fh.write(f"{t:.17g},{h:.17g}\n")
+    write_csv(path, "t,h", zip(trace.times, trace.values))
 
 
 def _write_json(obj, path) -> None:
@@ -387,12 +383,10 @@ def write_artifacts(result: ExperimentResult, out_dir) -> None:
 
     result.report.history_csv(os.path.join(out_dir, "history.csv"))
 
-    grid = result.truth.grid
-    rec = result.report.final.samples
-    with open(os.path.join(out_dir, "kappa_final.csv"), "w") as fh:
-        fh.write("x,kappa_true,kappa_rec\n")
-        for x, kt, kr in zip(grid.nodes, result.truth.samples, rec):
-            fh.write(f"{x:.17g},{kt:.17g},{kr:.17g}\n")
+    write_csv(os.path.join(out_dir, "kappa_final.csv"),
+              "x,kappa_true,kappa_rec", zip(result.truth.grid.nodes,
+                                            result.truth.samples,
+                                            result.report.final.samples))
 
     if result.sigma is not None:
         svd_csv(result.sigma, os.path.join(out_dir, "svd.csv"))

@@ -19,6 +19,7 @@ second-derivative and adjoint solves in westinv.derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -137,6 +138,20 @@ class Problem:
         return sample_trace(state.values[self.obs_index, :], self.tgrid,
                             self.sample_times)
 
+    @cached_property
+    def impulse_response(self) -> np.ndarray:
+        """rfft, zero-padded to 2 nt, of the kappa = 0 observation kernel R:
+        with u the kappa = 0 march forced by e_obs in step 0 and w = 1/2 at
+        the endpoints, 1 elsewhere, R[x, j] = (w_x / w_obs) u[x, j + 1] is by
+        reciprocity the lag-j observation response to unit forcing at x."""
+        nx, nt, obs = self.grid.nx, self.tgrid.nt, self.obs_index
+        forcing = np.zeros((nt, nx))
+        forcing[0, obs] = 1.0
+        u = cn_march(self, forcing, lambda n, un, step, _: step(1.0, un))
+        w = np.ones(nx)
+        w[[0, -1]] = 0.5
+        return np.fft.rfft((w / w[obs])[:, None] * u[:, 1:], 2 * nt)
+
 
 def sample_trace(trace_values: np.ndarray, tgrid: TimeGrid,
                  sample_times: np.ndarray) -> np.ndarray:
@@ -238,10 +253,8 @@ def solve_forward(problem: Problem, kappa) -> StateField:
             )
         return pnew
 
-    ones = np.ones(problem.grid.nx)
-
     def linear(n, pn, step, p):  # kappa = 0: Newton's single solve
-        return step(ones, pn)
+        return step(1.0, pn)
 
     p = cn_march(problem, (0.5 * (R[:, :-1] + R[:, 1:])).T,
                  advance if kap.any() else linear)

@@ -21,6 +21,7 @@ from .derivatives import (
     apply_gradient,
     assemble_directional_hessian,
     assemble_jacobian,
+    frozen_hessian_tensor,
     solve_adjoint,
 )
 from .errors import DivergenceError, GridMismatchError, LinearSolveError
@@ -32,7 +33,7 @@ from .forward import (
     solve_forward,
 )
 from .grids import SpatialGrid
-from .trace import TimeTrace
+from .trace import TimeTrace, write_csv
 
 STAGNATION_TOL = 1e-10
 STAGNATION_WINDOW = 5
@@ -102,12 +103,10 @@ class InversionReport:
         }
 
     def history_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iter,residual,err_linf,err_l2\n")
-            for k, res in enumerate(self.residuals):
-                linf = self.errors_linf[k] if self.errors_linf else float("nan")
-                l2 = self.errors_l2[k] if self.errors_l2 else float("nan")
-                fh.write(f"{k},{res:.17g},{linf:.17g},{l2:.17g}\n")
+        nan = [float("nan")] * len(self.residuals)
+        write_csv(path, "iter,residual,err_linf,err_l2",
+                  zip(range(len(nan)), self.residuals,
+                      self.errors_linf or nan, self.errors_l2 or nan))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,16 +131,15 @@ class InversionContext:
 
     @cached_property
     def frozen_jacobian(self) -> JacobianMatrix:
-        """J at kappa0 = 0 without sensitivities (one impulse march)."""
-        return assemble_jacobian(self.problem, None, self.basis,
-                                 base=self.frozen_base,
-                                 keep_sensitivities=False)
-
-    @cached_property
-    def marched_jacobian(self) -> JacobianMatrix:
-        """J at kappa0 = 0, marched, with the sensitivities Halley needs."""
+        """J at kappa0 = 0, from the problem's impulse response."""
         return assemble_jacobian(self.problem, None, self.basis,
                                  base=self.frozen_base)
+
+    @cached_property
+    def frozen_hessian_tensor(self) -> np.ndarray:
+        """F''(0) over the basis, shape (ns, m, m), for frozen Halley."""
+        return frozen_hessian_tensor(self.problem, self.basis,
+                                     self.frozen_base)
 
     @cached_property
     def frozen_gradient_map(self) -> np.ndarray:
@@ -311,15 +309,12 @@ def newton_lm_run(
             J = ctx.frozen_jacobian
         else:
             J = assemble_jacobian(ctx.problem, kappa.samples, ctx.basis,
-                                  base=state, keep_sensitivities=False)
+                                  base=state)
         if reg.alpha0 is None:
             reg = replace(reg, alpha0=default_alpha0(J, r))
         c_step = _solve_regularized(J, reg.alpha(n), r)
-        coeffs = kappa.coefficients + c_step
-        return clip_nonnegative(
-            CoefficientField.from_coefficients(ctx.basis, coeffs,
-                                               ctx.problem.grid)
-        )
+        return clip_nonnegative(CoefficientField.from_coefficients(
+            ctx.basis, kappa.coefficients + c_step, ctx.problem.grid))
 
     return _run_loop(data, init, ctx, stop, truth, step)
 
@@ -336,25 +331,21 @@ def halley_run(
     Levenberg-Marquardt step d = E c (from the SVD of J at kappa0 = 0); the
     corrector re-solves against the same residual with system matrix
     J + H_d / 2 = J + T c / 2, factored once per step, and the same alpha_n.
-    J is ctx.marched_jacobian, with the sensitivities every H_d reuses
-    (through the F''(0) tensor T).  reg None is RegularizationSchedule()."""
+    J is ctx.frozen_jacobian and T ctx.frozen_hessian_tensor, built at the
+    first step.  reg None is RegularizationSchedule()."""
     reg = reg or RegularizationSchedule()
-    grid = ctx.problem.grid
-    J = ctx.marched_jacobian
+    J = ctx.frozen_jacobian
 
     def step(n, kappa, state, r):
         nonlocal reg
         if reg.alpha0 is None:
             reg = replace(reg, alpha0=default_alpha0(J, r))
         alpha = reg.alpha(n)
-        H = assemble_directional_hessian(
-            ctx.problem, _solve_regularized(J, alpha, r), ctx.basis,
-            ctx.frozen_base, J)
+        H = assemble_directional_hessian(ctx.frozen_hessian_tensor,
+                                         _solve_regularized(J, alpha, r))
         c_step = _solve_regularized(JacobianMatrix(J.entries + 0.5 * H),
                                     alpha, r)
-        coeffs = kappa.coefficients + c_step
-        return clip_nonnegative(
-            CoefficientField.from_coefficients(ctx.basis, coeffs, grid)
-        )
+        return clip_nonnegative(CoefficientField.from_coefficients(
+            ctx.basis, kappa.coefficients + c_step, ctx.problem.grid))
 
     return _run_loop(data, init, ctx, stop, truth, step)

@@ -46,12 +46,13 @@ class Laplace1D:
 
     def banded(self, diag_shift: np.ndarray | float, scale: float) -> np.ndarray:
         """Banded storage of diag(diag_shift) + scale * A with Dirichlet rows
-        replaced by the identity, ready for solve_banded_system."""
+        and columns those of the identity (u = 0 there, so dgtsv's pivoting
+        never mixes them into free rows), ready for solve_banded_system."""
         ab = np.zeros((3, self.nx))
         ab[0, 1:] = scale * self.upper[:-1]
         ab[1, :] = diag_shift + scale * self.diag
         ab[2, :-1] = scale * self.lower[1:]
-        ab[1, self.dirichlet] = 1.0  # build_laplacian zeroed their couplings
+        ab[:, self.dirichlet] = [[0.0], [1.0], [0.0]]  # ab[:, j] is column j
         return ab
 
     def solve_banded_system(self, ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:

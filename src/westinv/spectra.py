@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import UnsupportedObservationError
 from .grids import DIRICHLET, NEUMANN, BoundaryCondition
+from .trace import write_csv
 
 POLE_RESIDUAL_TOL = 1e-12
 DISTINCTNESS_TOL = 1e-10
@@ -137,7 +138,4 @@ def pole_distinctness(spec: SpectralData) -> dict:
 
 def svd_csv(sigma: np.ndarray, path) -> None:
     """Write singular values as CSV with columns k,sigma_k."""
-    with open(path, "w") as fh:
-        fh.write("k,sigma_k\n")
-        for k, s in enumerate(sigma):
-            fh.write(f"{k},{s:.17g}\n")
+    write_csv(path, "k,sigma_k", enumerate(sigma))

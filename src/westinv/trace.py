@@ -1,4 +1,5 @@
-"""Boundary time-trace observations."""
+"""Boundary time-trace observations, and the CSV writer of every artifact
+table."""
 
 from __future__ import annotations
 
@@ -30,3 +31,12 @@ class TimeTrace:
 
     def __len__(self) -> int:
         return len(self.times)
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write a header line and one line per row: ints as str, floats (NaN
+    included) as .17g."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(str(v) if isinstance(v, int) else f"{v:.17g}"
+                               for v in row) + "\n" for row in rows)

@@ -96,7 +96,7 @@ def baseline_jacobians():
                       sample_times=np.linspace(0.0, 1.0, 50))
     basis = BasisSet("gaussian", 41)
     kap0 = np.zeros(101)
-    J = assemble_jacobian(problem, kap0, basis, keep_sensitivities=False)
+    J = assemble_jacobian(problem, kap0, basis)
     Jfd = fd_jacobian_oracle(problem, kap0, basis, 1e-4)
     return J, Jfd
 

@@ -57,8 +57,9 @@ def test_tracer_patches_resolve_and_are_undone():
         for owner, attr, original in sites:
             assert getattr(owner, attr).__wrapped__ is original, attr
         report = run_inversion(cfg).report
-        # frozen Newton's Jacobian marches no sensitivities; Halley's does
-        run_inversion(replace(cfg, method="halley"))
+        # frozen Newton's Jacobian marches no sensitivities; Halley's F''(0)
+        # tensor does, at the first step (noise-free data: the run takes one)
+        run_inversion(replace(cfg, method="halley", noise=0.0))
     for owner, attr, original in sites:
         assert getattr(owner, attr) is original, attr
     summary = tracer.summary()

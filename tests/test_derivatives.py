@@ -23,6 +23,7 @@ from westinv import (
     assemble_directional_hessian,
     assemble_jacobian,
     fd_jacobian_oracle,
+    frozen_hessian_tensor,
     manufactured_source,
     sample_trace,
     second_time_derivative_of_square,
@@ -251,17 +252,17 @@ def test_jacobian_matches_fd_oracle(bc, nx, nt):
 @pytest.mark.parametrize("kind", ["gaussian", "hat", "haar"])
 @pytest.mark.parametrize("bc", [BC, BC_DI, BC_IN], ids=BC_IDS)
 def test_frozen_jacobian_from_one_impulse_response(bc, kind, obs_point):
-    # at kappa0 = 0 without kept sensitivities, J is one impulse march and a
-    # convolution; it equals the m-column sensitivity march up to rounding
+    # at kappa0 = 0 (None), J is the problem's impulse response and a
+    # convolution; it equals the m-column march at explicit zeros up to
+    # rounding
     times = np.linspace(0.0, 1.0, 23)  # off the solver time levels
     grid, tgrid, kap, problem, base = make_problem(41, 90, kappa_const=0.0,
                                                    bc=bc, sample_times=times)
     problem = replace(problem, obs_point=obs_point)
     basis = BasisSet(kind, 7)
-    marched = assemble_jacobian(problem, None, basis, base=base).entries
-    lean = assemble_jacobian(problem, None, basis, base=base,
-                             keep_sensitivities=False)
-    assert lean.sensitivities is None
+    marched = assemble_jacobian(problem, np.zeros(grid.nx), basis,
+                                base=base).entries
+    lean = assemble_jacobian(problem, None, basis, base=base)
     assert (np.max(np.abs(lean.entries - marched))
             <= 1e-13 * np.max(np.abs(marched)))
 
@@ -296,36 +297,35 @@ def test_hessian_tensor_matches_the_marched_second_derivative(bc, kind,
     E = evaluate_basis(basis, grid)
     c = np.random.Generator(np.random.Philox(7)).uniform(-1.0, 1.0, 7)
     d = Direction(E @ c)
-    J = assemble_jacobian(problem, None, basis, base=base)
+    T = frozen_hessian_tensor(problem, basis, base)
     Z = solve_sensitivity(problem, base, None, Direction(E))
     zd = solve_sensitivity(problem, base, None, d)
     marched = problem.sampled_trace(
         solve_second_derivative(problem, base, None, zd, Z, d, Direction(E)))
-    H = assemble_directional_hessian(problem, c, basis, base, J)
+    H = assemble_directional_hessian(T, c)
     assert np.max(np.abs(H - marched)) <= 1e-13 * np.max(np.abs(marched))
-    T = np.stack([assemble_directional_hessian(problem, e, basis, base, J)
+    T = np.stack([assemble_directional_hessian(T, e)
                   for e in np.eye(basis.m)], axis=2)
     assert np.array_equal(T, T.transpose(0, 2, 1))
 
 
 def test_hessian_tensor_builds_one_column_at_a_time():
     # at the criterion-5 size the tensor build holds at most half of the
-    # sensitivities' bytes at once: it never forms an (nx, m, nt + 1)
-    # intermediate
+    # sensitivities' bytes beside the sensitivities z themselves: it never
+    # forms a second (nx, m, nt + 1) intermediate
     times = np.linspace(0.0, 1.0, 50)
     grid, tgrid, kap, problem, base = make_problem(101, 400,
                                                    kappa_const=0.0,
                                                    sample_times=times)
     basis = BasisSet("gaussian", 41)
-    J = assemble_jacobian(problem, None, basis, base=base)
+    z_nbytes = grid.nx * basis.m * (tgrid.nt + 1) * 8
     tracemalloc.start()
     try:
-        assemble_directional_hessian(problem, np.ones(basis.m), basis, base,
-                                     J)
+        frozen_hessian_tensor(problem, basis, base)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5 * J.sensitivities.nbytes
+    assert peak <= 1.5 * z_nbytes
 
 
 def test_directional_hessian_bilinear_and_quadratic_model():
@@ -334,16 +334,17 @@ def test_directional_hessian_bilinear_and_quadratic_model():
                                                    sample_times=times)
     basis = BasisSet("gaussian", 5)
     J = assemble_jacobian(problem, None, basis, base=base)
+    T = frozen_hessian_tensor(problem, basis, base)
     E = evaluate_basis(basis, grid)
     c = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
     d = Direction(E @ c)
-    H = assemble_directional_hessian(problem, c, basis, base, J)
+    H = assemble_directional_hessian(T, c)
     # invariant: H_{2d} = 2 H_d (bilinearity in the frozen direction)
-    H2 = assemble_directional_hessian(problem, 2 * c, basis, base, J)
+    H2 = assemble_directional_hessian(T, 2 * c)
     np.testing.assert_allclose(H2, 2 * H, atol=1e-10)
     # quadratic model F + J c + 1/2 H_d c beats the linear model
     eps = 1e-2
-    Heps = assemble_directional_hessian(problem, eps * c, basis, base, J)
+    Heps = assemble_directional_hessian(T, eps * c)
     obs = grid.node_index(1.0)
     pert = solve_forward(problem, kap + eps * d.samples)
     Fp = sample_trace(pert.values[obs, :], tgrid, times)
@@ -362,9 +363,8 @@ def test_zero_direction_hessian_is_zero():
     grid, tgrid, kap, problem, base = make_problem(kappa_const=0.0,
                                                    sample_times=times)
     basis = BasisSet("gaussian", 4)
-    J = assemble_jacobian(problem, None, basis, base=base)
-    H = assemble_directional_hessian(problem, np.zeros(basis.m), basis, base,
-                                     J)
+    H = assemble_directional_hessian(
+        frozen_hessian_tensor(problem, basis, base), np.zeros(basis.m))
     assert np.max(np.abs(H)) < 1e-14
 
 

@@ -345,3 +345,11 @@ def test_batched_apply_and_solve_equal_single_columns():
         assert np.array_equal(X[:, j], A.solve_banded_system(ab, U[:, j]))
     np.testing.assert_allclose(shift[:, None] * X + 0.7 * A.apply(X), U,
                                rtol=1e-12, atol=1e-12)
+
+
+def test_forward_field_exactly_zero_at_the_dirichlet_node():
+    # u = 0 at a Dirichlet node exactly, not up to the rounding that the
+    # step solve's row pivoting leaves there
+    problem, truth = criterion5_problem()
+    for kappa in (None, truth):
+        assert not solve_forward(problem, kappa).values[0].any()

@@ -173,34 +173,74 @@ def test_frozen_newton_factors_the_jacobian_once(monkeypatch):
     assert len(calls) == 1
 
 
+def count_marches(monkeypatch):
+    """Record each march of westinv.derivatives (its first forcing's shape)
+    and each march of westinv.forward forced by e_obs in step 0 (the
+    impulse response), by module name."""
+    import westinv.derivatives as derivatives
+    import westinv.forward as forward
+
+    marches = []
+
+    def counting(module):
+        march = module.cn_march
+
+        def counted(problem, forcing, advance, *args):
+            forcing = iter(forcing)
+            first = next(forcing)
+            e_obs = np.zeros(problem.grid.nx)
+            e_obs[problem.obs_index] = 1.0
+            if module is derivatives or np.array_equal(first, e_obs):
+                marches.append((module.__name__, first.shape))
+            return march(problem, chain([first], forcing), advance, *args)
+
+        monkeypatch.setattr(module, "cn_march", counted)
+
+    counting(derivatives)
+    counting(forward)
+    return marches
+
+
 def test_frozen_newton_marches_one_impulse_response(monkeypatch):
     # the m frozen Jacobian columns come from one single-column march and
     # no sensitivity march
     import westinv.derivatives as derivatives
 
-    shapes, sensitivities = [], []
-    march = derivatives.cn_march
-
-    def counting_march(problem, forcing, advance, *args):
-        forcing = iter(forcing)
-        first = next(forcing)
-        shapes.append(first.shape)
-        return march(problem, chain([first], forcing), advance, *args)
-
-    monkeypatch.setattr(derivatives, "cn_march", counting_march)
+    marches, sensitivities = count_marches(monkeypatch), []
     monkeypatch.setattr(derivatives, "solve_sensitivity",
                         lambda *args, **kwargs: sensitivities.append(1))
     cfg = ExperimentConfig(nx=41, nt=80, n_basis=7, sample_count=25,
                            max_iter=4, noise=0.0, alpha0=1.0)
     result = run_inversion(cfg)
     assert result.report.stop_index >= 2
-    assert shapes == [(41,)]
+    assert marches == [("westinv.forward", (41,))]
     assert sensitivities == []
 
 
+def test_halley_marches_one_impulse_response_and_one_sensitivity_block(
+        monkeypatch):
+    # J and the F''(0) tensor share the problem's impulse response: a Halley
+    # run makes one impulse march and one (batched) sensitivity march, and a
+    # second kappa0 = None Jacobian on the same problem marches nothing
+    marches = count_marches(monkeypatch)
+    cfg = ExperimentConfig(nx=41, nt=80, n_basis=7, sample_count=25,
+                           method="halley", max_iter=4, noise=0.0,
+                           alpha0=1.0)
+    assert run_inversion(cfg).report.stop_index >= 2
+    assert marches == [("westinv.forward", (41,)),
+                       ("westinv.derivatives", (41, 7))]
+    problem, basis, _ = build_problem(cfg)
+    ctx = InversionContext(problem, basis)
+    first = ctx.frozen_jacobian
+    marches.clear()
+    again = assemble_jacobian(problem, None, basis, base=ctx.frozen_base)
+    assert marches == []
+    assert np.array_equal(again.entries, first.entries)
+
+
 def test_halley_builds_the_hessian_tensor_once(monkeypatch):
-    # a Halley run marches J with its sensitivities once, and every step's
-    # H_d is a contraction of the tensor built from them: no second-
+    # a Halley run marches the kappa0 = 0 sensitivities once, and every
+    # step's H_d is a contraction of the tensor built from them: no second-
     # derivative march, no further sensitivity march
     import westinv.derivatives as derivatives
     import westinv.inversion as inversion
@@ -230,7 +270,7 @@ def test_halley_builds_the_hessian_tensor_once(monkeypatch):
 
 
 def test_halley_diagnostics_assemble_one_jacobian(monkeypatch):
-    # the diagnostics spectrum of a Halley run is read off the marched J the
+    # the diagnostics spectrum of a Halley run is read off the frozen J the
     # run itself factors: one Jacobian, one SVD
     import westinv.inversion as inversion
 
