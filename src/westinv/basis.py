@@ -137,8 +137,5 @@ class CoefficientField:
 def clip_nonnegative(f: CoefficientField) -> CoefficientField:
     """Truncate negative grid samples to zero; coefficients are re-projected
     from the clipped samples.  Idempotent and nonexpansive in the max norm."""
-    clipped = np.maximum(f.samples, 0.0)
-    coeffs = (
-        project(f.basis, clipped, f.grid) if f.basis is not None else None
-    )
-    return CoefficientField(f.basis, coeffs, clipped, f.grid)
+    return CoefficientField.from_samples(np.maximum(f.samples, 0.0), f.grid,
+                                         f.basis)

@@ -49,19 +49,19 @@ OVERRIDES = {
 }
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args) -> tuple:
+    """The config with its overrides, and the (problem, basis, truth) its
+    validation built."""
     cfg = (ExperimentConfig.from_json(args.config) if args.config
            else ExperimentConfig())
     for name in OVERRIDES:
         if getattr(args, name, None) is not None:
             setattr(cfg, name, getattr(args, name))
-    cfg.validate()
-    return cfg
+    return cfg, cfg.validate()
 
 
 def cmd_synth(args) -> int:
-    cfg = _config_from_args(args)
-    problem, _, truth = build_problem(cfg)
+    cfg, (problem, _, truth) = _config_from_args(args)
     full, coarse, noisy = synthesize_data(problem, truth, cfg.noise, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     _write_json(cfg.to_dict(), os.path.join(args.out, "config.json"))
@@ -73,7 +73,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = _config_from_args(args)
+    cfg, _ = _config_from_args(args)
     code = run_experiment(cfg, args.out)
     with open(os.path.join(args.out, "report.json")) as fh:
         report = json.load(fh)
@@ -87,11 +87,12 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    cfg = _config_from_args(args)
+    cfg, (problem, basis, _) = _config_from_args(args)
     if args.what == "poles" and args.count < 1:
         raise ConfigError("--count must be at least 1")
+    if args.what == "poles" and IMPEDANCE in (cfg.bc_left, cfg.bc_right):
+        raise ConfigError("diagnose poles needs Dirichlet or Neumann ends")
     os.makedirs(args.out, exist_ok=True)
-    problem, basis, _ = build_problem(cfg)
     if args.what == "svd":
         sigma = InversionContext(problem, basis).frozen_jacobian.svd()[1]
         q = svd_decay(sigma)
@@ -115,7 +116,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_convergence_study(args) -> int:
-    cfg = _config_from_args(args)
+    cfg, _ = _config_from_args(args)
     if min(args.nx0, args.nt0) < 3:
         raise ConfigError("--nx0 and --nt0 must be at least 3")
     if args.levels < 1:

@@ -106,8 +106,9 @@ class ExperimentConfig:
     obs_point: float = 1.0
     smoothing_s: int = 0
 
-    def validate(self) -> None:
-        """Raise ConfigError unless a run can be built from this config.
+    def validate(self) -> tuple:
+        """Raise ConfigError unless a run can be built from this config;
+        return what it built, build_problem's (problem, basis, truth).
 
         Checked here, as no constructor owns them: finite floats, nx and nt
         at least 3, not pure Neumann, the basis, excitation, time profile
@@ -145,7 +146,7 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(message)
         try:
-            problem, basis, _ = build_problem(self)
+            problem, basis, truth = build_problem(self)
             StoppingRule(self.tau, 0.0, self.max_iter)
             RegularizationSchedule(self.alpha0, self.theta)
             InversionContext(problem, basis, self.smoothing_s)
@@ -155,6 +156,7 @@ class ExperimentConfig:
             # the adjoint solve takes the residual as a boundary flux there
             raise ConfigError("landweber needs obs_point 1.0, got "
                               f"{self.obs_point}")
+        return problem, basis, truth
 
     def to_dict(self) -> dict:
         out = {"schema": 1}
@@ -310,8 +312,8 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def run_inversion(cfg: ExperimentConfig):
-    """Synthesize data and run the configured reconstruction method."""
-    problem, basis, truth = build_problem(cfg)
+    """Validate cfg, synthesize data and run the configured method."""
+    problem, basis, truth = cfg.validate()
     full, coarse, noisy = synthesize_data(problem, truth, cfg.noise, cfg.seed)
     filtered = prefilter(noisy, problem.tgrid.nt)
     eta = noisy.noise_level
@@ -402,9 +404,10 @@ def write_error_report(out_dir, message: str) -> int:
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     """End-to-end pipeline; returns the process exit code."""
-    cfg.validate()
     try:
         result = run_inversion(cfg)
+    except ConfigError:
+        raise
     except WestinvError as exc:
         return write_error_report(out_dir, str(exc))
     write_artifacts(result, out_dir)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisSet, CoefficientField, clip_nonnegative
+from .basis import BasisSet, CoefficientField, evaluate_basis
 from .data import prefilter
 from .derivatives import (
     JacobianMatrix,
@@ -216,14 +216,15 @@ def _solve_regularized(jacobian: JacobianMatrix, alpha: float,
     return Vt.T @ (sigma / (sigma**2 + alpha) * (U.T @ rhs))
 
 
-def _run_loop(data, init, ctx, stop, truth, step_fn, divergence_guard=False):
-    """Shared iteration driver: record, check stopping, update via step_fn."""
+def _run_loop(data, init, ctx, stop, truth, step, divergence_guard=False):
+    """Shared iteration loop, the one place an iterate is formed: the grid
+    samples step(n, kappa, state, r) proposes are clipped to nonnegative
+    values and projected onto the basis span."""
     if not np.array_equal(data.times, ctx.problem.sample_times):
         raise GridMismatchError("data is not sampled at the problem's "
                                 "sample times")
     kappa = init
     residuals, errs_inf, errs_l2 = [], [], []
-    reason = "max-iter"
     while True:
         state = (solve_forward(ctx.problem, kappa) if kappa.samples.any()
                  else ctx.frozen_base)
@@ -246,7 +247,9 @@ def _run_loop(data, init, ctx, stop, truth, step_fn, divergence_guard=False):
         if len(residuals) - 1 >= stop.max_iter:
             reason = "max-iter"
             break
-        kappa = step_fn(len(residuals) - 1, kappa, state, r)
+        samples = np.maximum(step(len(residuals) - 1, kappa, state, r), 0.0)
+        kappa = CoefficientField.from_samples(samples, ctx.problem.grid,
+                                              ctx.basis)
     return InversionReport(
         residuals, errs_inf, errs_l2,
         stop_index=len(residuals) - 1, stop_reason=reason, final=kappa,
@@ -262,8 +265,8 @@ def landweber_run(
     ctx: InversionContext,
     truth=None,
 ) -> InversionReport:
-    """Landweber iteration kappa_{n+1} = clip(kappa_n + mu * F'(.)^* (h - F)),
-    h = prefilter(data, nt): frozen at kappa0 = 0, the gradient is
+    """Landweber iteration: each step proposes kappa_n + mu * F'(.)^* (h - F),
+    h = prefilter(data, nt).  Frozen at kappa0 = 0, the gradient is
     ctx.frozen_gradient_map @ y; unfrozen, the adjoint solve at the iterate.
     mu = None selects 0.9 / sigma_0^2 from the SVD of the frozen Jacobian."""
     problem = ctx.problem
@@ -280,12 +283,37 @@ def landweber_run(
             g = apply_gradient(problem, a,
                                second_time_derivative_of_square(state),
                                ctx.smoothing_s).samples
-        # clip, then project once: the same field as clip_nonnegative of
-        # the projected unclipped samples
-        samples = np.maximum(kappa.samples + mu * g, 0.0)
-        return CoefficientField.from_samples(samples, problem.grid, ctx.basis)
+        return kappa.samples + mu * g
 
     return _run_loop(data, init, ctx, stop, truth, step, divergence_guard=True)
+
+
+def _newton_run(data, init, frozen, reg, stop, ctx, truth, halley):
+    """Shared body of newton_lm_run and halley_run: each step proposes the
+    samples E (c_n + c_step).  J is ctx.frozen_jacobian, taken at the first
+    step, when frozen or at kappa = 0; with halley, c_step is re-solved
+    against J + T c_step / 2."""
+    reg = reg or RegularizationSchedule()
+
+    def step(n, kappa, state, r):
+        nonlocal reg
+        if frozen or not kappa.samples.any():
+            J = ctx.frozen_jacobian
+        else:
+            J = assemble_jacobian(ctx.problem, kappa.samples, ctx.basis,
+                                  base=state)
+        if reg.alpha0 is None:
+            reg = replace(reg, alpha0=default_alpha0(J, r))
+        alpha = reg.alpha(n)
+        c_step = _solve_regularized(J, alpha, r)
+        if halley:
+            H = assemble_directional_hessian(ctx.frozen_hessian_tensor, c_step)
+            c_step = _solve_regularized(JacobianMatrix(J.entries + 0.5 * H),
+                                        alpha, r)
+        E = evaluate_basis(ctx.basis, ctx.problem.grid)
+        return E @ (kappa.coefficients + c_step)
+
+    return _run_loop(data, init, ctx, stop, truth, step)
 
 
 def newton_lm_run(
@@ -301,22 +329,7 @@ def newton_lm_run(
     c_{n+1} = c_n + (J^T J + alpha_n I)^{-1} J^T (h - F(kappa_n)); frozen
     steps, and an unfrozen step at kappa = 0, reuse the SVD of the frozen
     Jacobian.  reg None is RegularizationSchedule()."""
-    reg = reg or RegularizationSchedule()
-
-    def step(n, kappa, state, r):
-        nonlocal reg
-        if frozen or not kappa.samples.any():
-            J = ctx.frozen_jacobian
-        else:
-            J = assemble_jacobian(ctx.problem, kappa.samples, ctx.basis,
-                                  base=state)
-        if reg.alpha0 is None:
-            reg = replace(reg, alpha0=default_alpha0(J, r))
-        c_step = _solve_regularized(J, reg.alpha(n), r)
-        return clip_nonnegative(CoefficientField.from_coefficients(
-            ctx.basis, kappa.coefficients + c_step, ctx.problem.grid))
-
-    return _run_loop(data, init, ctx, stop, truth, step)
+    return _newton_run(data, init, frozen, reg, stop, ctx, truth, halley=False)
 
 
 def halley_run(
@@ -330,22 +343,7 @@ def halley_run(
     """Frozen Halley predictor-corrector: the predictor is the frozen
     Levenberg-Marquardt step d = E c (from the SVD of J at kappa0 = 0); the
     corrector re-solves against the same residual with system matrix
-    J + H_d / 2 = J + T c / 2, factored once per step, and the same alpha_n.
-    J is ctx.frozen_jacobian and T ctx.frozen_hessian_tensor, built at the
-    first step.  reg None is RegularizationSchedule()."""
-    reg = reg or RegularizationSchedule()
-    J = ctx.frozen_jacobian
-
-    def step(n, kappa, state, r):
-        nonlocal reg
-        if reg.alpha0 is None:
-            reg = replace(reg, alpha0=default_alpha0(J, r))
-        alpha = reg.alpha(n)
-        H = assemble_directional_hessian(ctx.frozen_hessian_tensor,
-                                         _solve_regularized(J, alpha, r))
-        c_step = _solve_regularized(JacobianMatrix(J.entries + 0.5 * H),
-                                    alpha, r)
-        return clip_nonnegative(CoefficientField.from_coefficients(
-            ctx.basis, kappa.coefficients + c_step, ctx.problem.grid))
-
-    return _run_loop(data, init, ctx, stop, truth, step)
+    J + H_d / 2 = J + T c / 2 and the same alpha_n.  J (ctx.frozen_jacobian)
+    and T (ctx.frozen_hessian_tensor) are built at the first step, so a run
+    that stops at iterate 0 builds neither.  reg None as in newton_lm_run."""
+    return _newton_run(data, init, True, reg, stop, ctx, truth, halley=True)

@@ -259,6 +259,27 @@ def test_run_experiment_deterministic_bytes(tmp_path):
                 == (tmp_path / "b" / name).read_bytes()), name
 
 
+@pytest.mark.parametrize("overrides", [
+    {"method": "typo"},
+    {"method": "halley", "frozen": False},
+    {"method": "landweber", "obs_point": 0.5},
+], ids=["unknown-method", "unfrozen-halley", "landweber-interior-obs"])
+def test_run_inversion_rejects_what_validate_rejects(tmp_path, monkeypatch,
+                                                     overrides):
+    # run_inversion checks its config before any solve: no data are
+    # synthesized, and run_experiment raises the ConfigError (exit 2)
+    # without writing anything
+    monkeypatch.setattr("westinv.experiment.synthesize_data",
+                        lambda *args: pytest.fail("data were synthesized"))
+    cfg = small_config(max_iter=3, noise=1e-3, time_profile="ramp",
+                       **overrides)
+    with pytest.raises(ConfigError):
+        run_inversion(cfg)
+    with pytest.raises(ConfigError):
+        run_experiment(cfg, tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_experiment_solver_failure(tmp_path):
     # amplitude far past the degeneracy budget -> solver failure, exit 4
     cfg = small_config(truth_amplitude=5.0, time_profile="ramp")
@@ -673,6 +694,17 @@ def test_cli_convergence_study_rejects_impedance(tmp_path, capsys, side):
         {side: "impedance"}))
     out = tmp_path / "o"
     _expect_config_error(capsys, ["convergence-study", "--config", str(path),
+                                  "--out", str(out)])
+    assert not out.exists()
+
+
+def test_cli_diagnose_poles_rejects_impedance(tmp_path, capsys):
+    # the pole table has closed-form eigenvalues for Dirichlet and Neumann
+    # ends only
+    path = _write_config(tmp_path, lambda cfg: cfg["bc"].update(
+        {"left": "impedance", "right": "neumann"}))
+    out = tmp_path / "o"
+    _expect_config_error(capsys, ["diagnose", "poles", "--config", str(path),
                                   "--out", str(out)])
     assert not out.exists()
 

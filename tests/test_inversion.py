@@ -36,7 +36,7 @@ from westinv import (
     synthesize_data,
     truth_field,
 )
-from westinv.basis import BasisSet, evaluate_basis
+from westinv.basis import BasisSet, evaluate_basis, project
 from westinv.experiment import ExperimentConfig, build_problem
 from westinv.inversion import (
     _normal_condition,
@@ -269,6 +269,22 @@ def test_halley_builds_the_hessian_tensor_once(monkeypatch):
                      "assemble_directional_hessian": report.stop_index}
 
 
+def test_halley_stopped_at_iterate_zero_builds_neither_j_nor_t(monkeypatch):
+    # J and T are taken at the first step, as frozen Newton takes J: a run
+    # whose initial residual meets the discrepancy level builds neither
+    import westinv.inversion as inversion
+
+    built = []
+    for name in ("assemble_jacobian", "frozen_hessian_tensor"):
+        monkeypatch.setattr(inversion, name,
+                            lambda *a, name=name, **k: built.append(name))
+    ctx, init, truth, data = make_setup(noise=0.0)
+    stop = StoppingRule(tau=2.0, delta=1e3, max_iter=5)
+    report = halley_run(data, init, None, stop, ctx, truth=truth)
+    assert (report.stop_index, report.stop_reason) == (0, "discrepancy")
+    assert built == []
+
+
 def test_halley_diagnostics_assemble_one_jacobian(monkeypatch):
     # the diagnostics spectrum of a Halley run is read off the frozen J the
     # run itself factors: one Jacobian, one SVD
@@ -382,15 +398,22 @@ def test_landweber_auto_step_residual_nonincreasing():
 
 def test_newton_noise_free_monotone_and_clipped():
     # invariant: noise-free frozen Newton decreases the residual over the
-    # first iterations; all iterates stay nonnegative up to 1e-12
+    # first iterations; every method's iterates stay nonnegative up to
+    # 1e-12, and their coefficients are the projection of their samples
     ctx, init, truth, data = make_setup(noise=0.0)
     stop = StoppingRule(tau=2.0, delta=0.0, max_iter=5)
     report = newton_lm_run(data, init, True, None, stop, ctx, truth=truth)
     res = report.residuals
     assert all(res[k + 1] < res[k] for k in range(len(res) - 1))
-    assert report.final.samples.min() >= -1e-12
     # reconstruction error decreases as well
     assert report.errors_l2[-1] < report.errors_l2[0]
+    for report in (report, landweber_run(data, init, True, None, stop, ctx),
+                   halley_run(data, init, None, stop, ctx)):
+        assert report.stop_index > 0
+        assert report.final.samples.min() >= -1e-12
+        np.testing.assert_array_equal(
+            report.final.coefficients,
+            project(ctx.basis, report.final.samples, ctx.problem.grid))
 
 
 def test_landweber_divergence_guard():
