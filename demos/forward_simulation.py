@@ -24,6 +24,7 @@ from westinv import (
     solve_forward,
 )
 from westinv import cli
+from westinv.trace import write_csv
 
 OUT = os.path.join(os.path.dirname(__file__), "output", "forward")
 
@@ -69,10 +70,8 @@ def nonlinear_trace_comparison():
 
     os.makedirs(OUT, exist_ok=True)
     path = os.path.join(OUT, "traces.csv")
-    with open(path, "w") as fh:
-        fh.write("t,h_linear,h_nonlinear\n")
-        for t, hl, hn in zip(tgrid.times, linear, nonlin):
-            fh.write(f"{t:.17g},{hl:.17g},{hn:.17g}\n")
+    write_csv(path, "t,h_linear,h_nonlinear",
+              zip(tgrid.times, linear, nonlin))
     print(f"  traces written to {path}")
 
 

@@ -11,9 +11,8 @@ Run from the repository root:  python3 demos/reconstruction_comparison.py
 
 import os
 
-import numpy as np
-
 from westinv import ExperimentConfig, run_inversion
+from westinv.trace import write_csv
 
 OUT = os.path.join(os.path.dirname(__file__), "output", "reconstruction")
 
@@ -42,14 +41,9 @@ def main():
         truth = result.truth
 
     path = os.path.join(OUT, "kappa_comparison.csv")
-    grid = truth.grid
-    with open(path, "w") as fh:
-        fh.write("x,kappa_true,landweber,newton,halley\n")
-        for i, x in enumerate(grid.nodes):
-            fh.write(f"{x:.17g},{truth.samples[i]:.17g},"
-                     f"{finals['landweber'][i]:.17g},"
-                     f"{finals['newton'][i]:.17g},"
-                     f"{finals['halley'][i]:.17g}\n")
+    write_csv(path, "x,kappa_true,landweber,newton,halley",
+              zip(truth.grid.nodes, truth.samples, finals["landweber"],
+                  finals["newton"], finals["halley"]))
     print(f"\nreconstructions written to {path}")
     print("note: Halley matches or slightly beats Newton per iteration, "
           "while Landweber needs far more iterations for comparable error.")

@@ -207,13 +207,16 @@ def _frozen_traces(problem: Problem, E: np.ndarray, levels):
 def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
                       base: StateField | None = None) -> JacobianMatrix:
     """Column j = observation trace, at the sample times, of the sensitivity
-    solve for basis direction e_j at kappa0: one trace-only march of m
-    columns.  For the frozen linearization (kappa0 None, i.e. 0) the
-    problem's impulse response and a convolution give the same columns up
-    to rounding (_frozen_traces); an explicit zero array still marches."""
+    solve for basis direction e_j at kappa0 from base (solved if None): one
+    trace-only march of m columns, explicit zeros too.  kappa0 None, taken
+    at problem.frozen_base with no base, convolves the impulse response
+    instead, equal up to rounding (_frozen_traces)."""
+    if kappa0 is None and base is not None:
+        raise ValueError("kappa0 None takes problem.frozen_base, not a base")
     kap = kappa_samples(kappa0, problem.grid)
     if base is None:
-        base = solve_forward(problem, kap)
+        base = (problem.frozen_base if kappa0 is None
+                else solve_forward(problem, kap))
     _check_same_grids(problem, base)
     E = evaluate_basis(basis, problem.grid)
     traces = (next(_frozen_traces(problem, E, [base.values**2]))
@@ -224,13 +227,12 @@ def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
                                        problem.sample_times))
 
 
-def frozen_hessian_tensor(problem: Problem, basis: BasisSet,
-                          base: StateField) -> np.ndarray:
-    """Discretized F''(0), shape (ns, m, m), base the kappa = 0 solution:
+def frozen_hessian_tensor(problem: Problem, basis: BasisSet) -> np.ndarray:
+    """Discretized F''(0), shape (ns, m, m), at p0 = problem.frozen_base:
     T[s, i, j] = F''(0)[e_i, e_j] = T1[s, i, j] + T1[s, j, i], where
     T1[:, :, j] samples _frozen_traces for level 2 p0 z_j.  The kappa0 = 0
     sensitivities z_j are marched once; T is built one column j at a time."""
-    E = evaluate_basis(basis, problem.grid)
+    E, base = evaluate_basis(basis, problem.grid), problem.frozen_base
     z = solve_sensitivity(problem, base, None, Direction(E)).values
     levels = (2.0 * base.values * zj for zj in z.transpose(1, 0, 2))
     T1 = np.stack([sample_trace(t, problem.tgrid, problem.sample_times)

@@ -152,6 +152,11 @@ class Problem:
         w[[0, -1]] = 0.5
         return np.fft.rfft((w / w[obs])[:, None] * u[:, 1:], 2 * nt)
 
+    @cached_property
+    def frozen_base(self) -> StateField:
+        """The kappa = 0 solution p0, shared by every frozen linearization."""
+        return solve_forward(self, None)
+
 
 def sample_trace(trace_values: np.ndarray, tgrid: TimeGrid,
                  sample_times: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ from .derivatives import (
 from .errors import DivergenceError, GridMismatchError, LinearSolveError
 from .forward import (
     Problem,
-    StateField,
     kappa_samples,
     second_time_derivative_of_square,
     solve_forward,
@@ -126,20 +125,14 @@ class InversionContext:
             raise ValueError("smoothing order s must be 0 or 1")
 
     @cached_property
-    def frozen_base(self) -> StateField:
-        return solve_forward(self.problem, None)
-
-    @cached_property
     def frozen_jacobian(self) -> JacobianMatrix:
         """J at kappa0 = 0, from the problem's impulse response."""
-        return assemble_jacobian(self.problem, None, self.basis,
-                                 base=self.frozen_base)
+        return assemble_jacobian(self.problem, None, self.basis)
 
     @cached_property
     def frozen_hessian_tensor(self) -> np.ndarray:
         """F''(0) over the basis, shape (ns, m, m), for frozen Halley."""
-        return frozen_hessian_tensor(self.problem, self.basis,
-                                     self.frozen_base)
+        return frozen_hessian_tensor(self.problem, self.basis)
 
     @cached_property
     def frozen_gradient_map(self) -> np.ndarray:
@@ -148,7 +141,7 @@ class InversionContext:
         the reversed adjoint march is time-invariant, so forcing in reversed
         step j gives the step-0 impulse response a shifted by j levels
         (exactly: the march from a zero state stays zero)."""
-        problem, base = self.problem, self.frozen_base
+        problem, base = self.problem, self.problem.frozen_base
         nt = problem.tgrid.nt
         impulse = np.zeros(nt + 1)
         impulse[-1] = 2.0  # midpoint forcing 1 in the first reversed step
@@ -227,7 +220,7 @@ def _run_loop(data, init, ctx, stop, truth, step, divergence_guard=False):
     residuals, errs_inf, errs_l2 = [], [], []
     while True:
         state = (solve_forward(ctx.problem, kappa) if kappa.samples.any()
-                 else ctx.frozen_base)
+                 else ctx.problem.frozen_base)
         r = data.values - ctx.problem.sampled_trace(state)
         rnorm = float(np.linalg.norm(r))
         residuals.append(rnorm)

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedObservationError
 from .grids import DIRICHLET, NEUMANN, BoundaryCondition
 from .trace import write_csv
 
@@ -59,7 +58,7 @@ def eigenvalues(bc: BoundaryCondition, count: int) -> np.ndarray:
         raise ValueError("count must be at least 1")
     kinds = {bc.left.kind, bc.right.kind}
     if bc.pure_neumann:
-        raise UnsupportedObservationError(
+        raise ValueError(
             "pure Neumann conditions are excluded from the spectral diagnostics"
         )
     if kinds == {DIRICHLET}:
@@ -68,7 +67,7 @@ def eigenvalues(bc: BoundaryCondition, count: int) -> np.ndarray:
     if kinds == {DIRICHLET, NEUMANN}:
         j = np.arange(1, count + 1)
         return ((j - 0.5) * np.pi) ** 2
-    raise UnsupportedObservationError(
+    raise ValueError(
         "no closed-form eigenvalues implemented for impedance conditions"
     )
 

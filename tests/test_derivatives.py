@@ -262,7 +262,7 @@ def test_frozen_jacobian_from_one_impulse_response(bc, kind, obs_point):
     basis = BasisSet(kind, 7)
     marched = assemble_jacobian(problem, np.zeros(grid.nx), basis,
                                 base=base).entries
-    lean = assemble_jacobian(problem, None, basis, base=base)
+    lean = assemble_jacobian(problem, None, basis)
     assert (np.max(np.abs(lean.entries - marched))
             <= 1e-13 * np.max(np.abs(marched)))
 
@@ -297,7 +297,7 @@ def test_hessian_tensor_matches_the_marched_second_derivative(bc, kind,
     E = evaluate_basis(basis, grid)
     c = np.random.Generator(np.random.Philox(7)).uniform(-1.0, 1.0, 7)
     d = Direction(E @ c)
-    T = frozen_hessian_tensor(problem, basis, base)
+    T = frozen_hessian_tensor(problem, basis)
     Z = solve_sensitivity(problem, base, None, Direction(E))
     zd = solve_sensitivity(problem, base, None, d)
     marched = problem.sampled_trace(
@@ -321,7 +321,7 @@ def test_hessian_tensor_builds_one_column_at_a_time():
     z_nbytes = grid.nx * basis.m * (tgrid.nt + 1) * 8
     tracemalloc.start()
     try:
-        frozen_hessian_tensor(problem, basis, base)
+        frozen_hessian_tensor(problem, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -333,8 +333,8 @@ def test_directional_hessian_bilinear_and_quadratic_model():
     grid, tgrid, kap, problem, base = make_problem(kappa_const=0.0,
                                                    sample_times=times)
     basis = BasisSet("gaussian", 5)
-    J = assemble_jacobian(problem, None, basis, base=base)
-    T = frozen_hessian_tensor(problem, basis, base)
+    J = assemble_jacobian(problem, None, basis)
+    T = frozen_hessian_tensor(problem, basis)
     E = evaluate_basis(basis, grid)
     c = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
     d = Direction(E @ c)
@@ -364,7 +364,7 @@ def test_zero_direction_hessian_is_zero():
                                                    sample_times=times)
     basis = BasisSet("gaussian", 4)
     H = assemble_directional_hessian(
-        frozen_hessian_tensor(problem, basis, base), np.zeros(basis.m))
+        frozen_hessian_tensor(problem, basis), np.zeros(basis.m))
     assert np.max(np.abs(H)) < 1e-14
 
 

@@ -219,9 +219,13 @@ def test_frozen_newton_marches_one_impulse_response(monkeypatch):
 
 def test_halley_marches_one_impulse_response_and_one_sensitivity_block(
         monkeypatch):
-    # J and the F''(0) tensor share the problem's impulse response: a Halley
-    # run makes one impulse march and one (batched) sensitivity march, and a
-    # second kappa0 = None Jacobian on the same problem marches nothing
+    # J and the F''(0) tensor share the problem's impulse response and its
+    # kappa = 0 solution: a Halley run makes one impulse march and one
+    # (batched) sensitivity march, and a second kappa0 = None Jacobian on the
+    # same problem neither marches nor solves; it takes no other base
+    import westinv.derivatives as derivatives
+    import westinv.forward as forward
+
     marches = count_marches(monkeypatch)
     cfg = ExperimentConfig(nx=41, nt=80, n_basis=7, sample_count=25,
                            method="halley", max_iter=4, noise=0.0,
@@ -229,13 +233,22 @@ def test_halley_marches_one_impulse_response_and_one_sensitivity_block(
     assert run_inversion(cfg).report.stop_index >= 2
     assert marches == [("westinv.forward", (41,)),
                        ("westinv.derivatives", (41, 7))]
-    problem, basis, _ = build_problem(cfg)
-    ctx = InversionContext(problem, basis)
-    first = ctx.frozen_jacobian
-    marches.clear()
-    again = assemble_jacobian(problem, None, basis, base=ctx.frozen_base)
-    assert marches == []
+    problem, basis, truth = build_problem(cfg)
+    first = InversionContext(problem, basis).frozen_jacobian
+    calls = []
+    for module in (forward, derivatives):
+        for name in ("cn_march", "solve_forward"):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda *a, name=name, original=original, **k:
+                    calls.append(name) or original(*a, **k))
+    again = assemble_jacobian(problem, None, basis)
+    assert calls == []
     assert np.array_equal(again.entries, first.entries)
+    at_truth = solve_forward(problem, truth)
+    with pytest.raises(ValueError):
+        assemble_jacobian(problem, None, basis, base=at_truth)
 
 
 def test_halley_builds_the_hessian_tensor_once(monkeypatch):
@@ -318,8 +331,7 @@ def test_halley_default_alpha0():
     problem, basis, _ = build_problem(cfg)
     r0 = (auto.traces["noisy"].values
           - problem.sampled_trace(solve_forward(problem, None)))
-    J = assemble_jacobian(problem, None, basis,
-                          base=InversionContext(problem, basis).frozen_base)
+    J = assemble_jacobian(problem, None, basis)
     given = run_inversion(dataclasses.replace(cfg,
                                               alpha0=default_alpha0(J, r0)))
     assert auto.report.to_dict() == given.report.to_dict()
@@ -518,7 +530,8 @@ def gradient_map_context(bc_id, s):
                   seed=st.integers(0, 2**32 - 1))
 def test_frozen_gradient_map_matches_the_adjoint_solve(bc_id, s, seed):
     ctx = gradient_map_context(bc_id, s)
-    G, problem, base = ctx.frozen_gradient_map, ctx.problem, ctx.frozen_base
+    G, problem = ctx.frozen_gradient_map, ctx.problem
+    base = problem.frozen_base
     times = problem.tgrid.times
     y = np.random.Generator(np.random.Philox(seed)).standard_normal(
         len(times))

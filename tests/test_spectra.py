@@ -7,7 +7,6 @@ import pytest
 from westinv import (
     BoundaryCondition,
     SpectralData,
-    UnsupportedObservationError,
     eigenvalues,
     pole_distinctness,
     pole_residual,
@@ -28,11 +27,13 @@ def test_eigenvalues_closed_forms():
 
 
 def test_eigenvalues_unsupported():
-    with pytest.raises(UnsupportedObservationError):
+    # no closed form for pure Neumann or impedance ends: a ValueError, as
+    # for count < 1, since neither is about the observation point
+    with pytest.raises(ValueError):
         eigenvalues(BoundaryCondition.from_kinds("neumann", "neumann"), 3)
     bc_imp = BoundaryCondition.from_kinds("dirichlet", "impedance",
                                           coefficient=1.0)
-    with pytest.raises(UnsupportedObservationError):
+    with pytest.raises(ValueError):
         eigenvalues(bc_imp, 3)
 
 
