@@ -9,11 +9,11 @@ is integrated once in time and solved as a parabolic problem with memory,
     (1 - 2 kappa p) p_t + b A p + c^2 \\int_0^t A p dtau = R(x, t),
 
 with A = -d2/dx2 (boundary conditions folded in) and R the running time
-integral of r.  Time stepping is Crank-Nicolson with the memory integral
-accumulated by the trapezoidal rule; each step's quadratic equation is
-solved by Newton's method from a quadratic extrapolation of the last three
-levels.  The march (cn_march) is shared with the linear sensitivity,
-second-derivative and adjoint solves in westinv.derivatives.
+integral of r.  Time stepping is Crank-Nicolson, the memory integral the
+trapezoidal sum of the A u^n read off each step's solved system; Newton's
+method solves each step's quadratic equation from a quadratic extrapolation
+of the last three levels.  The march (cn_march) is shared with the linear
+sensitivity, second-derivative and adjoint solves in westinv.derivatives.
 """
 
 from __future__ import annotations
@@ -160,13 +160,15 @@ class Problem:
 
 def sample_trace(trace_values: np.ndarray, tgrid: TimeGrid,
                  sample_times: np.ndarray) -> np.ndarray:
-    """Linear-interpolation sampling of a solver-grid trace at given times;
-    the k rows of a (k, nt + 1) array give the k columns of the result."""
-    times = tgrid.times
-    if trace_values.ndim == 2:
-        return np.column_stack([np.interp(sample_times, times, t)
-                                for t in trace_values])
-    return np.interp(sample_times, times, trace_values)
+    """np.interp of a finite solver-grid trace at given times, bit for bit;
+    the k rows of a (k, nt + 1) array are sampled at once into k columns."""
+    times, s = tgrid.times, np.asarray(sample_times, dtype=float)
+    j = np.clip(np.searchsorted(times, s, side="right") - 1, 0, tgrid.nt - 1)
+    t0, y0, y1 = times[j], trace_values[..., j], trace_values[..., j + 1]
+    y = np.where(s == t0, y0, (y1 - y0) / (times[j + 1] - t0) * (s - t0) + y0)
+    y[..., s < times[0]] = trace_values[..., :1]
+    y[..., s >= times[-1]] = trace_values[..., -1:]
+    return y.T.copy()
 
 
 def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray:
@@ -176,42 +178,49 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
     forcing yields f for steps n -> n + 1, n = 0, ..., nt - 1, shaped (nx,)
     or (nx, k): k columns march through the same step matrices.
     advance(n, un, step, u) returns u^{n+1}, where u is the returned array,
-    filled up to level n; step(a_new, old) solves
-    (a_new/dt + coef A) u = old/dt + f - coef A un - c^2 \\int_0^{t_n} A u
-    (trapezoidal memory), so a linear step passes old = a_old un.  Returns
+    filled up to level n; step(a_new, old) solves (a_new/dt + coef A) u = rhs,
+    rhs = old/dt + f - coef A un - c^2 \\int_0^{t_n} A u (trapezoidal memory),
+    so a linear step passes old = a_old un.  advance must return its last
+    step's solution (RuntimeError if not): coef A u^{n+1} = rhs - (a_new/dt)
+    u^{n+1} is read off that system, so no step applies A.  Dirichlet rows
+    are the identity with rhs 0, so u and A u are exactly 0 there.  Returns
     u[keep] at every time level, time last.
     """
     A, params, tgrid = problem.operator, problem.params, problem.tgrid
     dt = tgrid.dt
     coef = params.b / 2 + params.c2 * dt / 4
     ab = A.banded(0.0, coef)  # each step rewrites only the diagonal
-    cdiag, fixed = coef * A.diag, np.flatnonzero(A.dirichlet)
+    diag = coef * A.diag + A.dirichlet  # 1 on Dirichlet rows, where A is 0
+    inv_dt = ~A.dirichlet / dt  # 0 on Dirichlet rows
     steps = iter(forcing)
     f = next(steps)
+    col = (slice(None),) + (None,) * (f.ndim - 1)  # per node, over k columns
+    weight, free = inv_dt[col], ~A.dirichlet[col]
     un = np.zeros(f.shape)
     u = np.zeros(un[keep].shape + (tgrid.nt + 1,))
-    memory = np.zeros(f.shape)  # running integral of A u
-    Aun = A.apply(un)
+    coef_Au, memory = np.zeros(f.shape), np.zeros(f.shape)  # c^2 \\int A u
+    scale = params.c2 * dt / (2 * coef)  # trapezoid weight per coef A u
+    solved = ()
 
     def step(a_new, old):  # reads the loop's current rest
-        np.add(a_new / dt, cdiag, out=ab[1])
-        ab[1, fixed] = 1.0
-        return A.solve_banded_system(ab, old / dt + rest)
+        nonlocal solved
+        a_dt = a_new * inv_dt
+        ab[1] = a_dt + diag
+        rhs = old * weight + rest
+        solved = A.solve_banded_system(ab, rhs), rhs, a_dt
+        return solved[0]
 
     for n in range(tgrid.nt):
-        rest = -coef * Aun - params.c2 * memory + f
+        rest = f * free - coef_Au - memory  # 0 on Dirichlet rows
         un = advance(n, un, step, u)
+        if not solved or un is not solved[0]:
+            raise RuntimeError("advance must return its last step's solution")
+        (_, rhs, a_dt), solved = solved, ()
         u[..., n + 1] = un[keep]
-        Aun_old, Aun = Aun, A.apply(un)
-        memory += 0.5 * dt * (Aun_old + Aun)
+        coef_Au_old, coef_Au = coef_Au, rhs - (a_dt * un.T).T
+        memory += scale * (coef_Au_old + coef_Au)
         f = next(steps, None)
     return u
-
-
-# weights of the constant, linear and quadratic extrapolation to t_{n+1}
-# from the levels p^{n-2}, p^{n-1}, p^n that exist, oldest first
-_EXTRAPOLATION = (np.array([1.0]), np.array([-1.0, 2.0]),
-                  np.array([1.0, -3.0, 3.0]))
 
 
 def solve_forward(problem: Problem, kappa) -> StateField:
@@ -237,13 +246,16 @@ def solve_forward(problem: Problem, kappa) -> StateField:
     R = _cumulative_trapezoid(problem.source.values, tgrid.dt)
 
     def advance(n, pn, step, p):
-        levels = p[:, max(n - 2, 0):n + 1]
-        pk = levels @ _EXTRAPOLATION[levels.shape[1] - 1]
+        # quadratic extrapolation; p^0 = 0, so 2 p^1 is the linear one
+        pk = 3.0 * (pn - p[:, n - 1]) + p[:, n - 2] if n > 1 else (n + 1) * pn
+        pn_sq = pn * pn
         for _ in range(opts.max_inner):
-            pnew = step(1.0 - two_kap * pk, pn - kap * (pk**2 + pn**2))
-            margin = 1.0 - (two_kap * pnew).max()  # min(1 - 2 kappa p)
+            pnew = step(1.0 - two_kap * pk, pn - kap * (pk * pk + pn_sq))
+            peak = two_kap * pnew
+            margin = 1.0 - peak[peak.argmax()]  # min(1 - 2 kappa p)
+            bound = abs_kap * (pnew - pk)**2
             # multiplied out, so that a margin <= 0 never stops the loop
-            if (abs_kap * (pnew - pk)**2).max() <= opts.inner_tol * margin:
+            if bound[bound.argmax()] <= opts.inner_tol * margin:
                 break
             pk = pnew
         else:
@@ -258,11 +270,9 @@ def solve_forward(problem: Problem, kappa) -> StateField:
             )
         return pnew
 
-    def linear(n, pn, step, p):  # kappa = 0: Newton's single solve
-        return step(1.0, pn)
-
     p = cn_march(problem, (0.5 * (R[:, :-1] + R[:, 1:])).T,
-                 advance if kap.any() else linear)
+                 advance if kap.any()  # kappa = 0: Newton's single solve
+                 else lambda n, pn, step, p: step(1.0, pn))
     return StateField(p, problem.grid, tgrid)
 
 

@@ -9,6 +9,7 @@ import pytest
 from westinv import (
     BoundaryCondition,
     DegeneracyError,
+    Direction,
     EndpointCondition,
     IncompatibleBCError,
     MaterialParams,
@@ -23,7 +24,9 @@ from westinv import (
     TimeGrid,
     manufactured_source,
     second_time_derivative_of_square,
+    solve_adjoint,
     solve_forward,
+    solve_sensitivity,
 )
 from westinv.errors import GridTooCoarseError
 from westinv.experiment import ExperimentConfig, build_problem
@@ -268,6 +271,27 @@ def test_one_tridiagonal_solve_per_step(monkeypatch):
     calls.clear()
     solve_forward(problem, truth)
     assert nt <= len(calls) <= 1.1 * nt
+
+
+def test_marches_never_apply_the_operator(monkeypatch):
+    # each step reads coef A u^{n+1} off its own solved system
+    problem, truth = criterion5_problem()
+    base = solve_forward(problem, truth)
+    calls, original = [], Laplace1D.apply
+
+    def counting(self, u):
+        calls.append(None)
+        return original(self, u)
+
+    monkeypatch.setattr(Laplace1D, "apply", counting)
+    solve_forward(problem, truth)
+    directions = np.random.Generator(np.random.Philox(2)).standard_normal(
+        (problem.grid.nx, 5))
+    solve_sensitivity(problem, base, truth, Direction(directions))
+    solve_adjoint(problem, base, truth, base.values[-1])
+    assert calls == []
+    problem.operator.apply(base.values[:, -1])  # the count is live
+    assert len(calls) == 1
 
 
 def test_second_time_derivative_of_square():

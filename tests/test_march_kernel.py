@@ -1,0 +1,138 @@
+"""The Crank-Nicolson kernel: reading coef A u^{n+1} off the solved system
+gives the fields of a march that applies A and integrates its memory by the
+trapezoidal rule, on every accepted boundary pair; the advance contract is
+enforced; sample_trace is np.interp bit for bit."""
+
+import numpy as np
+import pytest
+
+import westinv.derivatives
+import westinv.forward
+from westinv import (
+    BoundaryCondition,
+    Direction,
+    MaterialParams,
+    Problem,
+    SourceTerm,
+    SpatialGrid,
+    TimeGrid,
+    UnsupportedObservationError,
+    sample_trace,
+    solve_adjoint,
+    solve_forward,
+    solve_sensitivity,
+)
+from westinv.forward import cn_march
+
+PAIRS = [(left, right) for left in ("dirichlet", "neumann", "impedance")
+         for right in ("dirichlet", "neumann", "impedance")
+         if not left == right == "neumann"]
+
+
+def reference_march(problem, forcing, advance, keep=slice(None)):
+    """The march with A applied to every new level and the running integral
+    of A u accumulated by the trapezoidal rule."""
+    A, params, tgrid = problem.operator, problem.params, problem.tgrid
+    dt = tgrid.dt
+    coef = params.b / 2 + params.c2 * dt / 4
+    ab = A.banded(0.0, coef)
+    fixed = np.flatnonzero(A.dirichlet)
+    steps = iter(forcing)
+    f = next(steps)
+    un = np.zeros(f.shape)
+    u = np.zeros(un[keep].shape + (tgrid.nt + 1,))
+    memory, Aun = np.zeros(f.shape), np.zeros(f.shape)
+
+    def step(a_new, old):
+        ab[1] = a_new / dt + coef * A.diag
+        ab[1, fixed] = 1.0
+        return A.solve_banded_system(ab, old / dt + rest)
+
+    for n in range(tgrid.nt):
+        rest = -coef * Aun - params.c2 * memory + f
+        un = advance(n, un, step, u)
+        u[..., n + 1] = un[keep]
+        Aun_old, Aun = Aun, A.apply(un)
+        memory += 0.5 * dt * (Aun_old + Aun)
+        f = next(steps, None)
+    return u
+
+
+def make_problem(left, right, nx=31, nt=80):
+    grid, tgrid = SpatialGrid(nx), TimeGrid(nt)
+    x, t = grid.nodes, tgrid.times
+    # nonzero at the end nodes too: a Dirichlet row must ignore its forcing
+    source = SourceTerm(np.outer(1.0 + np.cos(2.0 * x), 3.0 * t * np.exp(-t)))
+    obs = 0.5 if right == "dirichlet" else 1.0
+    problem = Problem(MaterialParams(c2=1.0, b=0.2), grid, tgrid,
+                      BoundaryCondition.from_kinds(left, right), source,
+                      obs_point=obs)
+    kap = 0.25 * (1.0 + 0.5 * np.sin(3.0 * x))
+    return problem, kap
+
+
+def solves(problem, kap, base):
+    """Every march kind on one problem: the forward solve at kappa = 0 and
+    at kap, five sensitivity columns in one block, the adjoint where the
+    observation allows it, and the impulse response of a fresh Problem."""
+    nx, nt = problem.grid.nx, problem.tgrid.nt
+    E = np.random.Generator(np.random.Philox(3)).standard_normal((nx, 5))
+    out = {"p0": solve_forward(problem, None).values,
+           "p": solve_forward(problem, kap).values,
+           "z": solve_sensitivity(problem, base, kap, Direction(E)).values}
+    if problem.obs_index == nx - 1:
+        residual = np.sin(7.0 * problem.tgrid.times)
+        out["a"] = solve_adjoint(problem, base, kap, residual).values
+    else:
+        with pytest.raises(UnsupportedObservationError):
+            solve_adjoint(problem, base, kap, np.zeros(nt + 1))
+    fresh = Problem(problem.params, problem.grid, problem.tgrid, problem.bc,
+                    problem.source, obs_point=problem.obs_point)
+    out["impulse"] = fresh.impulse_response
+    return out
+
+
+@pytest.mark.parametrize("left, right", PAIRS)
+def test_kernel_matches_the_applied_operator_march(monkeypatch, left, right):
+    problem, kap = make_problem(left, right)
+    base = solve_forward(problem, kap)
+    assert np.min(1.0 - 2.0 * kap[:, None] * base.values) < 0.9  # nonlinear
+    got = solves(problem, kap, base)
+    for module in (westinv.forward, westinv.derivatives):
+        monkeypatch.setattr(module, "cn_march", reference_march)
+    ref = solves(problem, kap, base)
+    assert got.keys() == ref.keys()
+    dirichlet = problem.operator.dirichlet
+    for name, values in got.items():
+        scale = np.max(np.abs(ref[name]))
+        assert scale > 0.0, name
+        assert np.max(np.abs(values - ref[name])) <= 1e-12 * scale, name
+        assert not values[dirichlet].any(), name
+
+
+@pytest.mark.parametrize("advance", [
+    lambda n, un, step, u: step(1.0, un).copy(),  # not step's own array
+    lambda n, un, step, u: np.zeros_like(un),  # no step at all
+])
+def test_advance_must_return_its_last_step_solution(advance):
+    problem, _ = make_problem("dirichlet", "neumann", nt=4)
+    forcing = np.ones((problem.tgrid.nt, problem.grid.nx))
+    with pytest.raises(RuntimeError, match="last step's solution"):
+        cn_march(problem, forcing, advance)
+
+
+@pytest.mark.parametrize("nt, t_final", [(8, 1.0), (80, 2.0)])
+def test_sample_trace_equals_np_interp_bit_for_bit(nt, t_final):
+    tgrid = TimeGrid(nt, t_final)
+    times = tgrid.times
+    rng = np.random.Generator(np.random.Philox(11))
+    samples = np.concatenate([
+        times[::3],  # on the grid
+        [0.0, t_final, -0.5, -1e-12, t_final + 1e-12, 3.0 * t_final],
+        rng.uniform(-0.2, 1.2 * t_final, 37),  # off the grid, both sides
+    ])
+    traces = rng.standard_normal((6, nt + 1))
+    expected = np.column_stack([np.interp(samples, times, t) for t in traces])
+    assert np.array_equal(sample_trace(traces, tgrid, samples), expected)
+    assert np.array_equal(sample_trace(traces[2], tgrid, samples),
+                          np.interp(samples, times, traces[2]))
