@@ -196,10 +196,14 @@ def _frozen_traces(problem: Problem, E: np.ndarray, levels):
     kappa0 = 0 march forced by E[:, i] Delta(level) / dt: sum_x E[x, i]
     (R[x] conv Delta(level)[x] / dt), R the problem.impulse_response kernel."""
     nt = problem.tgrid.nt
+    # rfft writes the transform of a time-major level strided, unless given
+    # a C-ordered out; X must be C-ordered for its float view
+    transform = np.empty((problem.grid.nx, nt + 1), complex)
     for level in levels:
         D = np.diff(level, axis=1) / problem.tgrid.dt
         # kernel first (complex products do not commute bitwise); E is real
-        X = np.multiply(problem.impulse_response, np.fft.rfft(D, 2 * nt))
+        X = np.multiply(problem.impulse_response,
+                        np.fft.rfft(D, 2 * nt, out=transform))
         spectrum = (E.T @ X.view(float)).view(complex)
         yield np.pad(np.fft.irfft(spectrum, 2 * nt)[:, :nt], ((0, 0), (1, 0)))
 
@@ -234,7 +238,8 @@ def frozen_hessian_tensor(problem: Problem, basis: BasisSet) -> np.ndarray:
     sensitivities z_j are marched once; T is built one column j at a time."""
     E, base = evaluate_basis(basis, problem.grid), problem.frozen_base
     z = solve_sensitivity(problem, base, None, Direction(E)).values
-    levels = (2.0 * base.values * zj for zj in z.transpose(1, 0, 2))
+    p0_twice = 2.0 * base.values
+    levels = (p0_twice * zj for zj in z.transpose(1, 0, 2))
     T1 = np.stack([sample_trace(t, problem.tgrid, problem.sample_times)
                    for t in _frozen_traces(problem, E, levels)], axis=2)
     return T1 + T1.transpose(0, 2, 1)

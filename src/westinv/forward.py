@@ -14,6 +14,9 @@ trapezoidal sum of the A u^n read off each step's solved system; Newton's
 method solves each step's quadratic equation from a quadratic extrapolation
 of the last three levels.  The march (cn_march) is shared with the linear
 sensitivity, second-derivative and adjoint solves in westinv.derivatives.
+It keeps its per-step state in the layout of the LAPACK tridiagonal solve
+(dgtsv), Fortran-ordered (nx, k) blocks, and stores the levels time-major,
+so a solution's values are a strided view along time.
 """
 
 from __future__ import annotations
@@ -59,7 +62,9 @@ class SourceTerm:
 @dataclass
 class StateField:
     """Space-time sample of a PDE solution (p, z, a or w), or of k of them
-    marched together."""
+    marched together.  values from a march (cn_march) is a view of its
+    time-major (nt + 1[, k], nx) store: contiguous per time level, strided
+    along time."""
 
     values: np.ndarray  # shape (nx, nt + 1), or (nx, k, nt + 1)
     grid: SpatialGrid
@@ -150,7 +155,20 @@ class Problem:
         u = cn_march(self, forcing, lambda n, un, step, _: step(1.0, un))
         w = np.ones(nx)
         w[[0, -1]] = 0.5
-        return np.fft.rfft((w / w[obs])[:, None] * u[:, 1:], 2 * nt)
+        # C-ordered, as the transforms it multiplies in _frozen_traces
+        kernel = np.ascontiguousarray((w / w[obs])[:, None] * u[:, 1:])
+        return np.fft.rfft(kernel, 2 * nt)
+
+    @cached_property
+    def step_forcing(self) -> np.ndarray:
+        """Read-only (nt, nx) forcing of solve_forward's steps n -> n + 1,
+        time-major: the running time integral R of the source averaged over
+        each step, 0 on Dirichlet rows.  Computed on first use."""
+        R = _cumulative_trapezoid(self.source.values, self.tgrid.dt)
+        forcing = (0.5 * (R[:, :-1] + R[:, 1:])).T.copy()
+        forcing[:, self.operator.dirichlet] = 0.0
+        forcing.setflags(write=False)
+        return forcing
 
     @cached_property
     def frozen_base(self) -> StateField:
@@ -183,42 +201,54 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
     so a linear step passes old = a_old un.  advance must return its last
     step's solution (RuntimeError if not): coef A u^{n+1} = rhs - (a_new/dt)
     u^{n+1} is read off that system, so no step applies A.  Dirichlet rows
-    are the identity with rhs 0, so u and A u are exactly 0 there.  Returns
-    u[keep] at every time level, time last.
+    are the identity with rhs 0, so u and A u are exactly 0 there.
+
+    The per-step state is kept in dgtsv's layout, Fortran-ordered (nx, k)
+    blocks, and the levels time-major, (nt + 1, k, nx), so that each step
+    stores one contiguous row.  Returns u[keep] at every time level, time
+    last: the (nx[, k], nt + 1) transposed view of that store.
     """
     A, params, tgrid = problem.operator, problem.params, problem.tgrid
     dt = tgrid.dt
     coef = params.b / 2 + params.c2 * dt / 4
     ab = A.banded(0.0, coef)  # each step rewrites only the diagonal
     diag = coef * A.diag + A.dirichlet  # 1 on Dirichlet rows, where A is 0
-    inv_dt = ~A.dirichlet / dt  # 0 on Dirichlet rows
+    free = 1.0 - A.dirichlet  # 0 on Dirichlet rows
+    inv_dt = free / dt
     steps = iter(forcing)
     f = next(steps)
     col = (slice(None),) + (None,) * (f.ndim - 1)  # per node, over k columns
-    weight, free = inv_dt[col], ~A.dirichlet[col]
-    un = np.zeros(f.shape)
-    u = np.zeros(un[keep].shape + (tgrid.nt + 1,))
-    coef_Au, memory = np.zeros(f.shape), np.zeros(f.shape)  # c^2 \\int A u
+    weight, free = inv_dt[col], free[col]
+    # u^0, coef A u^0 and the memory c^2 \\int A u, in dgtsv's layout
+    un, coef_Au, memory = (np.zeros(f.shape, order="F") for _ in range(3))
+    levels = np.zeros((tgrid.nt + 1,) + un[keep].T.shape)
+    u = levels.T
     scale = params.c2 * dt / (2 * coef)  # trapezoid weight per coef A u
     solved = ()
 
     def step(a_new, old):  # reads the loop's current rest
         nonlocal solved
         a_dt = a_new * inv_dt
-        ab[1] = a_dt + diag
-        rhs = old * weight + rest
+        np.add(a_dt, diag, out=ab[1])
+        rhs = old * weight
+        rhs += rest
         solved = A.solve_banded_system(ab, rhs), rhs, a_dt
         return solved[0]
 
     for n in range(tgrid.nt):
-        rest = f * free - coef_Au - memory  # 0 on Dirichlet rows
+        rest = f * free  # 0 on Dirichlet rows, as are coef A u and memory
+        rest -= coef_Au
+        rest -= memory
         un = advance(n, un, step, u)
         if not solved or un is not solved[0]:
             raise RuntimeError("advance must return its last step's solution")
         (_, rhs, a_dt), solved = solved, ()
-        u[..., n + 1] = un[keep]
-        coef_Au_old, coef_Au = coef_Au, rhs - (a_dt * un.T).T
-        memory += scale * (coef_Au_old + coef_Au)
+        levels[n + 1] = un[keep].T
+        rhs -= (a_dt * un.T).T  # coef A u^{n+1}
+        coef_Au += rhs
+        coef_Au *= scale
+        memory += coef_Au
+        coef_Au = rhs
         f = next(steps, None)
     return u
 
@@ -243,11 +273,13 @@ def solve_forward(problem: Problem, kappa) -> StateField:
     opts, tgrid = problem.opts, problem.tgrid
     kap = kappa_samples(kappa, problem.grid)
     two_kap, abs_kap = 2.0 * kap, np.abs(kap)
-    R = _cumulative_trapezoid(problem.source.values, tgrid.dt)
+    p2 = p1 = None  # p^{n-2} and p^{n-1}: the contiguous step solutions
 
-    def advance(n, pn, step, p):
+    def advance(n, pn, step, _):
+        nonlocal p2, p1
         # quadratic extrapolation; p^0 = 0, so 2 p^1 is the linear one
-        pk = 3.0 * (pn - p[:, n - 1]) + p[:, n - 2] if n > 1 else (n + 1) * pn
+        pk = 3.0 * (pn - p1) + p2 if n > 1 else (n + 1) * pn
+        p2, p1 = p1, pn
         pn_sq = pn * pn
         for _ in range(opts.max_inner):
             pnew = step(1.0 - two_kap * pk, pn - kap * (pk * pk + pn_sq))
@@ -270,7 +302,7 @@ def solve_forward(problem: Problem, kappa) -> StateField:
             )
         return pnew
 
-    p = cn_march(problem, (0.5 * (R[:, :-1] + R[:, 1:])).T,
+    p = cn_march(problem, problem.step_forcing,
                  advance if kap.any()  # kappa = 0: Newton's single solve
                  else lambda n, pn, step, p: step(1.0, pn))
     return StateField(p, problem.grid, tgrid)

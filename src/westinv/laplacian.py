@@ -8,6 +8,7 @@ time-stepping systems replace those equations by the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -55,16 +56,25 @@ class Laplace1D:
         ab[:, self.dirichlet] = [[0.0], [1.0], [0.0]]  # ab[:, j] is column j
         return ab
 
+    @cached_property
+    def dirichlet_nodes(self) -> tuple:
+        """Indices of the Dirichlet-constrained nodes."""
+        return tuple(np.flatnonzero(self.dirichlet).tolist())
+
     def solve_banded_system(self, ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ab u = rhs, rhs (nx,) or (nx, k) and u = 0 at Dirichlet
         nodes, by one LAPACK dgtsv call (what scipy's solve_banded runs for
-        (1, 1) bands); a zero pivot raises SingularOperatorError."""
-        rhs = np.array(rhs, dtype=float, order="F")
-        rhs[self.dirichlet] = 0.0
-        *_, u, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, overwrite_b=True)
+        (1, 1) bands); a zero pivot raises SingularOperatorError.  dgtsv
+        solves a Fortran-ordered copy, so rhs is left as it was, and u comes
+        back in Fortran order.  u is zeroed at Dirichlet nodes after the
+        solve: for finite rhs that equals zeroing rhs there first, as those
+        rows and columns are the identity."""
+        *_, u, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
         if info > 0:
             raise SingularOperatorError(
                 f"singular tridiagonal system (zero pivot in row {info})")
+        for i in self.dirichlet_nodes:
+            u[i] = 0.0
         return u
 
     def solve(self, g: np.ndarray) -> np.ndarray:

@@ -85,3 +85,22 @@ def test_batched_marches_equal_single_columns(bc_id, kind, nx, nt, m,
     assert np.array_equal(
         J.entries, np.column_stack([problem.sampled_trace(z) for z in zs]))
     assert np.array_equal(J.entries, problem.sampled_trace(Z))
+
+
+@pytest.mark.parametrize("bc_id", BC_IDS)
+@pytest.mark.parametrize("frozen", [True, False])
+def test_sensitivity_block_equals_one_column_marches(bc_id, frozen):
+    # each column of a k-column block steps through the march's Fortran-
+    # ordered (nx, k) state and time-major store exactly as it would alone
+    problem, kap, base = make_problem(bc_id, nx=41, nt=60, kappa_scale=0.2,
+                                      ns=12)
+    if frozen:
+        kap, base = None, problem.frozen_base
+    E = evaluate_basis(BasisSet("gaussian", 7), problem.grid)
+    singles = [solve_sensitivity(problem, base, kap, Direction(E[:, j])).values
+               for j in range(7)]
+    for block in (np.ascontiguousarray(E), np.asfortranarray(E)):
+        Z = solve_sensitivity(problem, base, kap, Direction(block)).values
+        assert Z.shape == (41, 7, 61)
+        for j in range(7):
+            assert np.array_equal(Z[:, j, :], singles[j])

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from westinv import (
     BoundaryCondition,
@@ -369,6 +370,32 @@ def test_batched_apply_and_solve_equal_single_columns():
         assert np.array_equal(X[:, j], A.solve_banded_system(ab, U[:, j]))
     np.testing.assert_allclose(shift[:, None] * X + 0.7 * A.apply(X), U,
                                rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("left, right", [("dirichlet", "neumann"),
+                                         ("impedance", "dirichlet"),
+                                         ("dirichlet", "dirichlet")])
+@pytest.mark.parametrize("layout", ["vector", "C", "F"])
+def test_solve_banded_system_contract(left, right, layout):
+    # u = 0 at Dirichlet nodes where rhs is not, the caller's rhs keeps its
+    # bits, and u equals the route that masks a Fortran copy of rhs first
+    A = build_laplacian(SpatialGrid(11), BoundaryCondition.from_kinds(
+        left, right))
+    ab = A.banded(np.linspace(1.0, 2.0, 11), 0.7)
+    block = np.random.Generator(np.random.Philox(8)).standard_normal((11, 4))
+    rhs = {"vector": block[:, 0].copy(), "C": np.ascontiguousarray(block),
+           "F": np.asfortranarray(block)}[layout]
+    assert rhs[A.dirichlet].all()
+    before = rhs.copy(order="K")
+    u = A.solve_banded_system(ab, rhs)
+    assert not u[A.dirichlet].any()
+    assert np.array_equal(rhs.view(np.uint64), before.view(np.uint64))
+    masked = np.array(rhs, dtype=float, order="F")
+    masked[A.dirichlet] = 0.0
+    *_, expected, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], masked,
+                               overwrite_b=True)
+    assert info == 0
+    assert np.array_equal(u, expected)
 
 
 def test_forward_field_exactly_zero_at_the_dirichlet_node():
