@@ -29,7 +29,7 @@ from westinv.trace import write_csv
 OUT = os.path.join(os.path.dirname(__file__), "output", "forward")
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
-BC = BoundaryCondition.from_kinds("dirichlet", "neumann")
+BC = BoundaryCondition("dirichlet", "neumann")
 
 
 def excitation():

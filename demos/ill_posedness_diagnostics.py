@@ -31,7 +31,7 @@ from westinv.spectra import svd_csv
 OUT = os.path.join(os.path.dirname(__file__), "output", "diagnostics")
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
-BC = BoundaryCondition.from_kinds("dirichlet", "neumann")
+BC = BoundaryCondition("dirichlet", "neumann")
 
 
 def singular_value_decay():

@@ -54,9 +54,7 @@ from .grids import (
     IMPEDANCE,
     NEUMANN,
     BoundaryCondition,
-    EndpointCondition,
     MaterialParams,
-    SolverOptions,
     SpatialGrid,
     TimeGrid,
 )

@@ -86,8 +86,8 @@ def _march(problem: Problem, base: StateField, kap: np.ndarray, level,
     alpha = 1.0 - 2.0 * kap[:, None] * base.values
     levels = pairwise(map(level, range(tgrid.nt + 1)))
     u = cn_march(problem, ((new - old) / tgrid.dt for old, new in levels),
-                 lambda n, un, step, _: step(alpha[:, n + 1],
-                                             (alpha[:, n] * un.T).T),
+                 lambda n, un, step: step(alpha[:, n + 1],
+                                          (alpha[:, n] * un.T).T),
                  problem.obs_index if trace_only else slice(None))
     return u if trace_only else StateField(u, problem.grid, tgrid)
 
@@ -153,7 +153,7 @@ def solve_adjoint(problem: Problem, base: StateField, kappa,
         raise UnsupportedObservationError(
             "only observation at the right boundary x = 1 is supported in 1-D"
         )
-    if problem.bc.right.kind == DIRICHLET:
+    if problem.bc.right == DIRICHLET:
         raise UnsupportedObservationError(
             "observation at a Dirichlet endpoint carries no information"
         )
@@ -170,8 +170,8 @@ def solve_adjoint(problem: Problem, base: StateField, kappa,
     forcing = (delta * (0.5 * (y_rev[n] + y_rev[n + 1]))
                for n in range(tgrid.nt))
     v = cn_march(problem, forcing,
-                 lambda n, un, step, _: step(alpha_mid[:, n],
-                                             alpha_mid[:, n] * un))
+                 lambda n, un, step: step(alpha_mid[:, n],
+                                          alpha_mid[:, n] * un))
     u = _cumulative_trapezoid(v, tgrid.dt)
     return StateField(u[:, ::-1].copy(), grid, tgrid)
 

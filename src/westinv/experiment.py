@@ -288,7 +288,7 @@ def build_problem(cfg: ExperimentConfig):
     grid = SpatialGrid(cfg.nx)
     tgrid = TimeGrid(cfg.nt, cfg.t_final)
     params = MaterialParams(cfg.c2, cfg.b)
-    bc = BoundaryCondition.from_kinds(cfg.bc_left, cfg.bc_right)
+    bc = BoundaryCondition(cfg.bc_left, cfg.bc_right)
     basis = BasisSet(BASIS_ALIASES[cfg.basis_kind], cfg.n_basis)
     f, f_xx = EXCITATIONS[cfg.excitation]
     beta, beta_t, beta_tt = TIME_PROFILES[cfg.time_profile]

@@ -38,13 +38,14 @@ from .grids import (
     NEUMANN,
     BoundaryCondition,
     MaterialParams,
-    SolverOptions,
     SpatialGrid,
     TimeGrid,
 )
 from .laplacian import Laplace1D, build_laplacian
 
 POSITIVITY_FLOOR = 0.25  # least admissible 1 - 2 kappa p
+INNER_TOL = 1e-10  # bound on each step's next Newton update (max-norm)
+MAX_INNER = 20  # Newton updates per step before NoConvergenceError
 
 
 @dataclass
@@ -102,8 +103,8 @@ def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Problem:
     """One measurement setup of the forward map kappa -> p|_Sigma: grids,
-    material parameters, boundary conditions, excitation, solver options,
-    the observation node and the trace sample times.
+    material parameters, boundary conditions, excitation, the observation
+    node and the trace sample times.
 
     Construction solves no PDE.  It builds the operator A, resolves the
     observation index (OffGridError if obs_point is not a grid node) and
@@ -116,7 +117,6 @@ class Problem:
     tgrid: TimeGrid
     bc: BoundaryCondition
     source: SourceTerm
-    opts: SolverOptions = field(default_factory=SolverOptions)
     obs_point: float = 1.0
     sample_times: np.ndarray | None = None
     operator: Laplace1D = field(init=False, repr=False)
@@ -152,7 +152,7 @@ class Problem:
         nx, nt, obs = self.grid.nx, self.tgrid.nt, self.obs_index
         forcing = np.zeros((nt, nx))
         forcing[0, obs] = 1.0
-        u = cn_march(self, forcing, lambda n, un, step, _: step(1.0, un))
+        u = cn_march(self, forcing, lambda n, un, step: step(1.0, un))
         w = np.ones(nx)
         w[[0, -1]] = 0.5
         # C-ordered, as the transforms it multiplies in _frozen_traces
@@ -195,13 +195,13 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
 
     forcing yields f for steps n -> n + 1, n = 0, ..., nt - 1, shaped (nx,)
     or (nx, k): k columns march through the same step matrices.
-    advance(n, un, step, u) returns u^{n+1}, where u is the returned array,
-    filled up to level n; step(a_new, old) solves (a_new/dt + coef A) u = rhs,
-    rhs = old/dt + f - coef A un - c^2 \\int_0^{t_n} A u (trapezoidal memory),
-    so a linear step passes old = a_old un.  advance must return its last
-    step's solution (RuntimeError if not): coef A u^{n+1} = rhs - (a_new/dt)
-    u^{n+1} is read off that system, so no step applies A.  Dirichlet rows
-    are the identity with rhs 0, so u and A u are exactly 0 there.
+    advance(n, un, step) calls step(a_new, old) at least once; step solves
+    (a_new/dt + coef A) u = rhs, rhs = old/dt + f - coef A un - c^2
+    \\int_0^{t_n} A u (trapezoidal memory), and returns u, so a linear step
+    passes old = a_old un.  The last call's u is u^{n+1}, and coef A u^{n+1}
+    = rhs - (a_new/dt) u^{n+1} is read off its system, so no step applies A.
+    Dirichlet rows are the identity with rhs 0, so u and A u are exactly 0
+    there.
 
     The per-step state is kept in dgtsv's layout, Fortran-ordered (nx, k)
     blocks, and the levels time-major, (nt + 1, k, nx), so that each step
@@ -211,7 +211,7 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
     A, params, tgrid = problem.operator, problem.params, problem.tgrid
     dt = tgrid.dt
     coef = params.b / 2 + params.c2 * dt / 4
-    ab = A.banded(0.0, coef)  # each step rewrites only the diagonal
+    bands = A.banded(0.0, coef)  # each step rewrites only the main diagonal
     diag = coef * A.diag + A.dirichlet  # 1 on Dirichlet rows, where A is 0
     free = 1.0 - A.dirichlet  # 0 on Dirichlet rows
     inv_dt = free / dt
@@ -222,27 +222,24 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
     # u^0, coef A u^0 and the memory c^2 \\int A u, in dgtsv's layout
     un, coef_Au, memory = (np.zeros(f.shape, order="F") for _ in range(3))
     levels = np.zeros((tgrid.nt + 1,) + un[keep].T.shape)
-    u = levels.T
     scale = params.c2 * dt / (2 * coef)  # trapezoid weight per coef A u
     solved = ()
 
     def step(a_new, old):  # reads the loop's current rest
         nonlocal solved
         a_dt = a_new * inv_dt
-        np.add(a_dt, diag, out=ab[1])
+        np.add(a_dt, diag, out=bands[1])
         rhs = old * weight
         rhs += rest
-        solved = A.solve_banded_system(ab, rhs), rhs, a_dt
+        solved = A.solve_banded_system(bands, rhs), rhs, a_dt
         return solved[0]
 
     for n in range(tgrid.nt):
         rest = f * free  # 0 on Dirichlet rows, as are coef A u and memory
         rest -= coef_Au
         rest -= memory
-        un = advance(n, un, step, u)
-        if not solved or un is not solved[0]:
-            raise RuntimeError("advance must return its last step's solution")
-        (_, rhs, a_dt), solved = solved, ()
+        advance(n, un, step)
+        (un, rhs, a_dt), solved = solved, ()  # fails if step was not called
         levels[n + 1] = un[keep].T
         rhs -= (a_dt * un.T).T  # coef A u^{n+1}
         coef_Au += rhs
@@ -250,7 +247,7 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
         memory += coef_Au
         coef_Au = rhs
         f = next(steps, None)
-    return u
+    return levels.T
 
 
 def solve_forward(problem: Problem, kappa) -> StateField:
@@ -263,48 +260,49 @@ def solve_forward(problem: Problem, kappa) -> StateField:
     so after an update D the residual is exactly -kappa D^2/dt, and Varah's
     bound for the diagonally dominant step matrix caps the next update at
     max |kappa| D^2 / min(1 - 2 kappa p); the loop stops once that is at
-    most opts.inner_tol.  At kappa = 0 this is one linear solve per step,
+    most INNER_TOL.  The steps' remaining errors add up over the march, so
+    the field can sit several INNER_TOL from the exact discrete solution on
+    a coarse time grid.  At kappa = 0 this is one linear solve per step,
     taken directly: the same solve, without the predictor or the bound.
 
     Raises DegeneracyError if 1 - 2*kappa*p drops below POSITIVITY_FLOOR
-    and NoConvergenceError if the bound is still above inner_tol after
-    max_inner updates.
+    and NoConvergenceError if the bound is still above INNER_TOL after
+    MAX_INNER updates.
     """
-    opts, tgrid = problem.opts, problem.tgrid
+    tgrid = problem.tgrid
     kap = kappa_samples(kappa, problem.grid)
     two_kap, abs_kap = 2.0 * kap, np.abs(kap)
     p2 = p1 = None  # p^{n-2} and p^{n-1}: the contiguous step solutions
 
-    def advance(n, pn, step, _):
+    def advance(n, pn, step):
         nonlocal p2, p1
         # quadratic extrapolation; p^0 = 0, so 2 p^1 is the linear one
         pk = 3.0 * (pn - p1) + p2 if n > 1 else (n + 1) * pn
         p2, p1 = p1, pn
         pn_sq = pn * pn
-        for _ in range(opts.max_inner):
+        for _ in range(MAX_INNER):
             pnew = step(1.0 - two_kap * pk, pn - kap * (pk * pk + pn_sq))
             peak = two_kap * pnew
             margin = 1.0 - peak[peak.argmax()]  # min(1 - 2 kappa p)
             bound = abs_kap * (pnew - pk)**2
             # multiplied out, so that a margin <= 0 never stops the loop
-            if bound[bound.argmax()] <= opts.inner_tol * margin:
+            if bound[bound.argmax()] <= INNER_TOL * margin:
                 break
             pk = pnew
         else:
             raise NoConvergenceError(
-                f"Newton's method did not reach {opts.inner_tol} in "
-                f"{opts.max_inner} updates at t = {tgrid.times[n + 1]:.6g}"
+                f"Newton's method did not reach {INNER_TOL} in "
+                f"{MAX_INNER} updates at t = {tgrid.times[n + 1]:.6g}"
             )
         if margin < POSITIVITY_FLOOR:
             raise DegeneracyError(
                 f"1 - 2*kappa*p = {margin:.4g} fell below the floor "
                 f"{POSITIVITY_FLOOR} at t = {tgrid.times[n + 1]:.6g}"
             )
-        return pnew
 
     p = cn_march(problem, problem.step_forcing,
                  advance if kap.any()  # kappa = 0: Newton's single solve
-                 else lambda n, pn, step, p: step(1.0, pn))
+                 else lambda n, pn, step: step(1.0, pn))
     return StateField(p, problem.grid, tgrid)
 
 
@@ -353,13 +351,13 @@ def _check_profile_bc(f, fx, bc: BoundaryCondition):
     violates a Dirichlet or Neumann endpoint condition of [0, 1]."""
     scale = max(np.max(np.abs(fx)), 1.0)
     h = 1e-6
-    for cond, endpoint, inward in ((bc.left, 0.0, 1.0), (bc.right, 1.0, -1.0)):
+    for kind, endpoint, inward in ((bc.left, 0.0, 1.0), (bc.right, 1.0, -1.0)):
         value = fx[0] if inward > 0 else fx[-1]
-        if cond.kind == DIRICHLET and abs(value) > 1e-10 * scale:
+        if kind == DIRICHLET and abs(value) > 1e-10 * scale:
             raise IncompatibleBCError(
                 f"f({endpoint}) = {value:.3g} violates the Dirichlet condition"
             )
-        if cond.kind == NEUMANN:
+        if kind == NEUMANN:
             slope = (f(endpoint + inward * h) - f(endpoint)) / (inward * h)
             if abs(slope) > 1e-4 * scale:
                 raise IncompatibleBCError(

@@ -1,8 +1,8 @@
-"""Grids, material parameters, boundary conditions and solver options."""
+"""Grids, material parameters and boundary conditions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,61 +75,19 @@ class MaterialParams:
 
 
 @dataclass(frozen=True)
-class EndpointCondition:
-    """Boundary condition at one endpoint.
+class BoundaryCondition:
+    """Homogeneous boundary kinds at x = 0 (left) and x = 1 (right):
+    Dirichlet u = 0, Neumann du/dn = 0 or impedance du/dn + u = 0, with n
+    the outward normal."""
 
-    Dirichlet and Neumann conditions are homogeneous; impedance carries a
-    positive coefficient (default 1.0).
-    """
-
-    kind: str = DIRICHLET
-    coefficient: float = 1.0
+    left: str = DIRICHLET
+    right: str = NEUMANN
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown boundary kind {self.kind!r}")
-        if self.kind == IMPEDANCE and not 0 < self.coefficient < np.inf:
-            raise ValueError("impedance coefficient must be positive and "
-                             f"finite, got {self.coefficient!r}")
-
-
-@dataclass(frozen=True)
-class BoundaryCondition:
-    left: EndpointCondition = field(default_factory=EndpointCondition)
-    right: EndpointCondition = field(
-        default_factory=lambda: EndpointCondition(NEUMANN)
-    )
+        for kind in (self.left, self.right):
+            if kind not in _KINDS:
+                raise ValueError(f"unknown boundary kind {kind!r}")
 
     @property
     def pure_neumann(self) -> bool:
-        return self.left.kind == NEUMANN and self.right.kind == NEUMANN
-
-    @classmethod
-    def from_kinds(cls, left: str, right: str, coefficient: float = 1.0):
-        return cls(
-            EndpointCondition(left, coefficient),
-            EndpointCondition(right, coefficient),
-        )
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tolerances for the nonlinear forward solver.
-
-    inner_tol bounds the next Newton update of each time step (max-norm):
-    a step stops once its a-priori bound on that update is at most
-    inner_tol, and raises NoConvergenceError if max_inner updates do not
-    get there.  The steps' remaining errors add up over the march, so the
-    field can sit several inner_tol from the exact discrete solution on a
-    coarse time grid.  1 - 2 kappa p must stay at or above the fixed floor
-    westinv.forward.POSITIVITY_FLOOR.
-    """
-
-    inner_tol: float = 1e-10
-    max_inner: int = 20
-
-    def __post_init__(self):
-        if not self.inner_tol > 0:
-            raise ValueError("inner_tol must be positive")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be at least 1")
+        return self.left == NEUMANN and self.right == NEUMANN

@@ -45,31 +45,33 @@ class Laplace1D:
         out[..., 1:] += self.lower[1:] * ut[..., :-1]
         return out.T
 
-    def banded(self, diag_shift: np.ndarray | float, scale: float) -> np.ndarray:
-        """Banded storage of diag(diag_shift) + scale * A with Dirichlet rows
-        and columns those of the identity (u = 0 there, so dgtsv's pivoting
-        never mixes them into free rows), ready for solve_banded_system."""
+    def banded(self, diag_shift: np.ndarray | float, scale: float) -> tuple:
+        """dgtsv's sub-, main and super-diagonal of diag(diag_shift) + scale
+        * A, views of one (3, nx) block, with Dirichlet rows and columns
+        those of the identity (u = 0 there, so dgtsv's pivoting never mixes
+        them into free rows), ready for solve_banded_system."""
         ab = np.zeros((3, self.nx))
-        ab[0, 1:] = scale * self.upper[:-1]
+        ab[0, :-1] = scale * self.lower[1:]
         ab[1, :] = diag_shift + scale * self.diag
-        ab[2, :-1] = scale * self.lower[1:]
+        ab[2, 1:] = scale * self.upper[:-1]
         ab[:, self.dirichlet] = [[0.0], [1.0], [0.0]]  # ab[:, j] is column j
-        return ab
+        return ab[0, :-1], ab[1], ab[2, 1:]
 
     @cached_property
     def dirichlet_nodes(self) -> tuple:
         """Indices of the Dirichlet-constrained nodes."""
         return tuple(np.flatnonzero(self.dirichlet).tolist())
 
-    def solve_banded_system(self, ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve ab u = rhs, rhs (nx,) or (nx, k) and u = 0 at Dirichlet
-        nodes, by one LAPACK dgtsv call (what scipy's solve_banded runs for
-        (1, 1) bands); a zero pivot raises SingularOperatorError.  dgtsv
-        solves a Fortran-ordered copy, so rhs is left as it was, and u comes
-        back in Fortran order.  u is zeroed at Dirichlet nodes after the
-        solve: for finite rhs that equals zeroing rhs there first, as those
-        rows and columns are the identity."""
-        *_, u, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    def solve_banded_system(self, bands: tuple, rhs: np.ndarray) -> np.ndarray:
+        """Solve the system of bands (from banded) for u, rhs (nx,) or (nx,
+        k) and u = 0 at Dirichlet nodes, by one LAPACK dgtsv call (what
+        scipy's solve_banded runs for (1, 1) bands); a zero pivot raises
+        SingularOperatorError.  dgtsv solves a Fortran-ordered copy, so rhs
+        is left as it was, and u comes back in Fortran order.  u is zeroed
+        at Dirichlet nodes after the solve: for finite rhs that equals
+        zeroing rhs there first, as those rows and columns are the
+        identity."""
+        *_, u, info = dgtsv(*bands, rhs)
         if info > 0:
             raise SingularOperatorError(
                 f"singular tridiagonal system (zero pivot in row {info})")
@@ -96,16 +98,16 @@ def build_laplacian(grid: SpatialGrid, bc: BoundaryCondition) -> Laplace1D:
     lower[0] = upper[-1] = 0.0
     dirichlet = np.zeros(nx, dtype=bool)
 
-    def _endpoint(cond, i, neighbor_slot):
-        if cond.kind == DIRICHLET:
+    def _endpoint(kind, i, neighbor_slot):
+        if kind == DIRICHLET:
             dirichlet[i] = True
             diag[i] = 0.0
             neighbor_slot[i] = 0.0
-        elif cond.kind == NEUMANN:
+        elif kind == NEUMANN:
             neighbor_slot[i] = -2.0 * inv2
-        elif cond.kind == IMPEDANCE:
+        elif kind == IMPEDANCE:  # du/dn + u = 0
             neighbor_slot[i] = -2.0 * inv2
-            diag[i] = 2.0 * inv2 + 2.0 * cond.coefficient / dx
+            diag[i] = 2.0 * inv2 + 2.0 / dx
 
     _endpoint(bc.left, 0, upper)
     _endpoint(bc.right, nx - 1, lower)

@@ -36,7 +36,7 @@ class SpectralData:
     def build(cls, bc: BoundaryCondition, count: int, b: float, c2: float):
         lam = eigenvalues(bc, count)
         pairs = [poles(b, c2, v) for v in lam]
-        tag = f"{bc.left.kind}-{bc.right.kind}"
+        tag = f"{bc.left}-{bc.right}"
         return cls(lam, tag, pairs)
 
     def pole_table(self) -> list:
@@ -56,7 +56,7 @@ def eigenvalues(bc: BoundaryCondition, count: int) -> np.ndarray:
     Dirichlet-Dirichlet, ((j - 1/2) pi)^2 for mixed Dirichlet/Neumann."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    kinds = {bc.left.kind, bc.right.kind}
+    kinds = {bc.left, bc.right}
     if bc.pure_neumann:
         raise ValueError(
             "pure Neumann conditions are excluded from the spectral diagnostics"

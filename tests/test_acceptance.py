@@ -41,7 +41,7 @@ from westinv import (
 from westinv.experiment import ExperimentConfig, build_problem
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
-BC = BoundaryCondition.from_kinds("dirichlet", "neumann")
+BC = BoundaryCondition("dirichlet", "neumann")
 
 
 def report_line(num: int, ok: bool, detail: str) -> None:

@@ -32,7 +32,7 @@ BC_IDS = ["dirichlet-neumann", "dirichlet-impedance", "impedance-neumann"]
 
 def make_problem(bc_id, nx, nt, kappa_scale, ns):
     grid, tgrid = SpatialGrid(nx), TimeGrid(nt)
-    bc = BoundaryCondition.from_kinds(*bc_id.split("-"))
+    bc = BoundaryCondition(*bc_id.split("-"))
     kap = kappa_scale * (1.0 + 0.5 * np.sin(3.0 * grid.nodes))
     source = manufactured_source(
         lambda x: np.sin(np.pi * x / 2),

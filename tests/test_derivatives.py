@@ -35,7 +35,7 @@ from westinv import (
 from westinv.basis import BasisSet, evaluate_basis
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
-BC = BoundaryCondition.from_kinds("dirichlet", "neumann")
+BC = BoundaryCondition("dirichlet", "neumann")
 
 
 def f(x):
@@ -49,8 +49,8 @@ def f_xx(x):
 # boundary pairs for the derivative identities (observation at x = 1 must
 # not be Dirichlet); the impedance pairs run at nx = 51, nt = 200 to keep
 # the suite short
-BC_DI = BoundaryCondition.from_kinds("dirichlet", "impedance")
-BC_IN = BoundaryCondition.from_kinds("impedance", "neumann")
+BC_DI = BoundaryCondition("dirichlet", "impedance")
+BC_IN = BoundaryCondition("impedance", "neumann")
 BC_IDS = ["dirichlet-neumann", "dirichlet-impedance", "impedance-neumann"]
 
 
@@ -168,7 +168,7 @@ def test_adjoint_unsupported_observation():
     y = np.ones(tgrid.nt + 1)
     with pytest.raises(UnsupportedObservationError):
         solve_adjoint(replace(problem, obs_point=0.5), base, kap, y)
-    bc_dd = BoundaryCondition.from_kinds("dirichlet", "dirichlet")
+    bc_dd = BoundaryCondition("dirichlet", "dirichlet")
     with pytest.raises(UnsupportedObservationError):
         solve_adjoint(replace(problem, bc=bc_dd), base, kap, y)
 
@@ -213,7 +213,7 @@ def test_apply_gradient_closed_forms():
     g = apply_gradient(problem, ones, psq, 0)
     assert np.max(np.abs(g.samples - 4 * f(x) ** 2)) < 1e-3
     # s = 1, Dirichlet-Dirichlet, g = sin(pi x) -> u = sin(pi x)/pi^2
-    bc_dd = BoundaryCondition.from_kinds("dirichlet", "dirichlet")
+    bc_dd = BoundaryCondition("dirichlet", "dirichlet")
     psq_sin = np.tile(np.sin(np.pi * x)[:, None], (1, tgrid.nt + 1))
     u = apply_gradient(replace(problem, bc=bc_dd), ones, psq_sin, 1)
     assert np.max(np.abs(u.samples - np.sin(np.pi * x) / np.pi**2)) < 1e-3
@@ -378,7 +378,7 @@ BASIS_PROPERTY = hypothesis.settings(max_examples=15, deadline=None,
 def basis_problem(bc_id):
     # nx = 51 and nt = 200 for every boundary pair
     return make_problem(51, 200,
-                        bc=BoundaryCondition.from_kinds(*bc_id.split("-")))
+                        bc=BoundaryCondition(*bc_id.split("-")))
 
 
 def basis_direction(grid, kind, m, seed, low):

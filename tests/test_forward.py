@@ -1,8 +1,6 @@
 """Forward solver: manufactured solutions, convergence order, linearity,
 the Newton inner loop, degeneracy guard and the observation operator."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgtsv
@@ -11,14 +9,12 @@ from westinv import (
     BoundaryCondition,
     DegeneracyError,
     Direction,
-    EndpointCondition,
     IncompatibleBCError,
     MaterialParams,
     NoConvergenceError,
     OffGridError,
     Problem,
     SingularOperatorError,
-    SolverOptions,
     SourceTerm,
     SpatialGrid,
     StateField,
@@ -29,12 +25,13 @@ from westinv import (
     solve_forward,
     solve_sensitivity,
 )
+from westinv import forward
 from westinv.errors import GridTooCoarseError
 from westinv.experiment import ExperimentConfig, build_problem
 from westinv.laplacian import Laplace1D, build_laplacian
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
-BC = BoundaryCondition.from_kinds("dirichlet", "neumann")
+BC = BoundaryCondition("dirichlet", "neumann")
 
 
 def f(x):
@@ -217,12 +214,13 @@ def test_degeneracy_guard():
         solve_forward(make_problem(grid, tgrid), kap)
 
 
-def test_no_convergence_raised():
+def test_no_convergence_raised(monkeypatch):
     # no update meets a tolerance of 1e-300 within two updates
     grid, tgrid = SpatialGrid(51), TimeGrid(100)
     kap = np.full(51, 0.1)
-    problem = Problem(PARAMS, grid, tgrid, BC, make_source(grid, tgrid, kap),
-                      opts=SolverOptions(inner_tol=1e-300, max_inner=2))
+    problem = Problem(PARAMS, grid, tgrid, BC, make_source(grid, tgrid, kap))
+    monkeypatch.setattr(forward, "INNER_TOL", 1e-300)
+    monkeypatch.setattr(forward, "MAX_INNER", 2)
     with pytest.raises(NoConvergenceError, match="in 2 updates"):
         solve_forward(problem, kap)
 
@@ -243,16 +241,17 @@ def criterion5_problem(bc_id="dirichlet-neumann", nx=101):
 
 
 @pytest.mark.parametrize("bc_id", BC_IDS)
-def test_newton_field_within_inner_tol_of_a_tight_solve(bc_id):
-    # inner_tol bounds each step's next Newton update, so the steps' errors
+def test_newton_field_within_inner_tol_of_a_tight_solve(bc_id, monkeypatch):
+    # INNER_TOL bounds each step's next Newton update, so the steps' errors
     # add up over the march.  From the quadratic predictor they stay below
-    # inner_tol here (3.4e-11); the linear predictor 2 p^n - p^{n-1} stops
+    # INNER_TOL here (3.4e-11); the linear predictor 2 p^n - p^{n-1} stops
     # after as many updates and leaves the field 2.6e-9 to 4.5e-9 off.
     problem, truth = criterion5_problem(bc_id, nx=51)
-    tight = replace(problem, opts=SolverOptions(inner_tol=1e-14))
     p = solve_forward(problem, truth).values
-    p_tight = solve_forward(tight, truth).values
-    assert np.max(np.abs(p - p_tight)) <= problem.opts.inner_tol
+    inner_tol = forward.INNER_TOL
+    monkeypatch.setattr(forward, "INNER_TOL", 1e-14)
+    p_tight = solve_forward(problem, truth).values
+    assert np.max(np.abs(p - p_tight)) <= inner_tol
 
 
 def test_one_tridiagonal_solve_per_step(monkeypatch):
@@ -327,47 +326,37 @@ def test_second_time_derivative_grid_too_coarse():
 ])
 def test_banded_identity_rows_at_dirichlet_nodes(left, right):
     # every time-stepping matrix replaces a Dirichlet row by the identity
-    A = build_laplacian(SpatialGrid(11), BoundaryCondition.from_kinds(left, right))
-    ab = A.banded(np.linspace(1.0, 2.0, 11), 0.7)
-    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    A = build_laplacian(SpatialGrid(11), BoundaryCondition(left, right))
+    sub, main, sup = A.banded(np.linspace(1.0, 2.0, 11), 0.7)
+    dense = np.diag(main) + np.diag(sup, 1) + np.diag(sub, -1)
     rows = np.flatnonzero(A.dirichlet)
     assert len(rows) == [left, right].count("dirichlet")
     np.testing.assert_array_equal(dense[rows], np.eye(11)[rows])
-
-
-@pytest.mark.parametrize("coefficient", [-5.0, 0.0, np.nan, np.inf])
-def test_impedance_coefficient_must_be_positive_and_finite(coefficient):
-    # A's row sums stay >= 0 only for a positive coefficient, which the
-    # forward solver's stopping bound needs
-    with pytest.raises(ValueError, match="impedance coefficient"):
-        EndpointCondition("impedance", coefficient)
-    with pytest.raises(ValueError, match="impedance coefficient"):
-        BoundaryCondition.from_kinds("dirichlet", "impedance", coefficient)
-    assert EndpointCondition("impedance", 2.5).coefficient == 2.5
 
 
 def test_singular_step_system_raises_named_error():
     # a zero row of a step matrix is a zero pivot for dgtsv: a named solver
     # error (exit 4), not scipy's LinAlgError
     A = build_laplacian(SpatialGrid(11), BC)
-    ab = A.banded(np.linspace(1.0, 2.0, 11), 0.7)
-    ab[2, 3] = ab[1, 4] = ab[0, 5] = 0.0  # row 4 of the matrix
+    bands = A.banded(np.linspace(1.0, 2.0, 11), 0.7)
+    sub, main, sup = bands
+    sub[3] = main[4] = sup[4] = 0.0  # row 4 of the matrix
     for rhs in (np.ones(11), np.ones((11, 3))):
         with pytest.raises(SingularOperatorError, match="zero pivot"):
-            A.solve_banded_system(ab, rhs)
+            A.solve_banded_system(bands, rhs)
 
 
 def test_batched_apply_and_solve_equal_single_columns():
     # k right-hand sides in one call give the k one-column results exactly
-    A = build_laplacian(SpatialGrid(11), BoundaryCondition.from_kinds(
-        "impedance", "neumann"))
+    A = build_laplacian(SpatialGrid(11),
+                        BoundaryCondition("impedance", "neumann"))
     shift = np.linspace(1.0, 2.0, 11)
-    ab = A.banded(shift, 0.7)
+    bands = A.banded(shift, 0.7)
     U = np.random.Generator(np.random.Philox(5)).standard_normal((11, 4))
-    AU, X = A.apply(U), A.solve_banded_system(ab, U)
+    AU, X = A.apply(U), A.solve_banded_system(bands, U)
     for j in range(4):
         assert np.array_equal(AU[:, j], A.apply(U[:, j]))
-        assert np.array_equal(X[:, j], A.solve_banded_system(ab, U[:, j]))
+        assert np.array_equal(X[:, j], A.solve_banded_system(bands, U[:, j]))
     np.testing.assert_allclose(shift[:, None] * X + 0.7 * A.apply(X), U,
                                rtol=1e-12, atol=1e-12)
 
@@ -379,21 +368,19 @@ def test_batched_apply_and_solve_equal_single_columns():
 def test_solve_banded_system_contract(left, right, layout):
     # u = 0 at Dirichlet nodes where rhs is not, the caller's rhs keeps its
     # bits, and u equals the route that masks a Fortran copy of rhs first
-    A = build_laplacian(SpatialGrid(11), BoundaryCondition.from_kinds(
-        left, right))
-    ab = A.banded(np.linspace(1.0, 2.0, 11), 0.7)
+    A = build_laplacian(SpatialGrid(11), BoundaryCondition(left, right))
+    bands = A.banded(np.linspace(1.0, 2.0, 11), 0.7)
     block = np.random.Generator(np.random.Philox(8)).standard_normal((11, 4))
     rhs = {"vector": block[:, 0].copy(), "C": np.ascontiguousarray(block),
            "F": np.asfortranarray(block)}[layout]
     assert rhs[A.dirichlet].all()
     before = rhs.copy(order="K")
-    u = A.solve_banded_system(ab, rhs)
+    u = A.solve_banded_system(bands, rhs)
     assert not u[A.dirichlet].any()
     assert np.array_equal(rhs.view(np.uint64), before.view(np.uint64))
     masked = np.array(rhs, dtype=float, order="F")
     masked[A.dirichlet] = 0.0
-    *_, expected, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], masked,
-                               overwrite_b=True)
+    *_, expected, info = dgtsv(*bands, masked, overwrite_b=True)
     assert info == 0
     assert np.array_equal(u, expected)
 

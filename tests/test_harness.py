@@ -38,7 +38,7 @@ from westinv.experiment import (
 )
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
-BC = BoundaryCondition.from_kinds("dirichlet", "neumann")
+BC = BoundaryCondition("dirichlet", "neumann")
 
 
 def small_config(**overrides):
@@ -196,6 +196,7 @@ def test_config_validation_errors():
         {"c2": 0.0},
         {"obs_point": 0.51},  # between the nodes 0.5 and 0.525
         {"bc_left": "robin"},
+        {"bc_right": "robin"},
         {"seed": -1},  # the noise generator takes only nonnegative seeds
         {"method": "halley", "frozen": False},  # Halley runs only frozen
     ):

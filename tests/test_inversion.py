@@ -46,7 +46,7 @@ from westinv.inversion import (
 from westinv.derivatives import JacobianMatrix
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
-BC = BoundaryCondition.from_kinds("dirichlet", "neumann")
+BC = BoundaryCondition("dirichlet", "neumann")
 
 
 def make_setup(nx=51, nt=100, m=9, noise=0.0, seed=0, amplitude=0.15,
@@ -521,7 +521,7 @@ BC_IDS = ["dirichlet-neumann", "dirichlet-impedance", "impedance-neumann"]
 
 @cache
 def gradient_map_context(bc_id, s):
-    ctx = make_setup(bc=BoundaryCondition.from_kinds(*bc_id.split("-")))[0]
+    ctx = make_setup(bc=BoundaryCondition(*bc_id.split("-")))[0]
     return InversionContext(ctx.problem, ctx.basis, smoothing_s=s)
 
 
@@ -601,7 +601,7 @@ def test_frozen_landweber_pure_neumann_smoothing_is_singular():
     # s = 1 applies A^{-1}, which does not exist under pure Neumann
     # conditions, whether per step or once for the whole map
     grid, tgrid = SpatialGrid(41), TimeGrid(80)
-    bc = BoundaryCondition.from_kinds("neumann", "neumann")
+    bc = BoundaryCondition("neumann", "neumann")
     source = manufactured_source(
         lambda x: np.cos(np.pi * x), lambda x: -np.pi**2 * np.cos(np.pi * x),
         lambda t: t**2, lambda t: 2 * t, lambda t: 2 * np.ones_like(t),

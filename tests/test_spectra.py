@@ -15,8 +15,8 @@ from westinv import (
 )
 from westinv.spectra import svd_csv
 
-BC_DD = BoundaryCondition.from_kinds("dirichlet", "dirichlet")
-BC_DN = BoundaryCondition.from_kinds("dirichlet", "neumann")
+BC_DD = BoundaryCondition("dirichlet", "dirichlet")
+BC_DN = BoundaryCondition("dirichlet", "neumann")
 
 
 def test_eigenvalues_closed_forms():
@@ -30,11 +30,9 @@ def test_eigenvalues_unsupported():
     # no closed form for pure Neumann or impedance ends: a ValueError, as
     # for count < 1, since neither is about the observation point
     with pytest.raises(ValueError):
-        eigenvalues(BoundaryCondition.from_kinds("neumann", "neumann"), 3)
-    bc_imp = BoundaryCondition.from_kinds("dirichlet", "impedance",
-                                          coefficient=1.0)
+        eigenvalues(BoundaryCondition("neumann", "neumann"), 3)
     with pytest.raises(ValueError):
-        eigenvalues(bc_imp, 3)
+        eigenvalues(BoundaryCondition("dirichlet", "impedance"), 3)
 
 
 def test_poles_real_pair():
