@@ -334,6 +334,25 @@ def test_banded_identity_rows_at_dirichlet_nodes(left, right):
     np.testing.assert_array_equal(dense[rows], np.eye(11)[rows])
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_boundary_condition_checks_both_kinds(side):
+    with pytest.raises(ValueError, match="unknown boundary kind 'robin'"):
+        BoundaryCondition(**{side: "robin"})
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_impedance_row_is_du_dn_plus_u_zero(side):
+    # u = y^2 - 3, y the distance from the other end, meets du/dn + u = 0 at
+    # the impedance end and du/dn = 0 at the Neumann end; ghost-node
+    # elimination is exact for a quadratic, so A u = -u'' = -2 at every node
+    # only if the impedance coefficient is 1
+    grid = SpatialGrid(11)
+    y = grid.nodes if side == "right" else 1.0 - grid.nodes
+    kinds = {"left": "neumann", "right": "neumann", side: "impedance"}
+    A = build_laplacian(grid, BoundaryCondition(**kinds))
+    np.testing.assert_allclose(A.apply(y**2 - 3.0), -2.0, rtol=0, atol=1e-9)
+
+
 def test_singular_step_system_raises_named_error():
     # a zero row of a step matrix is a zero pivot for dgtsv: a named solver
     # error (exit 4), not scipy's LinAlgError

@@ -1,7 +1,7 @@
 """The Crank-Nicolson kernel: reading coef A u^{n+1} off the solved system
 gives the fields of a march that applies A and integrates its memory by the
-trapezoidal rule, on every accepted boundary pair; sample_trace is
-np.interp bit for bit."""
+trapezoidal rule, on every accepted boundary pair; the last step call's
+solution is the next level; sample_trace is np.interp bit for bit."""
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from westinv import (
     solve_forward,
     solve_sensitivity,
 )
+from westinv.forward import cn_march
 
 PAIRS = [(left, right) for left in ("dirichlet", "neumann", "impedance")
          for right in ("dirichlet", "neumann", "impedance")
@@ -111,6 +112,26 @@ def test_kernel_matches_the_applied_operator_march(monkeypatch, left, right):
         assert scale > 0.0, name
         assert np.max(np.abs(values - ref[name])) <= 1e-12 * scale, name
         assert not values[dirichlet].any(), name
+
+
+def discard_then_step(n, un, step):
+    step(2.0, 3.0 * un + 1.0)  # a different system, solved and dropped
+    step(1.0, un)
+
+
+@pytest.mark.parametrize("advance", [
+    lambda n, un, step: step(1.0, un).copy(),  # returns a copy, ignored
+    discard_then_step,
+], ids=["copy", "twice"])
+def test_march_takes_the_last_step_call_as_the_next_level(advance):
+    # advance returns nothing the march reads: u^{n+1} and coef A u^{n+1}
+    # come from its last step call, bit for bit as if that were the only one
+    problem, _ = make_problem("impedance", "neumann", nt=6)
+    forcing = np.ones((problem.tgrid.nt, problem.grid.nx))
+    got = cn_march(problem, forcing, advance)
+    plain = cn_march(problem, forcing, lambda n, un, step: step(1.0, un))
+    assert np.max(np.abs(plain)) > 0.0
+    assert np.array_equal(got, plain)
 
 
 @pytest.mark.parametrize("nt, t_final", [(8, 1.0), (80, 2.0)])
