@@ -147,12 +147,12 @@ def cmd_convergence_study(args) -> int:
     return 0
 
 
-def _run_sweep_entry(job) -> int:
+def _run_sweep_entry(job, shared: dict) -> int:
     """run_experiment for one sweep entry.  Any other exception becomes this
     entry's error report (exit 4), so the other entries still finish."""
     _, cfg, out_dir = job
     try:
-        return run_experiment(cfg, out_dir)
+        return run_experiment(cfg, out_dir, shared)
     except Exception as exc:  # a boundary: the sweep keeps running
         traceback.print_exc()
         return write_error_report(out_dir, f"{type(exc).__name__}: {exc}")
@@ -194,8 +194,9 @@ def cmd_sweep(args) -> int:
             entry = {k: v for k, v in entry.items() if k != "name"}
         cfg = ExperimentConfig.from_dict(entry)
         jobs.append((name, cfg, os.path.join(args.out, name)))
+    shared = {}  # lives for this sweep only: see run_inversion
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        codes = list(pool.map(_run_sweep_entry, jobs))
+        codes = list(pool.map(_run_sweep_entry, jobs, [shared] * len(jobs)))
     for (name, _, out_dir), code in zip(jobs, codes):
         print(f"{name}: exit {code} -> {out_dir}")
     return max(codes)

@@ -30,21 +30,26 @@ def add_noise(trace: TimeTrace, level: float, seed: int) -> TimeTrace:
     return TimeTrace(trace.times.copy(), trace.values + noise, eta)
 
 
-def synthesize_data(problem: Problem, truth, noise_level: float, seed: int):
+def synthesize_data(problem: Problem, truth, noise_level: float, seed: int,
+                    clean: tuple | None = None):
     """Forward-simulate the truth coefficient, observe, sample the trace at
     the problem's sample times (the coarse measurement grid) and add uniform
-    noise.
+    noise.  clean, when given, is an earlier call's (full, coarse) for this
+    problem and truth, and takes the place of the forward solve.
 
     Returns (clean full-resolution trace, clean coarse trace, noisy coarse
-    trace).
+    trace); the clean traces are read-only.
     """
-    state = solve_forward(problem, truth)
-    full = TimeTrace(problem.tgrid.times.copy(),
-                     state.values[problem.obs_index].copy())
-    coarse = TimeTrace(problem.sample_times.copy(),
-                       problem.sampled_trace(state))
-    noisy = add_noise(coarse, noise_level, seed)
-    return full, coarse, noisy
+    if clean is None:
+        state = solve_forward(problem, truth)
+        clean = (TimeTrace(problem.tgrid.times,
+                           state.values[problem.obs_index].copy()),
+                 TimeTrace(problem.sample_times, problem.sampled_trace(state)))
+        for trace in clean:
+            trace.times.setflags(write=False)
+            trace.values.setflags(write=False)
+    full, coarse = clean
+    return full, coarse, add_noise(coarse, noise_level, seed)
 
 
 def _spline(x: np.ndarray, y: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -106,7 +106,7 @@ class ExperimentConfig:
     obs_point: float = 1.0
     smoothing_s: int = 0
 
-    def validate(self) -> tuple:
+    def validate(self, shared: dict | None = None) -> tuple:
         """Raise ConfigError unless a run can be built from this config;
         return what it built, build_problem's (problem, basis, truth).
 
@@ -146,7 +146,7 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(message)
         try:
-            problem, basis, truth = build_problem(self)
+            problem, basis, truth = build_problem(self, shared)
             StoppingRule(self.tau, 0.0, self.max_iter)
             RegularizationSchedule(self.alpha0, self.theta)
             InversionContext(problem, basis, self.smoothing_s)
@@ -283,23 +283,33 @@ class ExperimentResult:
     traces: dict = field(default_factory=dict)
 
 
-def build_problem(cfg: ExperimentConfig):
-    """Construct the forward problem, the basis and the truth field."""
-    grid = SpatialGrid(cfg.nx)
-    tgrid = TimeGrid(cfg.nt, cfg.t_final)
-    params = MaterialParams(cfg.c2, cfg.b)
-    bc = BoundaryCondition(cfg.bc_left, cfg.bc_right)
+def build_problem(cfg: ExperimentConfig, shared: dict | None = None):
+    """Construct the forward problem, the basis and the truth field.  With
+    shared (see run_inversion), the problem is the first one built there
+    for the config fields that Problem reads."""
+    key = (cfg.nx, cfg.nt, cfg.t_final, cfg.c2, cfg.b, cfg.bc_left,
+           cfg.bc_right, cfg.excitation, cfg.time_profile, cfg.obs_point,
+           cfg.sample_count)
+    problem = None if shared is None else shared.get(key)
+    if problem is None:
+        grid = SpatialGrid(cfg.nx)
+        tgrid = TimeGrid(cfg.nt, cfg.t_final)
+        params = MaterialParams(cfg.c2, cfg.b)
+        bc = BoundaryCondition(cfg.bc_left, cfg.bc_right)
+        f, f_xx = EXCITATIONS[cfg.excitation]
+        beta, beta_t, beta_tt = TIME_PROFILES[cfg.time_profile]
+        # an overflowing profile is reported by SourceTerm as non-finite values
+        with np.errstate(over="ignore", invalid="ignore"):
+            source = manufactured_source(f, f_xx, beta, beta_t, beta_tt,
+                                         params, grid, tgrid, bc)
+        problem = Problem(
+            params, grid, tgrid, bc, source, obs_point=cfg.obs_point,
+            sample_times=np.linspace(0.0, cfg.t_final, cfg.sample_count),
+        )
+        if shared is not None:  # a racing worker's problem has the same bits
+            problem = shared.setdefault(key, problem)
+    grid = problem.grid
     basis = BasisSet(BASIS_ALIASES[cfg.basis_kind], cfg.n_basis)
-    f, f_xx = EXCITATIONS[cfg.excitation]
-    beta, beta_t, beta_tt = TIME_PROFILES[cfg.time_profile]
-    # an overflowing profile is reported by SourceTerm as non-finite values
-    with np.errstate(over="ignore", invalid="ignore"):
-        source = manufactured_source(f, f_xx, beta, beta_t, beta_tt, params,
-                                     grid, tgrid, bc)
-    problem = Problem(
-        params, grid, tgrid, bc, source, obs_point=cfg.obs_point,
-        sample_times=np.linspace(0.0, cfg.t_final, cfg.sample_count),
-    )
     truth = truth_field(cfg.truth_family, grid, cfg.truth_amplitude)
     if cfg.truth_in_span:
         # project onto the basis, then clip: the iterates are clipped after
@@ -311,10 +321,19 @@ def build_problem(cfg: ExperimentConfig):
     return problem, basis, truth
 
 
-def run_inversion(cfg: ExperimentConfig):
-    """Validate cfg, synthesize data and run the configured method."""
-    problem, basis, truth = cfg.validate()
-    full, coarse, noisy = synthesize_data(problem, truth, cfg.noise, cfg.seed)
+def run_inversion(cfg: ExperimentConfig, shared: dict | None = None):
+    """Validate cfg, synthesize data and run the configured method.  shared,
+    a dictionary that lives for one sweep, holds the sweep's Problems and,
+    per (problem, truth samples), the clean traces: the entries share their
+    deterministic kappa = 0 caches and clean solves and add their own noise,
+    so sharing changes no bits.  A failed solve stores nothing."""
+    problem, basis, truth = cfg.validate(shared)
+    key = (problem, truth.samples.tobytes())  # of the clean traces in shared
+    clean = None if shared is None else shared.get(key)
+    full, coarse, noisy = synthesize_data(problem, truth, cfg.noise, cfg.seed,
+                                          clean)
+    if shared is not None:
+        shared.setdefault(key, (full, coarse))
     filtered = prefilter(noisy, problem.tgrid.nt)
     eta = noisy.noise_level
     delta = np.sqrt(cfg.sample_count) * eta  # Euclidean norm on the samples
@@ -402,10 +421,11 @@ def write_error_report(out_dir, message: str) -> int:
     return EXIT_SOLVER
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
-    """End-to-end pipeline; returns the process exit code."""
+def run_experiment(cfg: ExperimentConfig, out_dir, shared=None) -> int:
+    """End-to-end pipeline (shared as in run_inversion); returns the process
+    exit code."""
     try:
-        result = run_inversion(cfg)
+        result = run_inversion(cfg, shared)
     except ConfigError:
         raise
     except WestinvError as exc:

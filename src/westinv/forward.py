@@ -109,7 +109,8 @@ class Problem:
     Construction solves no PDE.  It builds the operator A, resolves the
     observation index (OffGridError if obs_point is not a grid node) and
     checks the source shape, once for every solve on this setup.
-    sample_times defaults to the solver time levels.
+    sample_times defaults to the solver time levels.  Its cached arrays are
+    read-only, so runs can share one Problem.
     """
 
     params: MaterialParams
@@ -157,7 +158,9 @@ class Problem:
         w[[0, -1]] = 0.5
         # C-ordered, as the transforms it multiplies in _frozen_traces
         kernel = np.ascontiguousarray((w / w[obs])[:, None] * u[:, 1:])
-        return np.fft.rfft(kernel, 2 * nt)
+        response = np.fft.rfft(kernel, 2 * nt)
+        response.setflags(write=False)
+        return response
 
     @cached_property
     def step_forcing(self) -> np.ndarray:
@@ -173,7 +176,9 @@ class Problem:
     @cached_property
     def frozen_base(self) -> StateField:
         """The kappa = 0 solution p0, shared by every frozen linearization."""
-        return solve_forward(self, None)
+        base = solve_forward(self, None)
+        base.values.setflags(write=False)
+        return base
 
 
 def sample_trace(trace_values: np.ndarray, tgrid: TimeGrid,

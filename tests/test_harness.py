@@ -561,10 +561,10 @@ def test_cli_sweep_isolates_an_entry_that_raises(tmp_path, capsys,
 
     real = experiment.run_inversion
 
-    def flaky(cfg):
+    def flaky(cfg, shared=None):
         if cfg.seed == 2:
             raise RuntimeError("injected failure")
-        return real(cfg)
+        return real(cfg, shared)
 
     monkeypatch.setattr(experiment, "run_inversion", flaky)
     runs = [{"name": name, "config": small_config(seed=seed,
@@ -585,6 +585,126 @@ def test_cli_sweep_isolates_an_entry_that_raises(tmp_path, capsys,
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["a", "bad", "c"]
     assert "bad: exit 4" in lines[1]
+
+
+# one physical problem, two truths (smooth_bump and tent), and frozen Newton,
+# unfrozen Newton and Landweber: every entry takes at least one step
+SHARED_PROBLEM = dict(max_iter=3, noise=1e-3, time_profile="ramp",
+                      truth_amplitude=0.3)
+SHARING_SWEEP = [
+    ("newton-frozen", dict(seed=1)),
+    ("newton-unfrozen", dict(seed=2, frozen=False, basis_kind="hat")),
+    ("landweber", dict(seed=3, method="landweber", truth_family="tent",
+                       alpha0=None)),
+    ("newton-haar", dict(seed=4, basis_kind="haar", n_basis=8,
+                         truth_family="tent")),
+]
+
+
+def run_sweep(tmp_path, name, entries, jobs=1):
+    """cli sweep of (entry name, small_config overrides) into tmp_path/name;
+    returns the exit code and the output directory."""
+    runs = [{"name": entry, "config": small_config(**overrides).to_dict()}
+            for entry, overrides in entries]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"runs": runs}))
+    out = tmp_path / name
+    code = cli_main(["sweep", "--config", str(path), "--jobs", str(jobs),
+                     "--out", str(out)])
+    return code, out
+
+
+def assert_same_artifacts(got, want):
+    assert sorted(os.listdir(got)) == sorted(os.listdir(want))
+    for name in os.listdir(want):
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_sweep_solves_each_problem_and_truth_once(tmp_path, monkeypatch):
+    # the entries share one Problem, so one kappa = 0 solve and one impulse
+    # march, and one clean solve per truth; a second sweep in the process
+    # solves them all again, so nothing outlives its sweep
+    import westinv.data as data
+    import westinv.forward as forward
+    import westinv.inversion as inversion
+
+    counts = {}
+
+    def counting(module, solve):
+        def counted(problem, kappa):
+            kind = ("clean" if module is data else "kappa=0" if kappa is None
+                    else "iterate")
+            counts[kind] = counts.get(kind, 0) + 1
+            return solve(problem, kappa)
+        return counted
+
+    for module in (forward, data, inversion):
+        monkeypatch.setattr(module, "solve_forward",
+                            counting(module, module.solve_forward))
+    march = forward.cn_march
+
+    def counted_march(problem, forcing, advance, *args):
+        if forcing is not problem.step_forcing:  # not a forward solve
+            counts["impulse"] = counts.get("impulse", 0) + 1
+        return march(problem, forcing, advance, *args)
+
+    monkeypatch.setattr(forward, "cn_march", counted_march)
+    entries = [(name, dict(SHARED_PROBLEM, **overrides))
+               for name, overrides in SHARING_SWEEP]
+    for sweep in ("first", "second"):
+        counts.clear()
+        code, _ = run_sweep(tmp_path, sweep, entries)
+        assert code == EXIT_MAX_ITER
+        # the four runs take 3 steps each; every entry's iterate 0 reads the
+        # shared kappa = 0 solution
+        assert counts == {"clean": 2, "kappa=0": 1, "impulse": 1,
+                          "iterate": 12}, sweep
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_shared_sweep_artifacts_match_solo_runs(tmp_path, jobs):
+    # sharing changes no bits: every entry writes what it writes alone, at
+    # any --jobs; 4 workers on a short switch interval interleave the first
+    # reads of the shared problem and traces
+    entries = [(name, dict(SHARED_PROBLEM, **overrides))
+               for name, overrides in SHARING_SWEEP]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6 if jobs > 2 else interval)
+    try:
+        code, out = run_sweep(tmp_path, "sweep", entries, jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert code == EXIT_MAX_ITER
+    for name, overrides in entries:
+        solo = tmp_path / "solo" / name
+        run_experiment(small_config(**overrides), solo)
+        assert_same_artifacts(out / name, solo)
+
+
+def test_sweep_entry_with_a_degenerate_truth_fails_alone(tmp_path):
+    # the clean solve of amplitude 2.0 degenerates; it stores nothing, so the
+    # second entry with that truth fails the same way, and the sibling on
+    # the same problem writes what it writes alone
+    degenerate = dict(truth_amplitude=2.0)
+    code, out = run_sweep(tmp_path, "sweep", [
+        ("bad1", degenerate), ("ok", dict(max_iter=2)), ("bad2", degenerate)])
+    assert code == EXIT_SOLVER
+    report = (out / "bad1" / "report.json").read_text()
+    assert "fell below the floor 0.25" in json.loads(report)["error"]
+    assert (out / "bad2" / "report.json").read_text() == report
+    run_experiment(small_config(max_iter=2), tmp_path / "solo")
+    assert_same_artifacts(out / "ok", tmp_path / "solo")
+
+
+def test_shared_state_is_read_only():
+    # sweep entries share these arrays: no entry can change what another reads
+    problem, _, truth = build_problem(small_config())
+    full, coarse, _ = synthesize_data(problem, truth, 0.01, 0)
+    for array in (problem.frozen_base.values, problem.impulse_response,
+                  problem.step_forcing, full.times, full.values, coarse.times,
+                  coarse.values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
 
 
 @pytest.mark.parametrize("names", [("a", "a"), ("run001", None)],
