@@ -69,7 +69,6 @@ from .inversion import (
 )
 from .laplacian import Laplace1D, build_laplacian
 from .spectra import (
-    SpectralData,
     eigenvalues,
     pole_distinctness,
     pole_residual,

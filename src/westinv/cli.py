@@ -16,6 +16,7 @@ import numpy as np
 from .data import synthesize_data
 from .errors import ConfigError, WestinvError
 from .experiment import (
+    BASIS_ALIASES,
     EXCITATIONS,
     EXIT_CONFIG,
     EXIT_SOLVER,
@@ -32,7 +33,7 @@ from .experiment import (
 from .forward import solve_forward
 from .grids import IMPEDANCE
 from .inversion import InversionContext
-from .spectra import SpectralData, pole_distinctness, svd_csv, svd_decay
+from .spectra import eigenvalues, pole_distinctness, poles, svd_csv, svd_decay
 from .trace import write_csv
 
 # ExperimentConfig field -> (override flag, help, argparse keywords)
@@ -40,7 +41,7 @@ OVERRIDES = {
     "method": ("--method", "reconstruction method", {"choices": METHODS}),
     "noise": ("--noise", "relative noise level", {"type": float}),
     "seed": ("--seed", "noise seed", {"type": int}),
-    "basis_kind": ("--basis", "basis", {"choices": ["hat", "gauss", "haar"]}),
+    "basis_kind": ("--basis", "basis", {"choices": list(BASIS_ALIASES)}),
     "n_basis": ("--n-basis", "basis size", {"type": int}),
     "tau": ("--tau", "discrepancy parameter", {"type": float}),
     "alpha0": ("--alpha0", "first regularization parameter", {"type": float}),
@@ -100,13 +101,15 @@ def cmd_diagnose(args) -> int:
         print(f"sigma_max = {sigma[0]:.6g}, sigma_min = {sigma[-1]:.6g}, "
               f"fitted geometric rate q = {q:.6g}")
         return 0
-    params = problem.params
-    spec = SpectralData.build(problem.bc, args.count, params.b, params.c2)
+    lam = eigenvalues(problem.bc, args.count)
+    pairs = [poles(problem.params.b, problem.params.c2, v) for v in lam]
     report = {
-        "eigenvalues": [float(v) for v in spec.eigenvalues],
-        "bc": spec.bc_tag,
-        "poles": spec.pole_table(),
-        "distinctness": pole_distinctness(spec),
+        "eigenvalues": [float(v) for v in lam],
+        "bc": f"{problem.bc.left}-{problem.bc.right}",
+        "poles": [{"lambda": float(v), "p_plus": [p.real, p.imag],
+                   "p_minus": [q.real, q.imag]}
+                  for v, (p, q) in zip(lam, pairs)],
+        "distinctness": pole_distinctness(lam, pairs),
     }
     path = os.path.join(args.out, "poles.json")
     _write_json(report, path)

@@ -4,51 +4,12 @@ singular-value decay of the discretized linearized map."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grids import DIRICHLET, NEUMANN, BoundaryCondition
 from .trace import write_csv
 
-POLE_RESIDUAL_TOL = 1e-12
 DISTINCTNESS_TOL = 1e-10
-
-
-@dataclass
-class SpectralData:
-    """Eigenvalues of A = -d2/dx2 with their resolvent pole pairs."""
-
-    eigenvalues: np.ndarray  # ascending positive reals
-    bc_tag: str
-    pole_pairs: list  # [(p_plus, p_minus), ...] complex
-
-    def __post_init__(self):
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(self.eigenvalues <= 0):
-            raise ValueError("eigenvalues must be positive")
-        if np.any(np.diff(self.eigenvalues) <= 0):
-            raise ValueError("eigenvalues must be strictly increasing")
-        if len(self.pole_pairs) != len(self.eigenvalues):
-            raise ValueError("one pole pair per eigenvalue required")
-
-    @classmethod
-    def build(cls, bc: BoundaryCondition, count: int, b: float, c2: float):
-        lam = eigenvalues(bc, count)
-        pairs = [poles(b, c2, v) for v in lam]
-        tag = f"{bc.left}-{bc.right}"
-        return cls(lam, tag, pairs)
-
-    def pole_table(self) -> list:
-        """JSON-friendly pole listing."""
-        return [
-            {
-                "lambda": float(lam),
-                "p_plus": [p.real, p.imag],
-                "p_minus": [q.real, q.imag],
-            }
-            for lam, (p, q) in zip(self.eigenvalues, self.pole_pairs)
-        ]
 
 
 def eigenvalues(bc: BoundaryCondition, count: int) -> np.ndarray:
@@ -113,17 +74,20 @@ def svd_decay(sigma: np.ndarray) -> float:
     return float(np.exp(slope))
 
 
-def pole_distinctness(spec: SpectralData) -> dict:
+def pole_distinctness(eigenvalues, pole_pairs) -> dict:
     """Pairwise check that distinct eigenvalues yield distinct poles: the gap
     |p_j - p_k| must exceed 1e-10 scaled by the larger magnitude, separately
-    for the p_plus and p_minus families."""
+    for the p_plus and p_minus families.  pole_pairs holds one
+    (p_plus, p_minus) pair per eigenvalue."""
+    if len(pole_pairs) != len(eigenvalues):
+        raise ValueError("one pole pair per eigenvalue required")
     report = {"distinct": True, "violations": []}
-    n = len(spec.eigenvalues)
-    pp = [pair[0] for pair in spec.pole_pairs]
-    pm = [pair[1] for pair in spec.pole_pairs]
+    n = len(eigenvalues)
+    pp = [pair[0] for pair in pole_pairs]
+    pm = [pair[1] for pair in pole_pairs]
     for j in range(n):
         for k in range(j + 1, n):
-            if spec.eigenvalues[j] == spec.eigenvalues[k]:
+            if eigenvalues[j] == eigenvalues[k]:
                 continue
             for family, vals in (("p_plus", pp), ("p_minus", pm)):
                 scale = max(1.0, abs(vals[j]), abs(vals[k]))

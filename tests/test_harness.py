@@ -325,6 +325,40 @@ def test_cli_diagnose(tmp_path, capsys):
     assert poles["distinctness"]["distinct"] is True
 
 
+def test_cli_diagnose_poles_file(tmp_path, capsys):
+    # the whole poles.json of a Dirichlet-Neumann run: ((j - 1/2) pi)^2 and
+    # the roots of s^2 + b lam s + c2 lam as [real, imag]
+    cfg = small_config()
+    cfg_path = write_small_config(tmp_path)
+    out = tmp_path / "diag"
+    assert cli_main(["diagnose", "poles", "--config", str(cfg_path),
+                     "--count", "3", "--out", str(out)]) == 0
+    lams = [float(v) for v in ((np.arange(1, 4) - 0.5) * np.pi) ** 2]
+    rows = []
+    for lam in lams:
+        p, q = westinv.poles(cfg.b, cfg.c2, lam)
+        rows.append({"lambda": lam, "p_plus": [p.real, p.imag],
+                     "p_minus": [q.real, q.imag]})
+    assert json.loads((out / "poles.json").read_text()) == {
+        "eigenvalues": lams,
+        "bc": "dirichlet-neumann",
+        "poles": rows,
+        "distinctness": {"distinct": True, "violations": []},
+    }
+
+
+def test_cli_basis_flag_takes_the_config_names(tmp_path, capsys):
+    # "gaussian" is the config's own name for the "gauss" basis
+    cfg_path = write_small_config(tmp_path)
+    outs = {}
+    for name in ("gauss", "gaussian"):
+        outs[name] = tmp_path / name
+        assert cli_main(["diagnose", "svd", "--config", str(cfg_path),
+                         "--basis", name, "--out", str(outs[name])]) == 0
+    assert ((outs["gauss"] / "svd.csv").read_bytes()
+            == (outs["gaussian"] / "svd.csv").read_bytes())
+
+
 def test_cli_convergence_study(tmp_path, capsys):
     out = tmp_path / "conv"
     assert cli_main(["convergence-study", "--levels", "2", "--nx0", "21",

@@ -6,7 +6,6 @@ import pytest
 
 from westinv import (
     BoundaryCondition,
-    SpectralData,
     eigenvalues,
     pole_distinctness,
     pole_residual,
@@ -75,22 +74,36 @@ def test_poles_large_lambda_asymptote():
 
 def test_pole_residual_small():
     # invariant: every computed pole satisfies its quadratic to 1e-12
-    spec = SpectralData.build(BC_DD, 20, 1.0, 1.0)
-    for lam, pair in zip(spec.eigenvalues, spec.pole_pairs):
+    lams = eigenvalues(BC_DD, 20)
+    for lam, pair in zip(lams, [poles(1.0, 1.0, v) for v in lams]):
         for p in pair:
             assert pole_residual(p, 1.0, 1.0, lam) <= 1e-12
 
 
 def test_pole_distinctness_clean_and_violated():
-    spec = SpectralData.build(BC_DD, 10, 1.0, 1.0)
-    report = pole_distinctness(spec)
+    lams = eigenvalues(BC_DD, 10)
+    report = pole_distinctness(lams, [poles(1.0, 1.0, v) for v in lams])
     assert report["distinct"] and report["violations"] == []
     # a hand-built spectrum with coincident poles is flagged
     lam = np.array([5.0, 6.0])
     pair = poles(1.0, 1.0, 5.0)
-    fake = SpectralData(lam, "dirichlet-dirichlet", [pair, pair])
-    bad = pole_distinctness(fake)
+    bad = pole_distinctness(lam, [pair, pair])
     assert not bad["distinct"] and len(bad["violations"]) == 2
+
+
+def test_pole_distinctness_needs_one_pair_per_eigenvalue():
+    lam = eigenvalues(BC_DD, 3)
+    pairs = [poles(1.0, 1.0, v) for v in lam]
+    for args in ((lam, pairs[:2]), (lam[:2], pairs)):
+        with pytest.raises(ValueError, match="one pole pair per eigenvalue"):
+            pole_distinctness(*args)
+
+
+def test_pole_distinctness_skips_equal_eigenvalues():
+    # equal eigenvalues share their poles by definition: no violation
+    pair = poles(1.0, 1.0, 5.0)
+    report = pole_distinctness(np.array([5.0, 5.0]), [pair, pair])
+    assert report == {"distinct": True, "violations": []}
 
 
 def decay(M):
