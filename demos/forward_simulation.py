@@ -13,29 +13,11 @@ import os
 
 import numpy as np
 
-from westinv import (
-    BoundaryCondition,
-    MaterialParams,
-    Problem,
-    SpatialGrid,
-    TimeGrid,
-    manufactured_source,
-    smooth_bump,
-    solve_forward,
-)
-from westinv import cli
+from westinv import cli, smooth_bump, solve_forward
+from westinv.experiment import ExperimentConfig, build_problem
 from westinv.trace import write_csv
 
 OUT = os.path.join(os.path.dirname(__file__), "output", "forward")
-
-PARAMS = MaterialParams(c2=1.0, b=0.2)
-BC = BoundaryCondition("dirichlet", "neumann")
-
-
-def excitation():
-    f = lambda x: np.sin(np.pi * x / 2)
-    f_xx = lambda x: -((np.pi / 2) ** 2) * np.sin(np.pi * x / 2)
-    return f, f_xx
 
 
 def convergence_study():
@@ -48,16 +30,11 @@ def convergence_study():
 
 def nonlinear_trace_comparison():
     print("\nEffect of the nonlinearity on the boundary trace at x = 1:")
-    grid, tgrid = SpatialGrid(101), TimeGrid(400)
-    f, f_xx = excitation()
-    # smooth ramp excitation keeps the pressure near its peak, which is
-    # where the quadratic nonlinearity is most visible
-    beta = lambda t: 0.5 * (1 - np.cos(np.pi * t))
-    beta_t = lambda t: 0.5 * np.pi * np.sin(np.pi * t)
-    beta_tt = lambda t: 0.5 * np.pi**2 * np.cos(np.pi * t)
-    source = manufactured_source(f, f_xx, beta, beta_t, beta_tt, PARAMS,
-                                 grid, tgrid, BC)
-    problem = Problem(PARAMS, grid, tgrid, BC, source)
+    # the default sine_half excitation on 101 nodes and 400 steps; the
+    # smooth ramp keeps the pressure near its peak, which is where the
+    # quadratic nonlinearity is most visible
+    problem, _, _ = build_problem(ExperimentConfig(time_profile="ramp"))
+    grid, tgrid = problem.grid, problem.tgrid
     kappa = smooth_bump(grid, amplitude=0.3)
     obs = problem.obs_index
     linear = solve_forward(problem, None).values[obs]

@@ -16,37 +16,24 @@ import numpy as np
 from westinv import (
     BoundaryCondition,
     InversionContext,
-    MaterialParams,
-    Problem,
-    SpatialGrid,
-    TimeGrid,
     eigenvalues,
-    manufactured_source,
     pole_distinctness,
     poles,
     svd_decay,
 )
-from westinv.basis import BasisSet
+from westinv.experiment import ExperimentConfig, build_problem
 from westinv.spectra import svd_csv
 
 OUT = os.path.join(os.path.dirname(__file__), "output", "diagnostics")
 
-PARAMS = MaterialParams(c2=1.0, b=0.2)
-BC = BoundaryCondition("dirichlet", "neumann")
+CONFIG = ExperimentConfig()  # Dirichlet-Neumann, b = 0.2, 41 Gaussian bumps
 
 
 def singular_value_decay():
     print("Singular values of the linearized trace map (41 Gaussian bumps):")
-    grid, tgrid = SpatialGrid(101), TimeGrid(400)
-    f = lambda x: np.sin(np.pi * x / 2)
-    f_xx = lambda x: -((np.pi / 2) ** 2) * np.sin(np.pi * x / 2)
-    source = manufactured_source(
-        f, f_xx, lambda t: t**2, lambda t: 2 * t,
-        lambda t: 2 * np.ones_like(t), PARAMS, grid, tgrid, BC,
-    )
-    problem = Problem(PARAMS, grid, tgrid, BC, source,
-                      sample_times=np.linspace(0.0, 1.0, 50))
-    J = InversionContext(problem, BasisSet("gaussian", 41)).frozen_jacobian
+    # sine_half excitation, t^2 profile, 101 nodes, 400 steps, 50 samples
+    problem, basis, _ = build_problem(CONFIG)
+    J = InversionContext(problem, basis).frozen_jacobian
     sigma = J.svd()[1]
     q = svd_decay(sigma)
     resolvable = int(np.sum(sigma > 1e-8 * sigma[0]))
@@ -63,7 +50,7 @@ def singular_value_decay():
 
 def pole_structure():
     print("\nResolvent poles of the linearized problem (b = 1, c2 = 1):")
-    lams = eigenvalues(BC, 8)
+    lams = eigenvalues(BoundaryCondition(CONFIG.bc_left, CONFIG.bc_right), 8)
     pairs = [poles(1.0, 1.0, v) for v in lams]
     print(f"  {'lambda_j':>10} {'p_plus':>22} {'p_minus':>22}")
     for lam, (pp, pm) in zip(lams, pairs):

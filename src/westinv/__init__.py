@@ -17,7 +17,6 @@ from .derivatives import (
     apply_gradient,
     assemble_directional_hessian,
     assemble_jacobian,
-    fd_jacobian_oracle,
     frozen_hessian_tensor,
     solve_adjoint,
     solve_second_derivative,
@@ -42,7 +41,6 @@ from .errors import (
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment, run_inversion
 from .forward import (
     Problem,
-    SourceTerm,
     StateField,
     manufactured_source,
     sample_trace,
@@ -68,13 +66,7 @@ from .inversion import (
     newton_lm_run,
 )
 from .laplacian import Laplace1D, build_laplacian
-from .spectra import (
-    eigenvalues,
-    pole_distinctness,
-    pole_residual,
-    poles,
-    svd_decay,
-)
+from .spectra import eigenvalues, pole_distinctness, poles, svd_decay
 from .trace import TimeTrace
 
 __version__ = "0.1.0"

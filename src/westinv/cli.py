@@ -181,8 +181,12 @@ def cmd_sweep(args) -> int:
         name = entry.get("name", f"run{i:03d}")
         if not isinstance(name, str):
             raise ConfigError(f"sweep entry {i}: name must be a string")
-        if name in ("", ".", "..") or any(
-                sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        try:  # a file name: at most 255 bytes, and encodable
+            size = len(os.fsencode(name))
+        except UnicodeError:  # a lone surrogate, say
+            size = 256
+        if name in ("", ".", "..") or size > 255 or any(
+                sep and sep in name for sep in ("/", os.sep, os.altsep, "\0")):
             raise ConfigError(f"sweep entry {i}: name {name!r} is not one "
                               "plain path component")
         if any(name == job[0] for job in jobs):

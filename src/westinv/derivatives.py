@@ -38,7 +38,6 @@ from .forward import (
     cn_march,
     kappa_samples,
     sample_trace,
-    solve_forward,
 )
 from .grids import DIRICHLET
 
@@ -211,21 +210,18 @@ def _frozen_traces(problem: Problem, E: np.ndarray, levels):
 def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
                       base: StateField | None = None) -> JacobianMatrix:
     """Column j = observation trace, at the sample times, of the sensitivity
-    solve for basis direction e_j at kappa0 from base (solved if None): one
-    trace-only march of m columns, explicit zeros too.  kappa0 None, taken
-    at problem.frozen_base with no base, convolves the impulse response
-    instead, equal up to rounding (_frozen_traces)."""
-    if kappa0 is None and base is not None:
-        raise ValueError("kappa0 None takes problem.frozen_base, not a base")
-    kap = kappa_samples(kappa0, problem.grid)
-    if base is None:
-        base = (problem.frozen_base if kappa0 is None
-                else solve_forward(problem, kap))
-    _check_same_grids(problem, base)
+    solve for basis direction e_j at kappa0 from base, the forward solution
+    there: one trace-only march of m columns, explicit zeros too.  kappa0
+    None takes problem.frozen_base, not a base, and convolves the impulse
+    response instead, equal up to rounding (_frozen_traces)."""
+    if (kappa0 is None) != (base is None):
+        raise ValueError("kappa0 None takes problem.frozen_base; an array "
+                         "kappa0 needs its base")
     E = evaluate_basis(basis, problem.grid)
-    traces = (next(_frozen_traces(problem, E, [base.values**2]))
+    traces = (next(_frozen_traces(problem, E,
+                                  [problem.frozen_base.values**2]))
               if kappa0 is None
-              else solve_sensitivity(problem, base, kap, Direction(E),
+              else solve_sensitivity(problem, base, kappa0, Direction(E),
                                      trace_only=True))
     return JacobianMatrix(sample_trace(traces, problem.tgrid,
                                        problem.sample_times))
@@ -249,24 +245,3 @@ def assemble_directional_hessian(tensor: np.ndarray, c) -> np.ndarray:
     """Discretized F''(0)[E c, .], shape (ns, m): the frozen_hessian_tensor
     contracted with the coefficients c of the direction E c."""
     return tensor @ c
-
-
-def fd_jacobian_oracle(problem: Problem, kappa0, basis: BasisSet,
-                       step: float) -> JacobianMatrix:
-    """Independent central-difference Jacobian: column j is
-    (F(kappa0 + h e_j) - F(kappa0 - h e_j)) / (2h), two nonlinear forward
-    solves per column."""
-    if step <= 0:
-        raise ValueError("finite-difference step must be positive")
-    kap = kappa_samples(kappa0, problem.grid)
-    E = evaluate_basis(basis, problem.grid)
-    cols = []
-    for j in range(basis.m):
-        traces = [
-            problem.sampled_trace(
-                solve_forward(problem, kap + sign * step * E[:, j]))
-            for sign in (1.0, -1.0)
-        ]
-        cols.append((traces[0] - traces[1]) / (2 * step))
-    return JacobianMatrix(np.column_stack(cols))
-

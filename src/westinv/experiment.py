@@ -298,7 +298,7 @@ def build_problem(cfg: ExperimentConfig, shared: dict | None = None):
         bc = BoundaryCondition(cfg.bc_left, cfg.bc_right)
         f, f_xx = EXCITATIONS[cfg.excitation]
         beta, beta_t, beta_tt = TIME_PROFILES[cfg.time_profile]
-        # an overflowing profile is reported by SourceTerm as non-finite values
+        # an overflowing profile is reported by Problem as non-finite values
         with np.errstate(over="ignore", invalid="ignore"):
             source = manufactured_source(f, f_xx, beta, beta_t, beta_tt,
                                          params, grid, tgrid, bc)

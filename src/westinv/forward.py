@@ -49,18 +49,6 @@ MAX_INNER = 20  # Newton updates per step before NoConvergenceError
 
 
 @dataclass
-class SourceTerm:
-    """Excitation r(x, t) sampled on the space-time grid."""
-
-    values: np.ndarray  # shape (nx, nt + 1)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("source values must be finite")
-
-
-@dataclass
 class StateField:
     """Space-time sample of a PDE solution (p, z, a or w), or of k of them
     marched together.  values from a march (cn_march) is a view of its
@@ -108,24 +96,28 @@ class Problem:
 
     Construction solves no PDE.  It builds the operator A, resolves the
     observation index (OffGridError if obs_point is not a grid node) and
-    checks the source shape, once for every solve on this setup.
-    sample_times defaults to the solver time levels.  Its cached arrays are
-    read-only, so runs can share one Problem.
+    checks that the source r(x, t) is a finite (nx, nt + 1) array, once for
+    every solve on this setup.  sample_times defaults to the solver time
+    levels.  It keeps read-only copies of source and sample_times, and its
+    cached arrays are read-only, so runs can share one Problem.
     """
 
     params: MaterialParams
     grid: SpatialGrid
     tgrid: TimeGrid
     bc: BoundaryCondition
-    source: SourceTerm
+    source: np.ndarray
     obs_point: float = 1.0
     sample_times: np.ndarray | None = None
     operator: Laplace1D = field(init=False, repr=False)
     obs_index: int = field(init=False)
 
     def __post_init__(self):
-        if self.source.values.shape != (self.grid.nx, self.tgrid.nt + 1):
+        source = np.array(self.source, dtype=float)
+        if source.shape != (self.grid.nx, self.tgrid.nt + 1):
             raise ValueError("source shape does not match grids")
+        if not np.all(np.isfinite(source)):
+            raise ValueError("source values must be finite")
         idx = self.grid.node_index(self.obs_point)
         if idx is None:
             raise OffGridError(
@@ -133,7 +125,9 @@ class Problem:
             )
         times = np.array(self.tgrid.times if self.sample_times is None
                          else self.sample_times, dtype=float)
-        times.setflags(write=False)
+        for array in (source, times):
+            array.setflags(write=False)
+        object.__setattr__(self, "source", source)
         object.__setattr__(self, "sample_times", times)
         object.__setattr__(self, "obs_index", idx)
         object.__setattr__(self, "operator", build_laplacian(self.grid, self.bc))
@@ -167,7 +161,7 @@ class Problem:
         """Read-only (nt, nx) forcing of solve_forward's steps n -> n + 1,
         time-major: the running time integral R of the source averaged over
         each step, 0 on Dirichlet rows.  Computed on first use."""
-        R = _cumulative_trapezoid(self.source.values, self.tgrid.dt)
+        R = _cumulative_trapezoid(self.source, self.tgrid.dt)
         forcing = (0.5 * (R[:, :-1] + R[:, 1:])).T.copy()
         forcing[:, self.operator.dirichlet] = 0.0
         forcing.setflags(write=False)
@@ -216,7 +210,7 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
     A, params, tgrid = problem.operator, problem.params, problem.tgrid
     dt = tgrid.dt
     coef = params.b / 2 + params.c2 * dt / 4
-    bands = A.banded(0.0, coef)  # each step rewrites only the main diagonal
+    bands = A.banded(coef)  # each step rewrites only the main diagonal
     diag = coef * A.diag + A.dirichlet  # 1 on Dirichlet rows, where A is 0
     free = 1.0 - A.dirichlet  # 0 on Dirichlet rows
     inv_dt = free / dt
@@ -321,14 +315,9 @@ def manufactured_source(
     grid: SpatialGrid,
     tgrid: TimeGrid,
     bc: BoundaryCondition,
-    kappa=None,
-) -> SourceTerm:
-    """Source r = f * beta'' + (A f) * (c^2 beta + b beta') whose linear
-    (kappa = 0) solution is exactly f(x) beta(t).
-
-    When kappa is given, kappa * (f^2) * (beta^2)'' is subtracted so that
-    f beta also solves the nonlinear equation.
-    """
+) -> np.ndarray:
+    """Source r = f * beta'' + (A f) * (c^2 beta + b beta'), shape (nx, nt +
+    1), whose linear (kappa = 0) solution is exactly f(x) beta(t)."""
     x = grid.nodes
     t = tgrid.times
     fx = np.asarray(f(x), dtype=float)
@@ -341,14 +330,9 @@ def manufactured_source(
         raise ValueError("beta must satisfy beta(0) = beta'(0) = 0")
     _check_profile_bc(f, fx, bc)
 
-    r = fx[:, None] * bt2[None, :] + Af[:, None] * (
+    return fx[:, None] * bt2[None, :] + Af[:, None] * (
         params.c2 * bt[None, :] + params.b * bt1[None, :]
     )
-    if kappa is not None:
-        kap = kappa_samples(kappa, grid)
-        sq_tt = 2.0 * (bt * bt2 + bt1**2)  # (beta^2)''
-        r = r - (kap * fx**2)[:, None] * sq_tt[None, :]
-    return SourceTerm(r)
 
 
 def _check_profile_bc(f, fx, bc: BoundaryCondition):

@@ -102,10 +102,9 @@ class InversionReport:
         }
 
     def history_csv(self, path) -> None:
-        nan = [float("nan")] * len(self.residuals)
         write_csv(path, "iter,residual,err_linf,err_l2",
-                  zip(range(len(nan)), self.residuals,
-                      self.errors_linf or nan, self.errors_l2 or nan))
+                  zip(range(len(self.residuals)), self.residuals,
+                      self.errors_linf, self.errors_l2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +285,6 @@ def _newton_run(data, init, frozen, reg, stop, ctx, truth, halley):
     samples E (c_n + c_step).  J is ctx.frozen_jacobian, taken at the first
     step, when frozen or at kappa = 0; with halley, c_step is re-solved
     against J + T c_step / 2."""
-    reg = reg or RegularizationSchedule()
 
     def step(n, kappa, state, r):
         nonlocal reg
@@ -313,7 +311,7 @@ def newton_lm_run(
     data: TimeTrace,
     init: CoefficientField,
     frozen: bool,
-    reg: RegularizationSchedule | None,
+    reg: RegularizationSchedule,
     stop: StoppingRule,
     ctx: InversionContext,
     truth=None,
@@ -321,14 +319,14 @@ def newton_lm_run(
     """Levenberg-Marquardt / regularized (frozen) Newton iteration
     c_{n+1} = c_n + (J^T J + alpha_n I)^{-1} J^T (h - F(kappa_n)); frozen
     steps, and an unfrozen step at kappa = 0, reuse the SVD of the frozen
-    Jacobian.  reg None is RegularizationSchedule()."""
+    Jacobian."""
     return _newton_run(data, init, frozen, reg, stop, ctx, truth, halley=False)
 
 
 def halley_run(
     data: TimeTrace,
     init: CoefficientField,
-    reg: RegularizationSchedule | None,
+    reg: RegularizationSchedule,
     stop: StoppingRule,
     ctx: InversionContext,
     truth=None,
@@ -338,5 +336,5 @@ def halley_run(
     corrector re-solves against the same residual with system matrix
     J + H_d / 2 = J + T c / 2 and the same alpha_n.  J (ctx.frozen_jacobian)
     and T (ctx.frozen_hessian_tensor) are built at the first step, so a run
-    that stops at iterate 0 builds neither.  reg None as in newton_lm_run."""
+    that stops at iterate 0 builds neither."""
     return _newton_run(data, init, True, reg, stop, ctx, truth, halley=True)

@@ -45,14 +45,14 @@ class Laplace1D:
         out[..., 1:] += self.lower[1:] * ut[..., :-1]
         return out.T
 
-    def banded(self, diag_shift: np.ndarray | float, scale: float) -> tuple:
-        """dgtsv's sub-, main and super-diagonal of diag(diag_shift) + scale
-        * A, views of one (3, nx) block, with Dirichlet rows and columns
-        those of the identity (u = 0 there, so dgtsv's pivoting never mixes
-        them into free rows), ready for solve_banded_system."""
+    def banded(self, scale: float) -> tuple:
+        """dgtsv's sub-, main and super-diagonal of scale * A, views of one
+        (3, nx) block, with Dirichlet rows and columns those of the identity
+        (u = 0 there, so dgtsv's pivoting never mixes them into free rows),
+        ready for solve_banded_system."""
         ab = np.zeros((3, self.nx))
         ab[0, :-1] = scale * self.lower[1:]
-        ab[1, :] = diag_shift + scale * self.diag
+        ab[1, :] = scale * self.diag
         ab[2, 1:] = scale * self.upper[:-1]
         ab[:, self.dirichlet] = [[0.0], [1.0], [0.0]]  # ab[:, j] is column j
         return ab[0, :-1], ab[1], ab[2, 1:]
@@ -86,7 +86,7 @@ class Laplace1D:
             raise SingularOperatorError(
                 "A is singular under pure Neumann conditions"
             )
-        return self.solve_banded_system(self.banded(0.0, 1.0), g)
+        return self.solve_banded_system(self.banded(1.0), g)
 
 
 def build_laplacian(grid: SpatialGrid, bc: BoundaryCondition) -> Laplace1D:

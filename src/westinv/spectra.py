@@ -54,12 +54,6 @@ def poles(b: float, c2: float, lam: float):
     return p_plus, p_minus
 
 
-def pole_residual(p: complex, b: float, c2: float, lam: float) -> float:
-    """Relative residual of the pole quadratic identity."""
-    value = abs(p * p + b * lam * p + c2 * lam)
-    return value / max(1.0, abs(p) ** 2)
-
-
 def svd_decay(sigma: np.ndarray) -> float:
     """Geometric decay rate q = exp(slope) of descending singular values,
     from a least-squares fit of log sigma_k against k restricted to the

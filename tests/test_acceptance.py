@@ -22,13 +22,11 @@ from westinv import (
     apply_gradient,
     assemble_jacobian,
     eigenvalues,
-    fd_jacobian_oracle,
     landweber_run,
     manufactured_source,
     newton_lm_run,
     halley_run,
     pole_distinctness,
-    pole_residual,
     poles,
     run_experiment,
     second_time_derivative_of_square,
@@ -40,6 +38,8 @@ from westinv import (
     synthesize_data,
 )
 from westinv.experiment import ExperimentConfig, build_problem
+
+from oracles import fd_jacobian_oracle, nonlinear_source, pole_residual
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
 BC = BoundaryCondition("dirichlet", "neumann")
@@ -66,8 +66,8 @@ def make_base(nx, nt, kappa_const=0.1):
     f, f_xx = excitation()
     beta, beta_t, beta_tt = quadratic_profile()
     kap = np.full(nx, kappa_const)
-    source = manufactured_source(f, f_xx, beta, beta_t, beta_tt, PARAMS,
-                                 grid, tgrid, BC, kappa=kap)
+    source = nonlinear_source(f, f_xx, beta, beta_t, beta_tt, PARAMS,
+                              grid, tgrid, BC, kap)
     problem = Problem(PARAMS, grid, tgrid, BC, source)
     base = solve_forward(problem, kap)
     return grid, tgrid, kap, problem, base
@@ -97,7 +97,8 @@ def baseline_jacobians():
                       sample_times=np.linspace(0.0, 1.0, 50))
     basis = BasisSet("gaussian", 41)
     kap0 = np.zeros(101)
-    J = assemble_jacobian(problem, kap0, basis)
+    J = assemble_jacobian(problem, kap0, basis,
+                          base=solve_forward(problem, kap0))
     Jfd = fd_jacobian_oracle(problem, kap0, basis, 1e-4)
     return J, Jfd
 
@@ -126,8 +127,7 @@ def run_reconstruction(cfg):
     init = CoefficientField.from_coefficients(basis, np.zeros(basis.m),
                                               problem.grid)
     stop = StoppingRule(cfg.tau, delta, cfg.max_iter)
-    reg = (RegularizationSchedule(cfg.alpha0, cfg.theta)
-           if cfg.alpha0 is not None else None)
+    reg = RegularizationSchedule(cfg.alpha0, cfg.theta)
     if cfg.method == "newton":
         report = newton_lm_run(noisy, init, cfg.frozen, reg, stop, ctx,
                                truth=truth)

@@ -13,12 +13,13 @@ from westinv import (
     SpatialGrid,
     TimeGrid,
     assemble_jacobian,
-    manufactured_source,
     solve_forward,
     solve_second_derivative,
     solve_sensitivity,
 )
 from westinv.basis import BasisSet, evaluate_basis
+
+from oracles import nonlinear_source
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -34,11 +35,11 @@ def make_problem(bc_id, nx, nt, kappa_scale, ns):
     grid, tgrid = SpatialGrid(nx), TimeGrid(nt)
     bc = BoundaryCondition(*bc_id.split("-"))
     kap = kappa_scale * (1.0 + 0.5 * np.sin(3.0 * grid.nodes))
-    source = manufactured_source(
+    source = nonlinear_source(
         lambda x: np.sin(np.pi * x / 2),
         lambda x: -((np.pi / 2) ** 2) * np.sin(np.pi * x / 2),
         lambda t: t**2, lambda t: 2 * t, lambda t: 2 * np.ones_like(t),
-        PARAMS, grid, tgrid, bc, kappa=kap,
+        PARAMS, grid, tgrid, bc, kap,
     )
     problem = Problem(PARAMS, grid, tgrid, bc, source,
                       sample_times=np.linspace(0.0, 1.0, ns))

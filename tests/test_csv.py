@@ -23,9 +23,9 @@ def test_artifact_csv_bytes(tmp_path):
     trace = TimeTrace([0.0, 0.5, 1.0], [0.1, NAN, -2.5e-300])
     final = CoefficientField(None, None, np.array([1 / 3, 0.0, -0.0]), grid)
     truth = CoefficientField(None, None, np.array([0.0, NAN, 0.25]), grid)
-    # err_l2 left empty: history.csv writes NaN for a missing column
-    report = InversionReport([1.0, 0.1], [0.5, NAN], [], 1, "max-iter",
-                             final)
+    # err_l2 NaN, as a run without a truth records it
+    report = InversionReport([1.0, 0.1], [0.5, NAN], [NAN, NAN], 1,
+                             "max-iter", final)
     result = ExperimentResult(
         ExperimentConfig(), report, truth, 3, 0.2, 0.1,
         sigma=np.array([3.0, NAN, 1e-17]), q=0.5,

@@ -14,7 +14,6 @@ from westinv import (
     GridMismatchError,
     MaterialParams,
     Problem,
-    SourceTerm,
     SpatialGrid,
     StateField,
     TimeGrid,
@@ -22,9 +21,7 @@ from westinv import (
     apply_gradient,
     assemble_directional_hessian,
     assemble_jacobian,
-    fd_jacobian_oracle,
     frozen_hessian_tensor,
-    manufactured_source,
     sample_trace,
     second_time_derivative_of_square,
     solve_adjoint,
@@ -33,6 +30,8 @@ from westinv import (
     solve_sensitivity,
 )
 from westinv.basis import BasisSet, evaluate_basis
+
+from oracles import fd_jacobian_oracle, nonlinear_source
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
 BC = BoundaryCondition("dirichlet", "neumann")
@@ -57,9 +56,9 @@ BC_IDS = ["dirichlet-neumann", "dirichlet-impedance", "impedance-neumann"]
 def make_problem(nx=51, nt=100, kappa_const=0.1, bc=BC, sample_times=None):
     grid, tgrid = SpatialGrid(nx), TimeGrid(nt)
     kap = np.full(nx, kappa_const)
-    source = manufactured_source(
+    source = nonlinear_source(
         f, f_xx, lambda t: t**2, lambda t: 2 * t,
-        lambda t: 2 * np.ones_like(t), PARAMS, grid, tgrid, bc, kappa=kap,
+        lambda t: 2 * np.ones_like(t), PARAMS, grid, tgrid, bc, kap,
     )
     problem = Problem(PARAMS, grid, tgrid, bc, source,
                       sample_times=sample_times)
@@ -205,7 +204,7 @@ def test_adjoint_pairing_identity(bc, nx, nt):
 def test_apply_gradient_closed_forms():
     grid, tgrid = SpatialGrid(101), TimeGrid(200)
     problem = Problem(PARAMS, grid, tgrid, BC,
-                      SourceTerm(np.zeros((grid.nx, tgrid.nt + 1))))
+                      np.zeros((grid.nx, tgrid.nt + 1)))
     t, x = tgrid.times, grid.nodes
     ones = StateField(np.ones((grid.nx, tgrid.nt + 1)), grid, tgrid)
     # a == 1, (p^2)_tt = 12 t^2 f^2 -> g = 4 T^3 f^2

@@ -15,7 +15,6 @@ from westinv import (
     OffGridError,
     Problem,
     SingularOperatorError,
-    SourceTerm,
     SpatialGrid,
     StateField,
     TimeGrid,
@@ -29,6 +28,8 @@ from westinv import forward
 from westinv.errors import GridTooCoarseError
 from westinv.experiment import ExperimentConfig, build_problem
 from westinv.laplacian import Laplace1D, build_laplacian
+
+from oracles import nonlinear_source
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
 BC = BoundaryCondition("dirichlet", "neumann")
@@ -55,8 +56,10 @@ def beta_tt(t):
 
 
 def make_source(grid, tgrid, kappa=None):
-    return manufactured_source(f, f_xx, beta, beta_t, beta_tt, PARAMS,
-                               grid, tgrid, BC, kappa=kappa)
+    args = (f, f_xx, beta, beta_t, beta_tt, PARAMS, grid, tgrid, BC)
+    if kappa is None:
+        return manufactured_source(*args)
+    return nonlinear_source(*args, kappa)
 
 
 def make_problem(grid, tgrid, kappa=None):
@@ -66,7 +69,7 @@ def make_problem(grid, tgrid, kappa=None):
 def test_zero_source_zero_solution():
     # zero data, zero solution
     grid, tgrid = SpatialGrid(21), TimeGrid(20)
-    src = SourceTerm(np.zeros((21, 21)))
+    src = np.zeros((21, 21))
     state = solve_forward(Problem(PARAMS, grid, tgrid, BC, src), None)
     assert np.all(state.values == 0.0)
     assert np.all(state.values[grid.node_index(1.0)] == 0.0)
@@ -113,7 +116,7 @@ def test_manufactured_source_closed_form():
     expected = (2 * f(x)[:, None]
                 + (np.pi**2 / 4) * f(x)[:, None]
                 * (PARAMS.c2 * t**2 + 2 * PARAMS.b * t)[None, :])
-    np.testing.assert_allclose(src.values, expected, atol=1e-12)
+    np.testing.assert_allclose(src, expected, atol=1e-12)
 
 
 def test_manufactured_source_zero_beta():
@@ -122,7 +125,7 @@ def test_manufactured_source_zero_beta():
     zero = lambda t: np.zeros_like(t)
     src = manufactured_source(f, f_xx, zero, zero, zero, PARAMS, grid,
                               tgrid, BC)
-    assert np.all(src.values == 0.0)
+    assert np.all(src == 0.0)
 
 
 def test_manufactured_source_kappa_correction():
@@ -132,7 +135,7 @@ def test_manufactured_source_kappa_correction():
     corrected = make_source(grid, tgrid, kappa=np.full(11, 0.1))
     x, t = grid.nodes, tgrid.times
     expected = 1.2 * (t**2)[None, :] * (f(x) ** 2)[:, None]
-    np.testing.assert_allclose(plain.values - corrected.values, expected,
+    np.testing.assert_allclose(plain - corrected, expected,
                                atol=1e-12)
 
 
@@ -162,7 +165,21 @@ def test_problem_checks_observation_point_and_source_shape():
         Problem(PARAMS, grid, tgrid, BC, make_source(grid, tgrid),
                 obs_point=0.505)
     with pytest.raises(ValueError):
-        Problem(PARAMS, grid, tgrid, BC, SourceTerm(np.zeros((41, 40))))
+        Problem(PARAMS, grid, tgrid, BC, np.zeros((41, 40)))
+    with pytest.raises(ValueError, match="must be finite"):
+        Problem(PARAMS, grid, tgrid, BC, np.full((41, 41), np.inf))
+
+
+def test_problem_keeps_a_read_only_copy_of_the_source():
+    # the problem's source is read-only (runs share it, see
+    # test_shared_state_is_read_only); the caller's array stays writable,
+    # and writing to it does not reach the problem
+    grid, tgrid = SpatialGrid(21), TimeGrid(20)
+    source = make_source(grid, tgrid)
+    problem = Problem(PARAMS, grid, tgrid, BC, source)
+    assert np.array_equal(problem.source, source)
+    source[...] = 0.0
+    assert problem.source.any()
 
 
 def test_observe_dirichlet_endpoint_zero():
@@ -182,7 +199,7 @@ def test_linearity_at_zero_kappa():
     r2 = (x * (1 - x))[:, None] * np.cos(3 * t)[None, :] * rng.uniform(0.5, 1.5)
     assert r1.shape == r2.shape == shape
     s1, s2, s12 = (
-        solve_forward(Problem(PARAMS, grid, tgrid, BC, SourceTerm(r)), None)
+        solve_forward(Problem(PARAMS, grid, tgrid, BC, r), None)
         for r in (r1, r2, r1 + r2)
     )
     assert np.max(np.abs(s12.values - s1.values - s2.values)) < 1e-9
@@ -200,7 +217,7 @@ def test_second_order_form_residual_decays():
         pxx = (p[2:, :] - 2 * p[1:-1, :] + p[:-2, :]) / dx**2
         pxxt = (pxx[:, 2:] - pxx[:, :-2]) / (2 * dt)
         res = (ptt[1:-1, :] - PARAMS.c2 * pxx[:, 1:-1]
-               - PARAMS.b * pxxt - src.values[1:-1, 1:-1])
+               - PARAMS.b * pxxt - src[1:-1, 1:-1])
         return np.max(np.abs(res))
     coarse = interior_residual(26, 50)
     fine = interior_residual(51, 100)
@@ -319,6 +336,15 @@ def test_second_time_derivative_grid_too_coarse():
         second_time_derivative_of_square(state)
 
 
+def shifted_bands(A, shift, scale=0.7):
+    """The bands of diag(shift) + scale * A: banded(scale) with the shift
+    added on the free rows only, as cn_march adds a / dt on every step."""
+    bands = A.banded(scale)
+    free = ~A.dirichlet
+    bands[1][free] += shift[free]
+    return bands
+
+
 @pytest.mark.parametrize("left, right", [
     (l, r) for l in ("dirichlet", "neumann", "impedance")
     for r in ("dirichlet", "neumann", "impedance")
@@ -327,7 +353,7 @@ def test_second_time_derivative_grid_too_coarse():
 def test_banded_identity_rows_at_dirichlet_nodes(left, right):
     # every time-stepping matrix replaces a Dirichlet row by the identity
     A = build_laplacian(SpatialGrid(11), BoundaryCondition(left, right))
-    sub, main, sup = A.banded(np.linspace(1.0, 2.0, 11), 0.7)
+    sub, main, sup = shifted_bands(A, np.linspace(1.0, 2.0, 11))
     dense = np.diag(main) + np.diag(sup, 1) + np.diag(sub, -1)
     rows = np.flatnonzero(A.dirichlet)
     assert len(rows) == [left, right].count("dirichlet")
@@ -357,7 +383,7 @@ def test_singular_step_system_raises_named_error():
     # a zero row of a step matrix is a zero pivot for dgtsv: a named solver
     # error (exit 4), not scipy's LinAlgError
     A = build_laplacian(SpatialGrid(11), BC)
-    bands = A.banded(np.linspace(1.0, 2.0, 11), 0.7)
+    bands = shifted_bands(A, np.linspace(1.0, 2.0, 11))
     sub, main, sup = bands
     sub[3] = main[4] = sup[4] = 0.0  # row 4 of the matrix
     for rhs in (np.ones(11), np.ones((11, 3))):
@@ -370,7 +396,7 @@ def test_batched_apply_and_solve_equal_single_columns():
     A = build_laplacian(SpatialGrid(11),
                         BoundaryCondition("impedance", "neumann"))
     shift = np.linspace(1.0, 2.0, 11)
-    bands = A.banded(shift, 0.7)
+    bands = shifted_bands(A, shift)
     U = np.random.Generator(np.random.Philox(5)).standard_normal((11, 4))
     AU, X = A.apply(U), A.solve_banded_system(bands, U)
     for j in range(4):
@@ -388,7 +414,7 @@ def test_solve_banded_system_contract(left, right, layout):
     # u = 0 at Dirichlet nodes where rhs is not, the caller's rhs keeps its
     # bits, and u equals the route that masks a Fortran copy of rhs first
     A = build_laplacian(SpatialGrid(11), BoundaryCondition(left, right))
-    bands = A.banded(np.linspace(1.0, 2.0, 11), 0.7)
+    bands = shifted_bands(A, np.linspace(1.0, 2.0, 11))
     block = np.random.Generator(np.random.Philox(8)).standard_normal((11, 4))
     rhs = {"vector": block[:, 0].copy(), "C": np.ascontiguousarray(block),
            "F": np.asfortranarray(block)}[layout]

@@ -734,9 +734,9 @@ def test_shared_state_is_read_only():
     # sweep entries share these arrays: no entry can change what another reads
     problem, _, truth = build_problem(small_config())
     full, coarse, _ = synthesize_data(problem, truth, 0.01, 0)
-    for array in (problem.frozen_base.values, problem.impulse_response,
-                  problem.step_forcing, full.times, full.values, coarse.times,
-                  coarse.values):
+    for array in (problem.source, problem.frozen_base.values,
+                  problem.impulse_response, problem.step_forcing, full.times,
+                  full.values, coarse.times, coarse.values):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
 
@@ -780,12 +780,16 @@ def test_cli_integer_out_of_range(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["", ".", "..", "./a", "a/b", "../escaped"],
+@pytest.mark.parametrize("name", ["", ".", "..", "./a", "a/b", "../escaped",
+                                  "a\u0000b", "\ud800", "\u00e9" * 150],
                          ids=["empty", "dot", "dot-dot", "dot-slash",
-                              "nested", "escaped"])
+                              "nested", "escaped", "nul", "lone-surrogate",
+                              "300-bytes"])
 def test_cli_sweep_name_not_one_path_component(tmp_path, capsys, name):
     # the name is the entry's directory under --out; one that is empty,
-    # "." or "..", or that holds a separator, would write elsewhere
+    # "." or "..", or that holds a separator, would write elsewhere, and
+    # the filesystem takes no name with a NUL, no name that does not encode
+    # and no name over 255 bytes (150 two-byte characters here)
     runs = [{"name": "good", "config": small_config(max_iter=2).to_dict()},
             {"name": name, "config": small_config(max_iter=2).to_dict()}]
     path = tmp_path / "sweep.json"

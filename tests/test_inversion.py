@@ -222,7 +222,8 @@ def test_halley_marches_one_impulse_response_and_one_sensitivity_block(
     # J and the F''(0) tensor share the problem's impulse response and its
     # kappa = 0 solution: a Halley run makes one impulse march and one
     # (batched) sensitivity march, and a second kappa0 = None Jacobian on the
-    # same problem neither marches nor solves; it takes no other base
+    # same problem neither marches nor solves; it takes no other base, and
+    # an array kappa0 takes no Jacobian without its base
     import westinv.derivatives as derivatives
     import westinv.forward as forward
 
@@ -236,19 +237,22 @@ def test_halley_marches_one_impulse_response_and_one_sensitivity_block(
     problem, basis, truth = build_problem(cfg)
     first = InversionContext(problem, basis).frozen_jacobian
     calls = []
-    for module in (forward, derivatives):
-        for name in ("cn_march", "solve_forward"):
-            original = getattr(module, name)
-            monkeypatch.setattr(
-                module, name,
-                lambda *a, name=name, original=original, **k:
-                    calls.append(name) or original(*a, **k))
+    # derivatives looks up cn_march only; solve_forward lives in forward
+    for module, name in ((forward, "cn_march"), (forward, "solve_forward"),
+                         (derivatives, "cn_march")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name,
+            lambda *a, name=name, original=original, **k:
+                calls.append(name) or original(*a, **k))
     again = assemble_jacobian(problem, None, basis)
     assert calls == []
     assert np.array_equal(again.entries, first.entries)
     at_truth = solve_forward(problem, truth)
     with pytest.raises(ValueError):
         assemble_jacobian(problem, None, basis, base=at_truth)
+    with pytest.raises(ValueError, match="needs its base"):
+        assemble_jacobian(problem, truth.samples, basis)
 
 
 def test_halley_builds_the_hessian_tensor_once(monkeypatch):
@@ -293,7 +297,8 @@ def test_halley_stopped_at_iterate_zero_builds_neither_j_nor_t(monkeypatch):
                             lambda *a, name=name, **k: built.append(name))
     ctx, init, truth, data = make_setup(noise=0.0)
     stop = StoppingRule(tau=2.0, delta=1e3, max_iter=5)
-    report = halley_run(data, init, None, stop, ctx, truth=truth)
+    report = halley_run(data, init, RegularizationSchedule(), stop, ctx,
+                        truth=truth)
     assert (report.stop_index, report.stop_reason) == (0, "discrepancy")
     assert built == []
 
@@ -414,13 +419,15 @@ def test_newton_noise_free_monotone_and_clipped():
     # 1e-12, and their coefficients are the projection of their samples
     ctx, init, truth, data = make_setup(noise=0.0)
     stop = StoppingRule(tau=2.0, delta=0.0, max_iter=5)
-    report = newton_lm_run(data, init, True, None, stop, ctx, truth=truth)
+    report = newton_lm_run(data, init, True, RegularizationSchedule(), stop,
+                           ctx, truth=truth)
     res = report.residuals
     assert all(res[k + 1] < res[k] for k in range(len(res) - 1))
     # reconstruction error decreases as well
     assert report.errors_l2[-1] < report.errors_l2[0]
     for report in (report, landweber_run(data, init, True, None, stop, ctx),
-                   halley_run(data, init, None, stop, ctx)):
+                   halley_run(data, init, RegularizationSchedule(), stop,
+                              ctx)):
         assert report.stop_index > 0
         assert report.final.samples.min() >= -1e-12
         np.testing.assert_array_equal(

@@ -13,7 +13,6 @@ from westinv import (
     Direction,
     MaterialParams,
     Problem,
-    SourceTerm,
     SpatialGrid,
     TimeGrid,
     UnsupportedObservationError,
@@ -35,7 +34,7 @@ def reference_march(problem, forcing, advance, keep=slice(None)):
     A, params, tgrid = problem.operator, problem.params, problem.tgrid
     dt = tgrid.dt
     coef = params.b / 2 + params.c2 * dt / 4
-    bands = A.banded(0.0, coef)
+    bands = A.banded(coef)
     fixed = np.flatnonzero(A.dirichlet)
     steps = iter(forcing)
     f = next(steps)
@@ -66,7 +65,7 @@ def make_problem(left, right, nx=31, nt=80):
     grid, tgrid = SpatialGrid(nx), TimeGrid(nt)
     x, t = grid.nodes, tgrid.times
     # nonzero at the end nodes too: a Dirichlet row must ignore its forcing
-    source = SourceTerm(np.outer(1.0 + np.cos(2.0 * x), 3.0 * t * np.exp(-t)))
+    source = np.outer(1.0 + np.cos(2.0 * x), 3.0 * t * np.exp(-t))
     obs = 0.5 if right == "dirichlet" else 1.0
     problem = Problem(MaterialParams(c2=1.0, b=0.2), grid, tgrid,
                       BoundaryCondition(left, right), source,

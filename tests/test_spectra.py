@@ -8,11 +8,12 @@ from westinv import (
     BoundaryCondition,
     eigenvalues,
     pole_distinctness,
-    pole_residual,
     poles,
     svd_decay,
 )
 from westinv.spectra import svd_csv
+
+from oracles import pole_residual
 
 BC_DD = BoundaryCondition("dirichlet", "dirichlet")
 BC_DN = BoundaryCondition("dirichlet", "neumann")
