@@ -9,7 +9,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -36,17 +36,18 @@ from .inversion import InversionContext
 from .spectra import eigenvalues, pole_distinctness, poles, svd_csv, svd_decay
 from .trace import write_csv
 
-# ExperimentConfig field -> (override flag, help, argparse keywords)
+# ExperimentConfig field -> (override flag, help, choices); the flag takes
+# the field's type
 OVERRIDES = {
-    "method": ("--method", "reconstruction method", {"choices": METHODS}),
-    "noise": ("--noise", "relative noise level", {"type": float}),
-    "seed": ("--seed", "noise seed", {"type": int}),
-    "basis_kind": ("--basis", "basis", {"choices": list(BASIS_ALIASES)}),
-    "n_basis": ("--n-basis", "basis size", {"type": int}),
-    "tau": ("--tau", "discrepancy parameter", {"type": float}),
-    "alpha0": ("--alpha0", "first regularization parameter", {"type": float}),
-    "theta": ("--theta", "regularization decay factor", {"type": float}),
-    "max_iter": ("--max-iter", "iteration cap", {"type": int}),
+    "method": ("--method", "reconstruction method", METHODS),
+    "noise": ("--noise", "relative noise level", None),
+    "seed": ("--seed", "noise seed", None),
+    "basis_kind": ("--basis", "basis", list(BASIS_ALIASES)),
+    "n_basis": ("--n-basis", "basis size", None),
+    "tau": ("--tau", "discrepancy parameter", None),
+    "alpha0": ("--alpha0", "first regularization parameter", None),
+    "theta": ("--theta", "regularization decay factor", None),
+    "max_iter": ("--max-iter", "iteration cap", None),
 }
 
 
@@ -93,10 +94,10 @@ def cmd_diagnose(args) -> int:
         raise ConfigError("--count must be at least 1")
     if args.what == "poles" and IMPEDANCE in (cfg.bc_left, cfg.bc_right):
         raise ConfigError("diagnose poles needs Dirichlet or Neumann ends")
-    os.makedirs(args.out, exist_ok=True)
     if args.what == "svd":
         sigma = InversionContext(problem, basis).frozen_jacobian.svd()[1]
         q = svd_decay(sigma)
+        os.makedirs(args.out, exist_ok=True)
         svd_csv(sigma, os.path.join(args.out, "svd.csv"))
         print(f"sigma_max = {sigma[0]:.6g}, sigma_min = {sigma[-1]:.6g}, "
               f"fitted geometric rate q = {q:.6g}")
@@ -111,6 +112,7 @@ def cmd_diagnose(args) -> int:
                   for v, (p, q) in zip(lam, pairs)],
         "distinctness": pole_distinctness(lam, pairs),
     }
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "poles.json")
     _write_json(report, path)
     print(f"wrote {args.count} pole pairs to {path} "
@@ -215,10 +217,12 @@ def _subcommand(sub, name, func, summary, overrides=()):
     p = sub.add_parser(name, help=summary)
     p.set_defaults(func=func)
     p.add_argument("--config", help="JSON config file (schema 1)")
+    settings = {f.name: f for f in fields(ExperimentConfig)}
     for key in overrides:
-        flag, text, kwargs = OVERRIDES[key]
-        default = getattr(ExperimentConfig, key)
-        p.add_argument(flag, dest=key, **kwargs, help=text if default is None
+        flag, text, choices = OVERRIDES[key]
+        default = settings[key].default
+        p.add_argument(flag, dest=key, type=settings[key].metadata["type"],
+                       choices=choices, help=text if default is None
                        else f"{text} (default {default})")
     p.add_argument("--out", default="out", help="output directory")
     return p
@@ -259,7 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # sizes that cannot be allocated
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except WestinvError as exc:

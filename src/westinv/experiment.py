@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -74,37 +74,45 @@ TIME_PROFILES = {
 }
 
 
+def _setting(section: str | None, key: str, default):
+    """A config field stored as cfg[section][key], or cfg[key] for section
+    None; its JSON type is its default's, float where the default is None."""
+    return field(default=default, metadata={
+        "json": (section, key),
+        "type": float if default is None else type(default)})
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description (JSON schema version 1)."""
 
-    nx: int = 101
-    nt: int = 400
-    t_final: float = 1.0
-    c2: float = 1.0
-    b: float = 0.2
-    bc_left: str = DIRICHLET
-    bc_right: str = NEUMANN
-    basis_kind: str = "gaussian"
-    n_basis: int = 41
-    truth_family: str = "smooth_bump"
-    truth_amplitude: float = 0.2
-    truth_in_span: bool = False
-    excitation: str = "sine_half"
-    time_profile: str = "t2"
-    noise: float = 0.01
-    seed: int = 0
-    sample_count: int = DEFAULT_SAMPLE_COUNT
-    method: str = "newton"
-    frozen: bool = True
-    tau: float = 2.0
-    alpha0: float | None = None
-    theta: float = 0.5
-    max_iter: int = 20
-    mu: float | None = None
-    diagnostics: bool = False
-    obs_point: float = 1.0
-    smoothing_s: int = 0
+    nx: int = _setting("grid", "nx", 101)
+    nt: int = _setting("time", "nt", 400)
+    t_final: float = _setting("time", "t_final", 1.0)
+    c2: float = _setting("params", "c2", 1.0)
+    b: float = _setting("params", "b", 0.2)
+    bc_left: str = _setting("bc", "left", DIRICHLET)
+    bc_right: str = _setting("bc", "right", NEUMANN)
+    basis_kind: str = _setting("basis", "kind", "gaussian")
+    n_basis: int = _setting("basis", "m", 41)
+    truth_family: str = _setting("truth", "family", "smooth_bump")
+    truth_amplitude: float = _setting("truth", "amplitude", 0.2)
+    truth_in_span: bool = _setting("truth", "in_span", False)
+    excitation: str = _setting("excitation", "profile", "sine_half")
+    time_profile: str = _setting("excitation", "time_profile", "t2")
+    noise: float = _setting(None, "noise", 0.01)
+    seed: int = _setting(None, "seed", 0)
+    sample_count: int = _setting(None, "sample_count", DEFAULT_SAMPLE_COUNT)
+    method: str = _setting(None, "method", "newton")
+    frozen: bool = _setting("method_options", "frozen", True)
+    tau: float = _setting("method_options", "tau", 2.0)
+    alpha0: float | None = _setting("method_options", "alpha0", None)
+    theta: float = _setting("method_options", "theta", 0.5)
+    max_iter: int = _setting("method_options", "max_iter", 20)
+    mu: float | None = _setting("method_options", "mu", None)
+    diagnostics: bool = _setting(None, "diagnostics", False)
+    obs_point: float = _setting(None, "obs_point", 1.0)
+    smoothing_s: int = _setting("method_options", "smoothing_s", 0)
 
     def validate(self, shared: dict | None = None) -> tuple:
         """Raise ConfigError unless a run can be built from this config;
@@ -112,10 +120,10 @@ class ExperimentConfig:
 
         Checked here, as no constructor owns them: finite floats, nx and nt
         at least 3, not pure Neumann, the basis, excitation, time profile
-        and method names, noise and seed nonnegative, sample_count at least
-        4, mu positive, n_basis at most nx, Halley frozen and Landweber
-        observing at x = 1.  The rest comes from building what a run builds
-        (build_problem, StoppingRule, RegularizationSchedule and
+        and method names, noise in [0, 1], seed nonnegative, sample_count
+        at least 4, mu positive, n_basis at most nx, Halley frozen and
+        Landweber observing at x = 1.  The rest comes from building what a
+        run builds (build_problem, StoppingRule, RegularizationSchedule and
         InversionContext): their ValueError, IncompatibleBCError and
         OffGridError become ConfigError."""
         for name, value in vars(self).items():
@@ -132,7 +140,7 @@ class ExperimentConfig:
              f"unknown excitation {self.excitation!r}"),
             (self.time_profile in TIME_PROFILES,
              f"unknown time profile {self.time_profile!r}"),
-            (self.noise >= 0, "noise must be nonnegative"),
+            (0 <= self.noise <= 1, "noise must be in [0, 1]"),
             (self.seed >= 0, "seed must be nonnegative"),
             (self.sample_count >= 4, "sample_count must be at least 4"),
             (self.method in METHODS, f"unknown method {self.method!r}"),
@@ -160,43 +168,46 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         out = {"schema": 1}
-        for name, (section, key, _) in _SCHEMA.items():
+        for setting in fields(self):
+            section, key = setting.metadata["json"]
             target = out if section is None else out.setdefault(section, {})
-            target[key] = getattr(self, name)
+            target[key] = getattr(self, setting.name)
         return out
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        """Read a schema-1 dict.  "schema" must be the integer 1.  Bool
-        fields take only JSON booleans, int fields only integers and float
-        fields only numbers; an unknown key, a value of another type and any
-        config validate rejects raise ConfigError."""
+        """Read a schema-1 dict, each field at its place (see _setting).
+        "schema" must be the integer 1.  Bool fields take only JSON
+        booleans, int fields only integers, float fields only numbers and
+        str fields only strings; an unknown key, a value of another type and
+        any config validate rejects raise ConfigError."""
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
         schema = cfg.get("schema")
         if type(schema) is not int or schema != 1:
             raise ConfigError("config schema must be 1")
-        sections = {None: cfg}
-        for section, _, _ in _SCHEMA.values():
-            value = cfg.get(section, {}) if section else cfg
+        known = {None: {"schema"}}  # JSON section -> its keys
+        for setting in fields(cls):
+            section, key = setting.metadata["json"]
+            known.setdefault(section, set()).add(key)
+        known[None] |= known.keys() - {None}
+        sections = {s: cfg.get(s, {}) if s else cfg for s in known}
+        for section, value in sections.items():
             if not isinstance(value, dict):
                 raise ConfigError(
                     f"config section {section!r} must be an object")
-            sections[section] = value
         for section, value in sections.items():
-            known = {key for s, key, _ in _SCHEMA.values() if s == section}
-            if section is None:
-                known |= {"schema", *sections}
             for key in value:
-                if key not in known:
+                if key not in known[section]:
                     where = f"{section}.{key}" if section else key
                     raise ConfigError(f"unknown config key {where!r}")
         out = cls()
         try:
-            for name, (section, key, kind) in _SCHEMA.items():
+            for setting in fields(cls):
+                section, key = setting.metadata["json"]
                 if key in sections[section]:
-                    setattr(out, name,
-                            _typed(name, sections[section][key], kind))
+                    setattr(out, setting.name,
+                            _typed(setting, sections[section][key]))
             out.validate()
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
@@ -207,54 +218,21 @@ class ExperimentConfig:
         return cls.from_dict(read_json_config(path))
 
 
-# ExperimentConfig field -> (JSON section, None for the top level; key; type)
-_SCHEMA = {
-    "nx": ("grid", "nx", int),
-    "nt": ("time", "nt", int),
-    "t_final": ("time", "t_final", float),
-    "c2": ("params", "c2", float),
-    "b": ("params", "b", float),
-    "bc_left": ("bc", "left", str),
-    "bc_right": ("bc", "right", str),
-    "basis_kind": ("basis", "kind", str),
-    "n_basis": ("basis", "m", int),
-    "truth_family": ("truth", "family", str),
-    "truth_amplitude": ("truth", "amplitude", float),
-    "truth_in_span": ("truth", "in_span", bool),
-    "excitation": ("excitation", "profile", str),
-    "time_profile": ("excitation", "time_profile", str),
-    "noise": (None, "noise", float),
-    "seed": (None, "seed", int),
-    "sample_count": (None, "sample_count", int),
-    "method": (None, "method", str),
-    "frozen": ("method_options", "frozen", bool),
-    "tau": ("method_options", "tau", float),
-    "alpha0": ("method_options", "alpha0", float),
-    "theta": ("method_options", "theta", float),
-    "max_iter": ("method_options", "max_iter", int),
-    "mu": ("method_options", "mu", float),
-    "smoothing_s": ("method_options", "smoothing_s", int),
-    "diagnostics": (None, "diagnostics", bool),
-    "obs_point": (None, "obs_point", float),
-}
-
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string"}
 
 
-def _typed(name: str, value, kind):
-    """A JSON value checked against its field's type.  A bool is not a
-    number here; None is accepted where the field defaults to None; strings
-    are left to validate, which checks them against the known names."""
-    if kind is str or (value is None
-                       and getattr(ExperimentConfig, name) is None):
+def _typed(setting, value):
+    """A JSON value checked against its ExperimentConfig field's type.  A
+    bool is not a number here; None is accepted where the field defaults to
+    None."""
+    kind = setting.metadata["type"]
+    if value is None and setting.default is None:
         return value
-    if kind is bool:
-        ok = isinstance(value, bool)
-    else:
-        ok = (not isinstance(value, bool)
-              and isinstance(value, int if kind is int else (int, float)))
-    if not ok:
-        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if not (isinstance(value, (int, float) if kind is float else kind)
+            and (kind is bool or not isinstance(value, bool))):
+        raise ConfigError(f"{setting.name} must be {_TYPE_NAMES[kind]}, "
+                          f"got {value!r}")
     return float(value) if kind is float else value
 
 

@@ -472,6 +472,36 @@ def test_cli_config_wrong_json_type(tmp_path, capsys, section, key, value):
                                   "--out", str(tmp_path / "o")])
 
 
+@pytest.mark.parametrize("name, section, key, value", [
+    ("method", None, "method", 5),
+    ("basis_kind", "basis", "kind", []),
+    ("bc_left", "bc", "left", None),
+], ids=["method-int", "basis-kind-list", "bc-left-null"])
+def test_config_string_fields_take_only_strings(name, section, key, value):
+    cfg = small_config().to_dict()
+    (cfg if section is None else cfg[section])[key] = value
+    with pytest.raises(ConfigError, match=f"^{name} must be a string, got "):
+        ExperimentConfig.from_dict(cfg)
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "synth", "sweep"])
+def test_cli_noise_above_one(tmp_path, capsys, monkeypatch, command):
+    # noise is relative to max|h|; a level past 1 is a config error before
+    # anything runs, in a sweep before any entry runs
+    monkeypatch.setattr(westinv.experiment, "synthesize_data", None)
+    monkeypatch.setattr(westinv.cli, "synthesize_data", None)
+    path = write_small_config(tmp_path)
+    argv = [command, "--config", str(path), "--noise", "1.5"]
+    if command == "sweep":
+        runs = [{"name": "good", "config": small_config(max_iter=2).to_dict()},
+                {"name": "bad", "config": small_config(noise=1.5).to_dict()}]
+        path.write_text(json.dumps({"runs": runs}))
+        argv = ["sweep", "--config", str(path), "--jobs", "1"]
+    out = tmp_path / "o"
+    _expect_config_error(capsys, [*argv, "--out", str(out)])
+    assert not out.exists()
+
+
 def _right_dirichlet(cfg):
     cfg["bc"]["right"] = "dirichlet"  # sine_half is 1 at x = 1
 
@@ -760,6 +790,11 @@ def test_cli_sweep_repeated_name(tmp_path, capsys, names):
     assert not out.exists()
 
 
+# 2**50 elements of 8 bytes exceed the user address space, so allocating
+# them fails at once, touching no memory
+HUGE = 2**50
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--jobs", "0"],
     ["diagnose", "poles", "--count", "0"],
@@ -767,7 +802,10 @@ def test_cli_sweep_repeated_name(tmp_path, capsys, names):
     ["convergence-study", "--nt0", "1"],
     ["convergence-study", "--levels", "0"],
     ["convergence-study", "--levels", "-1"],
-], ids=["jobs", "count", "nx0", "nt0", "levels-0", "levels-negative"])
+    ["diagnose", "poles", "--count", str(HUGE)],
+    ["convergence-study", "--nx0", str(HUGE)],
+], ids=["jobs", "count", "nx0", "nt0", "levels-0", "levels-negative",
+        "count-huge", "nx0-huge"])
 def test_cli_integer_out_of_range(tmp_path, capsys, argv):
     cfg_path = write_small_config(tmp_path)
     if argv[0] == "sweep":
@@ -776,6 +814,24 @@ def test_cli_integer_out_of_range(tmp_path, capsys, argv):
             {"name": "a", "config": small_config(max_iter=2).to_dict()}]}))
     out = tmp_path / "o"
     _expect_config_error(capsys, [*argv, "--config", str(cfg_path),
+                                  "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "synth", "sweep"])
+@pytest.mark.parametrize("section, key", [
+    ("grid", "nx"), ("time", "nt"), (None, "sample_count")],
+    ids=["nx", "nt", "sample_count"])
+def test_cli_size_that_cannot_be_allocated(tmp_path, capsys, command,
+                                           section, key):
+    def edit(cfg):
+        (cfg if section is None else cfg[section])[key] = HUGE
+    path = _write_config(tmp_path, edit)
+    if command == "sweep":
+        path.write_text(json.dumps({"runs": [
+            {"name": "a", "config": json.loads(path.read_text())}]}))
+    out = tmp_path / "o"
+    _expect_config_error(capsys, [command, "--config", str(path),
                                   "--out", str(out)])
     assert not out.exists()
 
