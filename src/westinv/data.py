@@ -15,13 +15,14 @@ DEFAULT_SAMPLE_COUNT = 50
 
 
 def add_noise(trace: TimeTrace, level: float, seed: int) -> TimeTrace:
-    """Add i.i.d. uniform noise on [-eta, eta] with eta = level * max|h|.
+    """Add i.i.d. uniform noise on [-eta, eta] with eta = level * max|h|,
+    level in [0, 1] (ValueError otherwise).
 
     The recorded noise level is eta itself (max-norm convention).  The RNG is
     the counter-based Philox generator, fully determined by the seed.
     """
-    if level < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0 <= level <= 1:  # NaN too
+        raise ValueError(f"noise level must be in [0, 1], got {level}")
     if level == 0:
         return TimeTrace(trace.times.copy(), trace.values.copy(), 0.0)
     eta = level * np.max(np.abs(trace.values))

@@ -85,8 +85,10 @@ def _march(problem: Problem, base: StateField, kap: np.ndarray, level,
     alpha = 1.0 - 2.0 * kap[:, None] * base.values
     levels = pairwise(map(level, range(tgrid.nt + 1)))
     u = cn_march(problem, ((new - old) / tgrid.dt for old, new in levels),
-                 lambda n, un, step: step(alpha[:, n + 1],
-                                          (alpha[:, n] * un.T).T),
+                 (lambda n, un, step: step(alpha[:, n + 1],
+                                           (alpha[:, n] * un.T).T))
+                 if kap.any()  # kappa = 0: alpha is 1, so the same bits
+                 else lambda n, un, step: step(1.0, un),
                  problem.obs_index if trace_only else slice(None))
     return u if trace_only else StateField(u, problem.grid, tgrid)
 
@@ -191,20 +193,26 @@ def apply_gradient(problem: Problem, adjoint: StateField, psq_tt: np.ndarray,
 
 
 def _frozen_traces(problem: Problem, E: np.ndarray, levels):
-    """Per level (nx, nt + 1), the observation rows (m, nt + 1) of the
-    kappa0 = 0 march forced by E[:, i] Delta(level) / dt: sum_x E[x, i]
-    (R[x] conv Delta(level)[x] / dt), R the problem.impulse_response kernel."""
-    nt = problem.tgrid.nt
-    # rfft writes the transform of a time-major level strided, unless given
-    # a C-ordered out; X must be C-ordered for its float view
-    transform = np.empty((problem.grid.nx, nt + 1), complex)
+    """Per level (nx, nt + 1), the (ns, m) observation trace of the kappa0
+    = 0 march forced by E[:, i] Delta(level) / dt: sum_x E[x, i] (R[x] conv
+    Delta(level)[x] / dt), R the problem.impulse_response kernel, each
+    node's convolution sampled at the sample times before the contraction
+    with E, which then costs ns, not nt + 1, terms per node and column."""
+    nx, nt, dt = problem.grid.nx, problem.tgrid.nt, problem.tgrid.dt
+    # one set of C-ordered buffers for every level; irfft writes the
+    # 2 nt-point convolution after a first level that stays zero
+    D = np.empty((nx, nt))
+    transform = np.empty((nx, nt + 1), complex)
+    padded = np.zeros((nx, 2 * nt + 1))
     for level in levels:
-        D = np.diff(level, axis=1) / problem.tgrid.dt
-        # kernel first (complex products do not commute bitwise); E is real
-        X = np.multiply(problem.impulse_response,
-                        np.fft.rfft(D, 2 * nt, out=transform))
-        spectrum = (E.T @ X.view(float)).view(complex)
-        yield np.pad(np.fft.irfft(spectrum, 2 * nt)[:, :nt], ((0, 0), (1, 0)))
+        np.subtract(level[:, 1:], level[:, :-1], out=D)
+        D /= dt
+        np.fft.rfft(D, 2 * nt, out=transform)
+        # kernel first (complex products do not commute bitwise)
+        np.multiply(problem.impulse_response, transform, out=transform)
+        np.fft.irfft(transform, 2 * nt, out=padded[:, 1:])
+        yield sample_trace(padded[:, :nt + 1], problem.tgrid,
+                           problem.sample_times) @ E
 
 
 def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
@@ -213,16 +221,17 @@ def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
     solve for basis direction e_j at kappa0 from base, the forward solution
     there: one trace-only march of m columns, explicit zeros too.  kappa0
     None takes problem.frozen_base, not a base, and convolves the impulse
-    response instead, equal up to rounding (_frozen_traces)."""
+    response instead, sampled node by node before the basis contraction;
+    equal up to rounding (_frozen_traces)."""
     if (kappa0 is None) != (base is None):
         raise ValueError("kappa0 None takes problem.frozen_base; an array "
                          "kappa0 needs its base")
     E = evaluate_basis(basis, problem.grid)
-    traces = (next(_frozen_traces(problem, E,
-                                  [problem.frozen_base.values**2]))
-              if kappa0 is None
-              else solve_sensitivity(problem, base, kappa0, Direction(E),
-                                     trace_only=True))
+    if kappa0 is None:
+        return JacobianMatrix(next(_frozen_traces(
+            problem, E, [problem.frozen_base.values**2])))
+    traces = solve_sensitivity(problem, base, kappa0, Direction(E),
+                               trace_only=True)
     return JacobianMatrix(sample_trace(traces, problem.tgrid,
                                        problem.sample_times))
 
@@ -230,14 +239,14 @@ def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
 def frozen_hessian_tensor(problem: Problem, basis: BasisSet) -> np.ndarray:
     """Discretized F''(0), shape (ns, m, m), at p0 = problem.frozen_base:
     T[s, i, j] = F''(0)[e_i, e_j] = T1[s, i, j] + T1[s, j, i], where
-    T1[:, :, j] samples _frozen_traces for level 2 p0 z_j.  The kappa0 = 0
-    sensitivities z_j are marched once; T is built one column j at a time."""
+    T1[:, :, j] is the _frozen_traces output, already sampled, for level
+    2 p0 z_j.  The kappa0 = 0 sensitivities z_j are marched once; T is
+    built one column j at a time."""
     E, base = evaluate_basis(basis, problem.grid), problem.frozen_base
     z = solve_sensitivity(problem, base, None, Direction(E)).values
     p0_twice = 2.0 * base.values
     levels = (p0_twice * zj for zj in z.transpose(1, 0, 2))
-    T1 = np.stack([sample_trace(t, problem.tgrid, problem.sample_times)
-                   for t in _frozen_traces(problem, E, levels)], axis=2)
+    T1 = np.stack(list(_frozen_traces(problem, E, levels)), axis=2)
     return T1 + T1.transpose(0, 2, 1)
 
 

@@ -150,7 +150,7 @@ class Problem:
         u = cn_march(self, forcing, lambda n, un, step: step(1.0, un))
         w = np.ones(nx)
         w[[0, -1]] = 0.5
-        # C-ordered, as the transforms it multiplies in _frozen_traces
+        # C-ordered, as the transform buffer it multiplies in _frozen_traces
         kernel = np.ascontiguousarray((w / w[obs])[:, None] * u[:, 1:])
         response = np.fft.rfft(kernel, 2 * nt)
         response.setflags(write=False)

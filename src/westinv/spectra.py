@@ -57,7 +57,10 @@ def poles(b: float, c2: float, lam: float):
 def svd_decay(sigma: np.ndarray) -> float:
     """Geometric decay rate q = exp(slope) of descending singular values,
     from a least-squares fit of log sigma_k against k restricted to the
-    values above the machine-noise floor 1e3 * eps * sigma_0."""
+    values above the machine-noise floor 1e3 * eps * sigma_0.  ValueError
+    if sigma is empty."""
+    if len(sigma) == 0:
+        raise ValueError("svd_decay needs at least one singular value")
     if sigma[0] == 0:
         return 1.0
     floor = 1e3 * np.finfo(float).eps * sigma[0]

@@ -108,6 +108,24 @@ def test_prefilter_reduces_noise():
     assert flt_err < raw_err
 
 
+@pytest.mark.parametrize("level", [np.nan, np.inf, 1e308, 2.0])
+def test_add_noise_refuses_a_level_outside_zero_one(level):
+    # the rule validate applies to the noise setting, and never numpy's
+    # OverflowError
+    trace = TimeTrace(np.linspace(0.0, 1.0, 5), np.ones(5))
+    with pytest.raises(ValueError, match=r"noise level must be in \[0, 1\]"):
+        add_noise(trace, level, 0)
+
+
+def test_add_noise_at_level_one():
+    # eta = max|h|, and the draw is the seeded uniform one
+    trace = TimeTrace(np.linspace(0.0, 1.0, 5), np.array([0, 1, -2, 1, 0.]))
+    noisy = add_noise(trace, 1.0, 3)
+    draw = np.random.Generator(np.random.Philox(3)).uniform(-2.0, 2.0, 5)
+    assert noisy.noise_level == 2.0
+    assert np.array_equal(noisy.values, trace.values + draw)
+
+
 def test_prefilter_too_few_samples():
     times = np.linspace(0.0, 1.0, 3)
     with pytest.raises(TooFewSamplesError):

@@ -137,6 +137,11 @@ def test_svd_decay_zero_matrix():
     assert q == 1.0 and np.all(sigma == 0.0)
 
 
+def test_svd_decay_of_no_singular_values():
+    with pytest.raises(ValueError, match="at least one singular value"):
+        svd_decay(np.array([]))
+
+
 def test_svd_csv(tmp_path):
     path = tmp_path / "svd.csv"
     svd_csv(np.array([3.0, 1.0, 0.25]), path)
