@@ -85,10 +85,8 @@ def _march(problem: Problem, base: StateField, kap: np.ndarray, level,
     alpha = 1.0 - 2.0 * kap[:, None] * base.values
     levels = pairwise(map(level, range(tgrid.nt + 1)))
     u = cn_march(problem, ((new - old) / tgrid.dt for old, new in levels),
-                 (lambda n, un, step: step(alpha[:, n + 1],
-                                           (alpha[:, n] * un.T).T))
-                 if kap.any()  # kappa = 0: alpha is 1, so the same bits
-                 else lambda n, un, step: step(1.0, un),
+                 lambda n, un, step: step(alpha[:, n + 1],
+                                          (alpha[:, n] * un.T).T),
                  problem.obs_index if trace_only else slice(None))
     return u if trace_only else StateField(u, problem.grid, tgrid)
 

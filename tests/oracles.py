@@ -3,9 +3,6 @@ no run uses, kept apart from the code they check.
 
 - fd_jacobian_oracle: the central-difference Jacobian, two nonlinear forward
   solves per column, against the sensitivity marches (criterion 4);
-- frozen_traces_oracle: the kappa0 = 0 impulse-response convolution
-  contracted with the basis over the full spectrum and sampled afterwards,
-  against the sample-then-contract order of the frozen J and F''(0);
 - pole_residual: the residual of the resolvent pole quadratic (criterion 8);
 - nonlinear_source: a manufactured source whose nonlinear solution is still
   exactly f(x) beta(t).
@@ -15,7 +12,7 @@ import numpy as np
 
 from westinv import JacobianMatrix, Problem, manufactured_source, solve_forward
 from westinv.basis import BasisSet, evaluate_basis
-from westinv.forward import kappa_samples, sample_trace
+from westinv.forward import kappa_samples
 
 
 def fd_jacobian_oracle(problem: Problem, kappa0, basis: BasisSet,
@@ -36,20 +33,6 @@ def fd_jacobian_oracle(problem: Problem, kappa0, basis: BasisSet,
         ]
         cols.append((traces[0] - traces[1]) / (2 * step))
     return JacobianMatrix(np.column_stack(cols))
-
-
-def frozen_traces_oracle(problem: Problem, E: np.ndarray,
-                         level: np.ndarray) -> np.ndarray:
-    """The (ns, m) observation trace of the kappa0 = 0 march forced by
-    E[:, i] Delta(level) / dt: each node's spectrum R[x] rfft(Delta(level)[x]
-    / dt) contracted with E, inverted, zero-padded at t = 0 and then
-    sampled."""
-    nt = problem.tgrid.nt
-    D = np.diff(level, axis=1) / problem.tgrid.dt
-    X = np.ascontiguousarray(problem.impulse_response * np.fft.rfft(D, 2 * nt))
-    spectrum = (E.T @ X.view(float)).view(complex)
-    traces = np.pad(np.fft.irfft(spectrum, 2 * nt)[:, :nt], ((0, 0), (1, 0)))
-    return sample_trace(traces, problem.tgrid, problem.sample_times)
 
 
 def pole_residual(p: complex, b: float, c2: float, lam: float) -> float:

@@ -108,7 +108,7 @@ def test_prefilter_reduces_noise():
     assert flt_err < raw_err
 
 
-@pytest.mark.parametrize("level", [np.nan, np.inf, 1e308, 2.0])
+@pytest.mark.parametrize("level", [-0.1, np.nan, np.inf, 1e308, 2.0])
 def test_add_noise_refuses_a_level_outside_zero_one(level):
     # the rule validate applies to the noise setting, and never numpy's
     # OverflowError

@@ -76,9 +76,9 @@ def make_problem(left, right, nx=31, nt=80):
 
 def solves(problem, kap, base):
     """Every march kind on one problem: the forward solve at kappa = 0 and
-    at kap, five sensitivity columns in one block at kap and at kappa = 0
-    (unit coefficients), the adjoint where the observation allows it, and
-    the impulse response of a fresh Problem."""
+    at kap, five sensitivity columns in one block at kap and at kappa = 0,
+    the adjoint where the observation allows it, and the impulse response
+    of a fresh Problem."""
     nx, nt = problem.grid.nx, problem.tgrid.nt
     E = np.random.Generator(np.random.Philox(3)).standard_normal((nx, 5))
     out = {"p0": solve_forward(problem, None).values,
