@@ -120,10 +120,13 @@ TRUTH_FAMILIES = {
 
 def truth_field(name: str, grid: SpatialGrid,
                 amplitude: float = 0.2) -> CoefficientField:
-    """A named truth coefficient as a CoefficientField of grid samples."""
+    """A named truth coefficient as a CoefficientField of grid samples; a
+    non-finite amplitude raises ValueError."""
     if name not in TRUTH_FAMILIES:
         raise ValueError(
             f"unknown truth family {name!r}; choose from {sorted(TRUTH_FAMILIES)}"
         )
+    if not np.isfinite(amplitude):
+        raise ValueError(f"truth amplitude must be finite, got {amplitude}")
     samples = TRUTH_FAMILIES[name](grid, amplitude)
     return CoefficientField.from_samples(samples, grid)

@@ -76,19 +76,23 @@ def _check_same_grids(problem: Problem, *states: StateField):
             raise GridMismatchError("state field lives on different grids")
 
 
-def _march(problem: Problem, base: StateField, kap: np.ndarray, level,
+def _march(problem: Problem, base: StateField, kap: np.ndarray, forcing,
            trace_only: bool) -> StateField | np.ndarray:
-    """March ((1 - 2 kappa p) u)_t + b A u + c^2 \\int A u = d/dt level,
-    where level(n) is the integrated right-hand side at t_n, computed once
-    per level; a StateField, or with trace_only the observation row."""
-    tgrid = problem.tgrid
-    alpha = 1.0 - 2.0 * kap[:, None] * base.values
-    levels = pairwise(map(level, range(tgrid.nt + 1)))
-    u = cn_march(problem, ((new - old) / tgrid.dt for old, new in levels),
-                 lambda n, un, step: step(alpha[:, n + 1],
-                                          (alpha[:, n] * un.T).T),
+    """March ((1 - 2 kappa p) u)_t + b A u + c^2 \\int A u = g, where
+    forcing yields g for steps n -> n + 1; a StateField, or with trace_only
+    the observation row.  At kappa = 0 the step matrix is constant."""
+    if kap.any():
+        alpha = 1.0 - 2.0 * kap[:, None] * base.values
+
+        def advance(n, un, step):
+            step(alpha[:, n + 1], (alpha[:, n] * un.T).T)
+    else:
+        def advance(n, un, step):
+            step(1.0, un)
+
+    u = cn_march(problem, forcing, advance,
                  problem.obs_index if trace_only else slice(None))
-    return u if trace_only else StateField(u, problem.grid, tgrid)
+    return u if trace_only else StateField(u, problem.grid, problem.tgrid)
 
 
 def solve_sensitivity(problem: Problem, base: StateField, kappa,
@@ -107,10 +111,12 @@ def solve_sensitivity(problem: Problem, base: StateField, kappa,
     d = direction.samples
     if d.ndim not in (1, 2) or d.shape[0] != problem.grid.nx:
         raise GridMismatchError("direction does not match the spatial grid")
-    # integrated RHS: d-kappa * p^2 (its discrete time increment drives z);
-    # transposed so that per-node vectors broadcast over the k columns
+    # the integrated RHS d-kappa p^2 drives z by its time increments,
+    # d-kappa Delta(p^2) / dt; transposed so that the per-node Delta(p^2)
+    # broadcast over the k columns
     psq = base.values**2
-    return _march(problem, base, kap, lambda n: (d.T * psq[:, n]).T,
+    rate = ((psq[:, 1:] - psq[:, :-1]) / problem.tgrid.dt).T
+    return _march(problem, base, kap, ((d.T * r).T for r in rate),
                   trace_only)
 
 
@@ -133,7 +139,10 @@ def solve_second_derivative(problem: Problem, base: StateField, kappa0,
         return (2.0 * (kap * z1n * z2n
                        + p[:, n] * (d1.samples.T * z2n + d2.samples.T * z1n))).T
 
-    return _march(problem, base, kap, level, False)
+    levels = pairwise(map(level, range(problem.tgrid.nt + 1)))
+    return _march(problem, base, kap,
+                  ((new - old) / problem.tgrid.dt for old, new in levels),
+                  False)
 
 
 def solve_adjoint(problem: Problem, base: StateField, kappa,
@@ -169,8 +178,10 @@ def solve_adjoint(problem: Problem, base: StateField, kappa,
     forcing = (delta * (0.5 * (y_rev[n] + y_rev[n + 1]))
                for n in range(tgrid.nt))
     v = cn_march(problem, forcing,
-                 lambda n, un, step: step(alpha_mid[:, n],
-                                          alpha_mid[:, n] * un))
+                 (lambda n, un, step: step(alpha_mid[:, n],
+                                           alpha_mid[:, n] * un))
+                 if kap.any()  # kappa = 0: a constant step matrix
+                 else lambda n, un, step: step(1.0, un))
     u = _cumulative_trapezoid(v, tgrid.dt)
     return StateField(u[:, ::-1].copy(), grid, tgrid)
 

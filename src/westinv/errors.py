@@ -34,7 +34,8 @@ class UnsupportedObservationError(WestinvError):
 
 
 class SingularOperatorError(WestinvError):
-    """The elliptic operator is singular (pure Neumann conditions)."""
+    """The elliptic operator is singular (pure Neumann conditions), or a
+    step system is not positive definite."""
 
 
 class RankDeficientError(WestinvError):

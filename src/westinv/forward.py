@@ -14,9 +14,11 @@ trapezoidal sum of the A u^n read off each step's solved system; Newton's
 method solves each step's quadratic equation from a quadratic extrapolation
 of the last three levels.  The march (cn_march) is shared with the linear
 sensitivity, second-derivative and adjoint solves in westinv.derivatives.
-It keeps its per-step state in the layout of the LAPACK tridiagonal solve
-(dgtsv), Fortran-ordered (nx, k) blocks, and stores the levels time-major,
-so a solution's values are a strided view along time.
+It solves each step's system in its symmetric positive definite form, rows
+scaled by the trapezoid weights, by LAPACK's tridiagonal LDL^T, factoring a
+matrix that is the same on every step once.  It keeps its per-step state
+in LAPACK's layout, Fortran-ordered (nx, k) blocks, and stores the levels
+time-major, so a solution's values are a strided view along time.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
     IncompatibleBCError,
     NoConvergenceError,
     OffGridError,
+    SingularOperatorError,
 )
 from .grids import (
     DIRICHLET,
@@ -141,15 +144,14 @@ class Problem:
     @cached_property
     def impulse_response(self) -> np.ndarray:
         """rfft, zero-padded to 2 nt, of the kappa = 0 observation kernel R:
-        with u the kappa = 0 march forced by e_obs in step 0 and w = 1/2 at
-        the endpoints, 1 elsewhere, R[x, j] = (w_x / w_obs) u[x, j + 1] is by
-        reciprocity the lag-j observation response to unit forcing at x."""
+        with u the kappa = 0 march forced by e_obs in step 0 and w the
+        operator's trapezoid weights, R[x, j] = (w_x / w_obs) u[x, j + 1] is
+        by reciprocity the lag-j observation response to unit forcing at x."""
         nx, nt, obs = self.grid.nx, self.tgrid.nt, self.obs_index
         forcing = np.zeros((nt, nx))
         forcing[0, obs] = 1.0
         u = cn_march(self, forcing, lambda n, un, step: step(1.0, un))
-        w = np.ones(nx)
-        w[[0, -1]] = 0.5
+        w = self.operator.weights
         # C-ordered, as the transform buffer it multiplies in _frozen_traces
         kernel = np.ascontiguousarray((w / w[obs])[:, None] * u[:, 1:])
         response = np.fft.rfft(kernel, 2 * nt)
@@ -202,35 +204,45 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
     Dirichlet rows are the identity with rhs 0, so u and A u are exactly 0
     there.
 
-    The per-step state is kept in dgtsv's layout, Fortran-ordered (nx, k)
-    blocks, and the levels time-major, (nt + 1, k, nx), so that each step
-    stores one contiguous row.  Returns u[keep] at every time level, time
-    last: the (nx[, k], nt + 1) transposed view of that store.
+    Each system is solved as the symmetric positive definite W (a_new/dt +
+    coef A), W the trapezoid weights A.weights, which the march folds into
+    its per-node weights, so its rhs, coef A u and memory carry W too.  A
+    float a_new gives the same matrix on every step: it is factored once
+    and its factors reused while a_new stays the same, bit for bit the u of
+    factoring it each step.  The per-step state is kept in LAPACK's layout,
+    Fortran-ordered (nx, k) blocks, and the levels time-major, (nt + 1, k,
+    nx), so that each step stores one contiguous row.  Returns u[keep] at
+    every time level, time last: the (nx[, k], nt + 1) transposed view of
+    that store.
     """
     A, params, tgrid = problem.operator, problem.params, problem.tgrid
     dt = tgrid.dt
     coef = params.b / 2 + params.c2 * dt / 4
     bands = A.banded(coef)  # each step rewrites only the main diagonal
-    diag = coef * A.diag + A.dirichlet  # 1 on Dirichlet rows, where A is 0
-    free = 1.0 - A.dirichlet  # 0 on Dirichlet rows
+    diag = bands[0].copy()  # W coef A's, 1 on Dirichlet rows, where A is 0
+    free = A.weights * (1.0 - A.dirichlet)  # W, 0 on Dirichlet rows
     inv_dt = free / dt
     steps = iter(forcing)
     f = next(steps)
     col = (slice(None),) + (None,) * (f.ndim - 1)  # per node, over k columns
     weight, free = inv_dt[col], free[col]
-    # u^0, coef A u^0 and the memory c^2 \\int A u, in dgtsv's layout
+    # u^0, W coef A u^0 and the memory W c^2 \\int A u, in LAPACK's layout
     un, coef_Au, memory = (np.zeros(f.shape, order="F") for _ in range(3))
     levels = np.zeros((tgrid.nt + 1,) + un[keep].T.shape)
     scale = params.c2 * dt / (2 * coef)  # trapezoid weight per coef A u
     solved = ()
+    system = None, bands  # the last float a_new and its Factors, or bands
 
     def step(a_new, old):  # reads the loop's current rest
-        nonlocal solved
+        nonlocal solved, system
         a_dt = a_new * inv_dt
-        np.add(a_dt, diag, out=bands[1])
+        constant = isinstance(a_new, float)  # the same matrix every step
+        if not (constant and a_new == system[0]):
+            np.add(a_dt, diag, out=bands[0])
+            system = (a_new, A.factor(bands)) if constant else (None, bands)
         rhs = old * weight
         rhs += rest
-        solved = A.solve_banded_system(bands, rhs), rhs, a_dt
+        solved = A.solve_banded_system(system[1], rhs), rhs, a_dt
         return solved[0]
 
     for n in range(tgrid.nt):
@@ -240,7 +252,7 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
         advance(n, un, step)
         (un, rhs, a_dt), solved = solved, ()  # fails if step was not called
         levels[n + 1] = un[keep].T
-        rhs -= (a_dt * un.T).T  # coef A u^{n+1}
+        rhs -= (a_dt * un.T).T  # W coef A u^{n+1}
         coef_Au += rhs
         coef_Au *= scale
         memory += coef_Au
@@ -264,9 +276,10 @@ def solve_forward(problem: Problem, kappa) -> StateField:
     a coarse time grid.  At kappa = 0 this is one linear solve per step,
     taken directly: the same solve, without the predictor or the bound.
 
-    Raises DegeneracyError if 1 - 2*kappa*p drops below POSITIVITY_FLOOR
-    and NoConvergenceError if the bound is still above INNER_TOL after
-    MAX_INNER updates.
+    Raises DegeneracyError if 1 - 2*kappa*p drops below POSITIVITY_FLOOR,
+    in the solution or in a Newton iterate whose step matrix is not
+    positive definite, and NoConvergenceError if the bound is still above
+    INNER_TOL after MAX_INNER updates.
     """
     tgrid = problem.tgrid
     kap = kappa_samples(kappa, problem.grid)
@@ -280,7 +293,13 @@ def solve_forward(problem: Problem, kappa) -> StateField:
         p2, p1 = p1, pn
         pn_sq = pn * pn
         for _ in range(MAX_INNER):
-            pnew = step(1.0 - two_kap * pk, pn - kap * (pk * pk + pn_sq))
+            try:
+                pnew = step(1.0 - two_kap * pk, pn - kap * (pk * pk + pn_sq))
+            except SingularOperatorError:  # only if 1 - 2 kappa pk <= 0
+                margin = 1.0 - np.max(two_kap * pk)
+                if margin >= POSITIVITY_FLOOR:
+                    raise
+                break
             peak = two_kap * pnew
             margin = 1.0 - peak[peak.argmax()]  # min(1 - 2 kappa p)
             bound = abs_kap * (pnew - pk)**2

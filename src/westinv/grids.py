@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,9 +58,12 @@ class TimeGrid:
     def dt(self) -> float:
         return self.t_final / self.nt
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_final, self.nt + 1)
+        """The nt + 1 time levels, read-only, computed on first use."""
+        times = np.linspace(0.0, self.t_final, self.nt + 1)
+        times.setflags(write=False)
+        return times
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,8 @@ class RegularizationSchedule:
     theta: float = 0.5
 
     def __post_init__(self):
+        if self.alpha0 is not None and not np.isfinite(self.alpha0):
+            raise ValueError("alpha0 must be finite")
         if self.alpha0 is not None and not self.alpha0 > 0:
             raise ValueError("alpha0 must be positive")
         if not 0 < self.theta < 1:
@@ -67,6 +69,9 @@ class StoppingRule:
     max_iter: int = 50
 
     def __post_init__(self):
+        for name in ("tau", "delta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.tau > 1:
             raise ValueError("tau must exceed 1")
         if self.delta < 0:

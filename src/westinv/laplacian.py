@@ -2,7 +2,10 @@
 conditions folded in by ghost-node elimination.
 
 Dirichlet nodes are tracked separately: their operator rows are zeroed and
-time-stepping systems replace those equations by the identity.
+time-stepping systems replace those equations by the identity.  A is not
+symmetric, but W A is, with W the trapezoid weights (1/2 at the end nodes, 1
+inside): the step systems are solved in that form, by LAPACK's symmetric
+positive definite tridiagonal LDL^T (dptsv, or dpttrf once and dpttrs).
 """
 
 from __future__ import annotations
@@ -11,10 +14,21 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
 
 from .errors import SingularOperatorError
 from .grids import DIRICHLET, IMPEDANCE, NEUMANN, BoundaryCondition, SpatialGrid
+
+
+class Factors(tuple):
+    """LDL^T factors (d, e) of a system of bands, from Laplace1D.factor."""
+
+
+def _check_definite(info: int):
+    if info > 0:
+        raise SingularOperatorError(
+            "singular or indefinite tridiagonal system (a zero pivot, or a "
+            f"negative one, in row {info})")
 
 
 @dataclass
@@ -45,36 +59,56 @@ class Laplace1D:
         out[..., 1:] += self.lower[1:] * ut[..., :-1]
         return out.T
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only trapezoid weights W, 1/2 at the end nodes and 1 inside,
+        in whose inner product A is self-adjoint."""
+        w = np.ones(self.nx)
+        w[[0, -1]] = 0.5
+        w.setflags(write=False)
+        return w
+
     def banded(self, scale: float) -> tuple:
-        """dgtsv's sub-, main and super-diagonal of scale * A, views of one
-        (3, nx) block, with Dirichlet rows and columns those of the identity
-        (u = 0 there, so dgtsv's pivoting never mixes them into free rows),
-        ready for solve_banded_system."""
-        ab = np.zeros((3, self.nx))
-        ab[0, :-1] = scale * self.lower[1:]
-        ab[1, :] = scale * self.diag
-        ab[2, 1:] = scale * self.upper[:-1]
-        ab[:, self.dirichlet] = [[0.0], [1.0], [0.0]]  # ab[:, j] is column j
-        return ab[0, :-1], ab[1], ab[2, 1:]
+        """The main and off diagonal of the symmetric W (scale * A), views
+        of one (2, nx) block, with Dirichlet rows and columns those of the
+        identity (u = 0 there), ready for solve_banded_system once a
+        positive shift is added to the main diagonal's free rows."""
+        ab = np.zeros((2, self.nx))
+        d, e = ab[0], ab[1, :-1]  # e[i] couples nodes i and i + 1
+        d[:] = self.weights * (scale * self.diag)
+        e[:] = self.weights[:-1] * (scale * self.upper[:-1])
+        d[self.dirichlet] = 1.0
+        e[self.dirichlet[:-1] | self.dirichlet[1:]] = 0.0
+        return d, e
 
     @cached_property
     def dirichlet_nodes(self) -> tuple:
         """Indices of the Dirichlet-constrained nodes."""
         return tuple(np.flatnonzero(self.dirichlet).tolist())
 
+    def factor(self, bands: tuple) -> Factors:
+        """The LDL^T factors of the system of bands, by one LAPACK dpttrf
+        call, for solve_banded_system to reuse."""
+        d, e, info = dpttrf(*bands)
+        _check_definite(info)
+        return Factors((d, e))
+
     def solve_banded_system(self, bands: tuple, rhs: np.ndarray) -> np.ndarray:
-        """Solve the system of bands (from banded) for u, rhs (nx,) or (nx,
-        k) and u = 0 at Dirichlet nodes, by one LAPACK dgtsv call (what
-        scipy's solve_banded runs for (1, 1) bands); a zero pivot raises
-        SingularOperatorError.  dgtsv solves a Fortran-ordered copy, so rhs
+        """Solve the symmetric positive definite system of bands (from
+        banded, or its Factors) for u, rhs (nx,) or (nx, k) and u = 0 at
+        Dirichlet nodes, by one LAPACK dptsv call, or one dpttrs call on
+        Factors (bit for bit dptsv's u, which factors by dpttrf and solves
+        by dpttrs); a pivot that is not positive raises
+        SingularOperatorError.  LAPACK solves a Fortran-ordered copy, so rhs
         is left as it was, and u comes back in Fortran order.  u is zeroed
         at Dirichlet nodes after the solve: for finite rhs that equals
         zeroing rhs there first, as those rows and columns are the
         identity."""
-        *_, u, info = dgtsv(*bands, rhs)
-        if info > 0:
-            raise SingularOperatorError(
-                f"singular tridiagonal system (zero pivot in row {info})")
+        if isinstance(bands, Factors):
+            u, info = dpttrs(*bands, rhs)
+        else:
+            *_, u, info = dptsv(*bands, rhs)
+        _check_definite(info)
         for i in self.dirichlet_nodes:
             u[i] = 0.0
         return u
@@ -86,7 +120,9 @@ class Laplace1D:
             raise SingularOperatorError(
                 "A is singular under pure Neumann conditions"
             )
-        return self.solve_banded_system(self.banded(1.0), g)
+        return self.solve_banded_system(self.banded(1.0),
+                                        (self.weights * g.T).T)
+
 
 
 def build_laplacian(grid: SpatialGrid, bc: BoundaryCondition) -> Laplace1D:

@@ -3,7 +3,7 @@ the Newton inner loop, degeneracy guard and the observation operator."""
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from westinv import (
     BoundaryCondition,
@@ -33,6 +33,9 @@ from oracles import nonlinear_source
 
 PARAMS = MaterialParams(c2=1.0, b=0.2)
 BC = BoundaryCondition("dirichlet", "neumann")
+PAIRS = [(left, right) for left in ("dirichlet", "neumann", "impedance")
+         for right in ("dirichlet", "neumann", "impedance")
+         if not left == right == "neumann"]
 
 
 def f(x):
@@ -231,6 +234,35 @@ def test_degeneracy_guard():
         solve_forward(make_problem(grid, tgrid), kap)
 
 
+def test_indefinite_newton_iterate_raises_degeneracy_error(monkeypatch):
+    # the predictor of a step at t = 0.7 has 1 - 2 kappa p < 0, so the step
+    # matrix W (a / dt + coef A) is not positive definite and its LDL^T
+    # factorization fails: a degenerate state (exit 4), as when the solve
+    # goes through and the solution's margin is below the floor
+    grid, tgrid = SpatialGrid(51), TimeGrid(10)
+    failed, original = [], Laplace1D.solve_banded_system
+
+    def recording(self, bands, rhs):
+        try:
+            return original(self, bands, rhs)
+        except SingularOperatorError:
+            failed.append(None)
+            raise
+
+    monkeypatch.setattr(Laplace1D, "solve_banded_system", recording)
+    with pytest.raises(DegeneracyError, match="= -0.18.* at t = 0.7"):
+        solve_forward(make_problem(grid, tgrid), np.full(51, 0.6))
+    assert len(failed) == 1
+
+
+def test_time_levels_are_computed_once():
+    tgrid = TimeGrid(40, 2.0)
+    times = tgrid.times
+    assert tgrid.times is times
+    assert not times.flags.writeable
+    assert np.array_equal(times, np.linspace(0.0, 2.0, 41))
+
+
 def test_no_convergence_raised(monkeypatch):
     # no update meets a tolerance of 1e-300 within two updates
     grid, tgrid = SpatialGrid(51), TimeGrid(100)
@@ -337,24 +369,20 @@ def test_second_time_derivative_grid_too_coarse():
 
 
 def shifted_bands(A, shift, scale=0.7):
-    """The bands of diag(shift) + scale * A: banded(scale) with the shift
-    added on the free rows only, as cn_march adds a / dt on every step."""
+    """The bands of W (diag(shift) + scale * A): banded(scale) with W shift
+    added on the free rows only, as cn_march adds W a / dt on every step."""
     bands = A.banded(scale)
     free = ~A.dirichlet
-    bands[1][free] += shift[free]
+    bands[0][free] += (A.weights * shift)[free]
     return bands
 
 
-@pytest.mark.parametrize("left, right", [
-    (l, r) for l in ("dirichlet", "neumann", "impedance")
-    for r in ("dirichlet", "neumann", "impedance")
-    if not l == r == "neumann"
-])
+@pytest.mark.parametrize("left, right", PAIRS)
 def test_banded_identity_rows_at_dirichlet_nodes(left, right):
     # every time-stepping matrix replaces a Dirichlet row by the identity
     A = build_laplacian(SpatialGrid(11), BoundaryCondition(left, right))
-    sub, main, sup = shifted_bands(A, np.linspace(1.0, 2.0, 11))
-    dense = np.diag(main) + np.diag(sup, 1) + np.diag(sub, -1)
+    main, off = shifted_bands(A, np.linspace(1.0, 2.0, 11))
+    dense = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     rows = np.flatnonzero(A.dirichlet)
     assert len(rows) == [left, right].count("dirichlet")
     np.testing.assert_array_equal(dense[rows], np.eye(11)[rows])
@@ -380,12 +408,12 @@ def test_impedance_row_is_du_dn_plus_u_zero(side):
 
 
 def test_singular_step_system_raises_named_error():
-    # a zero row of a step matrix is a zero pivot for dgtsv: a named solver
+    # a zero row of a step matrix is a zero pivot for dptsv: a named solver
     # error (exit 4), not scipy's LinAlgError
     A = build_laplacian(SpatialGrid(11), BC)
     bands = shifted_bands(A, np.linspace(1.0, 2.0, 11))
-    sub, main, sup = bands
-    sub[3] = main[4] = sup[4] = 0.0  # row 4 of the matrix
+    main, off = bands
+    off[3] = main[4] = off[4] = 0.0  # row and column 4 of the matrix
     for rhs in (np.ones(11), np.ones((11, 3))):
         with pytest.raises(SingularOperatorError, match="zero pivot"):
             A.solve_banded_system(bands, rhs)
@@ -398,10 +426,11 @@ def test_batched_apply_and_solve_equal_single_columns():
     shift = np.linspace(1.0, 2.0, 11)
     bands = shifted_bands(A, shift)
     U = np.random.Generator(np.random.Philox(5)).standard_normal((11, 4))
-    AU, X = A.apply(U), A.solve_banded_system(bands, U)
+    WU = A.weights[:, None] * U  # the symmetric system's right-hand side
+    AU, X = A.apply(U), A.solve_banded_system(bands, WU)
     for j in range(4):
         assert np.array_equal(AU[:, j], A.apply(U[:, j]))
-        assert np.array_equal(X[:, j], A.solve_banded_system(bands, U[:, j]))
+        assert np.array_equal(X[:, j], A.solve_banded_system(bands, WU[:, j]))
     np.testing.assert_allclose(shift[:, None] * X + 0.7 * A.apply(X), U,
                                rtol=1e-12, atol=1e-12)
 
@@ -425,14 +454,46 @@ def test_solve_banded_system_contract(left, right, layout):
     assert np.array_equal(rhs.view(np.uint64), before.view(np.uint64))
     masked = np.array(rhs, dtype=float, order="F")
     masked[A.dirichlet] = 0.0
-    *_, expected, info = dgtsv(*bands, masked, overwrite_b=True)
+    *_, expected, info = dptsv(*bands, masked, overwrite_b=True)
     assert info == 0
     assert np.array_equal(u, expected)
 
 
+@pytest.mark.parametrize("left, right", PAIRS)
+@pytest.mark.parametrize("shifted", [False, True], ids=["A", "shift+A"])
+@pytest.mark.parametrize("k", [None, 4])
+def test_solve_banded_system_matches_a_dense_solve(left, right, shifted, k):
+    # the symmetric W (diag(shift) + scale A), Dirichlet rows and columns
+    # of the identity, solved densely; u = 0 at the Dirichlet nodes
+    A = build_laplacian(SpatialGrid(21), BoundaryCondition(left, right))
+    shift = np.linspace(1.0, 2.0, 21) if shifted else np.zeros(21)
+    bands = shifted_bands(A, shift)
+    rng = np.random.Generator(np.random.Philox(13))
+    rhs = rng.standard_normal(21 if k is None else (21, k))
+    matrix = A.weights[:, None] * (np.diag(shift) + 0.7 * A.apply(np.eye(21)))
+    fixed = A.dirichlet
+    matrix[fixed] = matrix[:, fixed] = 0.0
+    matrix[fixed, fixed] = 1.0
+    expected = np.linalg.solve(matrix, rhs)
+    expected[fixed] = 0.0
+    u = A.solve_banded_system(bands, rhs)
+    assert not u[fixed].any()
+    assert np.max(np.abs(u - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("left, right", PAIRS)
+def test_solve_inverts_the_operator(left, right):
+    # solve scales its right-hand side by W, as banded scales the rows of A
+    A = build_laplacian(SpatialGrid(21), BoundaryCondition(left, right))
+    u = np.random.Generator(np.random.Philox(6)).standard_normal((21, 2))
+    u[A.dirichlet] = 0.0
+    for v in (u, u[:, 0]):
+        assert np.max(np.abs(A.solve(A.apply(v)) - v)) <= 1e-12
+
+
 def test_forward_field_exactly_zero_at_the_dirichlet_node():
-    # u = 0 at a Dirichlet node exactly, not up to the rounding that the
-    # step solve's row pivoting leaves there
+    # u = 0 at a Dirichlet node exactly, not up to the rounding that a
+    # step solve could leave there
     problem, truth = criterion5_problem()
     for kappa in (None, truth):
         assert not solve_forward(problem, kappa).values[0].any()

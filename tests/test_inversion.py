@@ -624,3 +624,17 @@ def test_frozen_landweber_pure_neumann_smoothing_is_singular():
     with pytest.raises(SingularOperatorError):
         landweber_run(data, init, True, 0.01,
                       StoppingRule(tau=2.0, delta=0.0, max_iter=3), ctx)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StoppingRule(delta=np.nan),
+    lambda: StoppingRule(tau=np.inf),
+    lambda: StoppingRule(delta=np.inf),
+    lambda: RegularizationSchedule(alpha0=np.inf),
+    lambda: truth_field("tent", SpatialGrid(11), np.nan),
+], ids=["delta-nan", "tau-inf", "delta-inf", "alpha0-inf", "amplitude-nan"])
+def test_constructors_refuse_non_finite_values(build):
+    # a NaN delta would turn off the discrepancy stop: rnorm <= tau * nan
+    # is never true
+    with pytest.raises(ValueError, match="must be finite"):
+        build()

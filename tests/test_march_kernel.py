@@ -8,6 +8,7 @@ import pytest
 
 import westinv.derivatives
 import westinv.forward
+import westinv.laplacian
 from westinv import (
     BoundaryCondition,
     Direction,
@@ -29,12 +30,14 @@ PAIRS = [(left, right) for left in ("dirichlet", "neumann", "impedance")
 
 
 def reference_march(problem, forcing, advance, keep=slice(None)):
-    """The march with A applied to every new level and the running integral
-    of A u accumulated by the trapezoidal rule."""
+    """The march with A applied to every new level, the running integral
+    of A u accumulated by the trapezoidal rule and each step's matrix
+    assembled densely and solved by np.linalg.solve."""
     A, params, tgrid = problem.operator, problem.params, problem.tgrid
     dt = tgrid.dt
     coef = params.b / 2 + params.c2 * dt / 4
-    bands = A.banded(coef)
+    nx = problem.grid.nx
+    coef_A = coef * A.apply(np.eye(nx))  # column j is coef A e_j
     fixed = np.flatnonzero(A.dirichlet)
     steps = iter(forcing)
     f = next(steps)
@@ -45,9 +48,11 @@ def reference_march(problem, forcing, advance, keep=slice(None)):
 
     def step(a_new, old):
         nonlocal solution
-        bands[1][:] = a_new / dt + coef * A.diag
-        bands[1][fixed] = 1.0
-        solution = A.solve_banded_system(bands, old / dt + rest)
+        matrix = np.diag(np.broadcast_to(a_new / dt, (nx,))) + coef_A
+        matrix[fixed] = np.eye(nx)[fixed]  # u = 0 at Dirichlet nodes
+        rhs = old / dt + rest
+        rhs[fixed] = 0.0
+        solution = np.linalg.solve(matrix, rhs)
         return solution
 
     for n in range(tgrid.nt):
@@ -150,3 +155,28 @@ def test_sample_trace_equals_np_interp_bit_for_bit(nt, t_final):
     assert np.array_equal(sample_trace(traces, tgrid, samples), expected)
     assert np.array_equal(sample_trace(traces[2], tgrid, samples),
                           np.interp(samples, times, traces[2]))
+
+
+def test_constant_step_matrix_is_factored_once(monkeypatch):
+    # a float a_new is the same matrix on every step: one dpttrf, then the
+    # factors' solve, bit for bit the march that factors on every step
+    problem, _ = make_problem("impedance", "neumann")
+    nt, nx = problem.tgrid.nt, problem.grid.nx
+    forcing = np.random.Generator(np.random.Philox(4)).standard_normal(
+        (nt, nx, 3))
+    factored, original = [], westinv.laplacian.dpttrf
+
+    def counting(*args):
+        factored.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(westinv.laplacian, "dpttrf", counting)
+    once = cn_march(problem, forcing, lambda n, un, step: step(1.0, un))
+    assert len(factored) == 1
+    each_step = cn_march(problem, forcing,
+                         lambda n, un, step: step(np.ones(nx), un))
+    assert len(factored) == 1  # an array a_new: dptsv on every step
+    assert np.max(np.abs(once)) > 0.0
+    assert np.array_equal(once, each_step)
+    solve_forward(problem, None)
+    assert len(factored) == 2
