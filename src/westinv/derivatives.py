@@ -178,10 +178,8 @@ def solve_adjoint(problem: Problem, base: StateField, kappa,
     forcing = (delta * (0.5 * (y_rev[n] + y_rev[n + 1]))
                for n in range(tgrid.nt))
     v = cn_march(problem, forcing,
-                 (lambda n, un, step: step(alpha_mid[:, n],
-                                           alpha_mid[:, n] * un))
-                 if kap.any()  # kappa = 0: a constant step matrix
-                 else lambda n, un, step: step(1.0, un))
+                 lambda n, un, step: step(alpha_mid[:, n],
+                                          alpha_mid[:, n] * un))
     u = _cumulative_trapezoid(v, tgrid.dt)
     return StateField(u[:, ::-1].copy(), grid, tgrid)
 

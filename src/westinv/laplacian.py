@@ -124,7 +124,6 @@ class Laplace1D:
                                         (self.weights * g.T).T)
 
 
-
 def build_laplacian(grid: SpatialGrid, bc: BoundaryCondition) -> Laplace1D:
     nx, dx = grid.nx, grid.dx
     inv2 = 1.0 / dx**2
