@@ -27,7 +27,6 @@ from .errors import (
     DegeneracyError,
     DivergenceError,
     GridMismatchError,
-    GridTooCoarseError,
     IncompatibleBCError,
     LinearSolveError,
     NoConvergenceError,

@@ -35,6 +35,8 @@ class BasisSet:
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.m < 1:
             raise ValueError("basis size must be at least 1")
+        if self.sigma is not None and not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be finite and positive")
         if self.kind == GAUSSIAN and self.sigma is None:
             object.__setattr__(self, "sigma", self.spacing**2)
 

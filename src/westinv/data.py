@@ -77,7 +77,9 @@ def _spline(x: np.ndarray, y: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def prefilter(raw: TimeTrace, target_nt: int) -> TimeTrace:
     """Smooth a coarse trace with a centered moving average (window 3, the
     endpoints kept as-is so affine traces pass through unchanged) and
-    cubic-spline it onto the solver time grid with target_nt + 1 levels."""
+    cubic-spline it onto the solver time grid of target_nt >= 1 steps."""
+    if target_nt < 1:
+        raise ValueError(f"target_nt must be at least 1, got {target_nt}")
     if len(raw) < 4:
         raise TooFewSamplesError("prefilter needs at least 4 samples")
     smooth = raw.values.copy()
@@ -121,12 +123,13 @@ TRUTH_FAMILIES = {
 def truth_field(name: str, grid: SpatialGrid,
                 amplitude: float = 0.2) -> CoefficientField:
     """A named truth coefficient as a CoefficientField of grid samples; a
-    non-finite amplitude raises ValueError."""
+    non-finite amplitude, or one whose samples overflow, raises ValueError."""
     if name not in TRUTH_FAMILIES:
         raise ValueError(
             f"unknown truth family {name!r}; choose from {sorted(TRUTH_FAMILIES)}"
         )
-    if not np.isfinite(amplitude):
-        raise ValueError(f"truth amplitude must be finite, got {amplitude}")
-    samples = TRUTH_FAMILIES[name](grid, amplitude)
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = TRUTH_FAMILIES[name](grid, amplitude)
+    if not (np.isfinite(amplitude) and np.all(np.isfinite(samples))):
+        raise ValueError(f"truth samples must be finite, got amplitude {amplitude}")
     return CoefficientField.from_samples(samples, grid)

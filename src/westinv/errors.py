@@ -17,10 +17,6 @@ class OffGridError(WestinvError):
     """A requested observation point is not a node of the spatial grid."""
 
 
-class GridTooCoarseError(WestinvError):
-    """The time grid has too few points for the requested stencil."""
-
-
 class IncompatibleBCError(WestinvError):
     """A manufactured spatial profile violates the active boundary conditions."""
 

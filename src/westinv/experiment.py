@@ -118,24 +118,17 @@ class ExperimentConfig:
         """Raise ConfigError unless a run can be built from this config;
         return what it built, build_problem's (problem, basis, truth).
 
-        Checked here, as no constructor owns them: finite floats, nx and nt
-        at least 3, not pure Neumann, the basis, excitation, time profile
-        and method names, noise in [0, 1], seed nonnegative, sample_count
-        at least 4, mu positive, n_basis at most nx, Halley frozen and
-        Landweber observing at x = 1.  The rest comes from building what a
-        run builds (build_problem, StoppingRule, RegularizationSchedule and
-        InversionContext): their ValueError, IncompatibleBCError and
-        OffGridError become ConfigError."""
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite")
+        Each rule on one value is checked by the constructor that takes it,
+        which validate builds as a run would (build_problem, StoppingRule,
+        RegularizationSchedule, InversionContext); their ValueError,
+        IncompatibleBCError and OffGridError become ConfigError.  Its own
+        rules span fields (not pure Neumann, n_basis <= nx, Halley frozen,
+        Landweber observing at x = 1), meet a run only after its data solve
+        (noise, seed, sample_count, mu) or pick code (the method, excitation
+        and time-profile names)."""
         checks = [
-            (self.nx >= 3, "nx must be at least 3"),
-            (self.nt >= 3, "nt must be at least 3"),
             (not (self.bc_left == NEUMANN and self.bc_right == NEUMANN),
              "pure Neumann conditions are not supported"),
-            (self.basis_kind in BASIS_ALIASES,
-             f"unknown basis {self.basis_kind!r}"),
             (self.excitation in EXCITATIONS,
              f"unknown excitation {self.excitation!r}"),
             (self.time_profile in TIME_PROFILES,
@@ -144,7 +137,8 @@ class ExperimentConfig:
             (self.seed >= 0, "seed must be nonnegative"),
             (self.sample_count >= 4, "sample_count must be at least 4"),
             (self.method in METHODS, f"unknown method {self.method!r}"),
-            (self.mu is None or self.mu > 0, "mu must be positive"),
+            (self.mu is None or 0 < self.mu < np.inf,
+             "mu must be finite and positive"),
             (self.n_basis <= self.nx,
              f"n_basis = {self.n_basis} exceeds nx = {self.nx}"),
             (self.method != "halley" or self.frozen,
@@ -287,7 +281,8 @@ def build_problem(cfg: ExperimentConfig, shared: dict | None = None):
         if shared is not None:  # a racing worker's problem has the same bits
             problem = shared.setdefault(key, problem)
     grid = problem.grid
-    basis = BasisSet(BASIS_ALIASES[cfg.basis_kind], cfg.n_basis)
+    basis = BasisSet(BASIS_ALIASES.get(cfg.basis_kind, cfg.basis_kind),
+                     cfg.n_basis)
     truth = truth_field(cfg.truth_family, grid, cfg.truth_amplitude)
     if cfg.truth_in_span:
         # project onto the basis, then clip: the iterates are clipped after

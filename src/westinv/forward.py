@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import (
     DegeneracyError,
-    GridTooCoarseError,
     IncompatibleBCError,
     NoConvergenceError,
     OffGridError,
@@ -376,8 +375,6 @@ def _check_profile_bc(f, fx, bc: BoundaryCondition):
 def second_time_derivative_of_square(state: StateField) -> np.ndarray:
     """(p^2)_tt by second-order stencils: centered inside, one-sided 4-point
     at t = 0 and t = T."""
-    if state.tgrid.nt < 3:
-        raise GridTooCoarseError("need nt >= 3 for the one-sided stencils")
     q = state.values**2
     dt2 = state.tgrid.dt**2
     out = np.empty_like(q)

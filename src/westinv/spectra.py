@@ -37,20 +37,25 @@ def poles(b: float, c2: float, lam: float):
     """Roots of s^2 + b*lam*s + c2*lam = 0: a real pair when the discriminant
     b^2 lam^2 - 4 c2 lam is nonnegative, a conjugate pair otherwise.  Both
     roots have negative real part; as lam grows, p_plus -> -c2/b and
-    p_minus ~ -b*lam."""
-    if b <= 0 or c2 <= 0 or lam <= 0:
-        raise ValueError("b, c2 and lambda must be positive")
-    disc = (b * lam) ** 2 - 4.0 * c2 * lam
+    p_minus ~ -b*lam.  ValueError unless b, c2 and lam are finite and
+    positive, or if the roots are out of floating-point range."""
+    b, c2, lam = float(b), float(c2), float(lam)  # overflow to inf, unwarned
+    if not (0 < b < np.inf and 0 < c2 < np.inf and 0 < lam < np.inf):
+        raise ValueError("b, c2 and lambda must be finite and positive")
+    bl = b * lam
+    s = bl if bl > 1e150 else 1.0  # scales disc where bl^2 would overflow
+    disc = (bl / s) ** 2 - 4.0 * c2 / s * lam / s
+    root = s * float(np.sqrt(abs(disc)))
     if disc >= 0:
-        root = np.sqrt(disc)
         # stable evaluation: the large-magnitude root directly, the small one
         # from the product of roots c2 * lam (avoids cancellation)
-        p_minus = complex(0.5 * (-b * lam - root))
-        p_plus = complex(c2 * lam) / p_minus
+        p_minus = complex(0.5 * (-bl - root))
+        p_plus = complex(c2 * lam) / p_minus if p_minus else complex(np.nan)
     else:
-        root = np.sqrt(-disc)
         p_plus = complex(-0.5 * b * lam, 0.5 * root)
-        p_minus = complex(-0.5 * b * lam, -0.5 * root)
+        p_minus = p_plus.conjugate()
+    if not np.isfinite([p_plus, p_minus]).all():
+        raise ValueError("the poles are out of floating-point range")
     return p_plus, p_minus
 
 

@@ -26,8 +26,8 @@ class TimeTrace:
             raise ValueError("times and values must have matching shapes")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly ascending")
-        if self.noise_level < 0:
-            raise ValueError("noise level must be nonnegative")
+        if not 0 <= self.noise_level < np.inf:
+            raise ValueError("noise level must be finite and nonnegative")
 
     def __len__(self) -> int:
         return len(self.times)

@@ -1,11 +1,30 @@
-"""Property tests of the JSON config schema: round trip, and rejection of
-values of the wrong JSON type and of unknown keys."""
+"""Property tests of the JSON config schema (round trip, and rejection of
+values of the wrong JSON type and of unknown keys) and of the exported
+scalar entry points, which take any float or small integer."""
 
 import json
 
+import numpy as np
 import pytest
 
-from westinv import ConfigError, ExperimentConfig
+from westinv import (
+    BasisSet,
+    BoundaryCondition,
+    ConfigError,
+    ExperimentConfig,
+    MaterialParams,
+    Problem,
+    RegularizationSchedule,
+    SpatialGrid,
+    StoppingRule,
+    TimeGrid,
+    TimeTrace,
+    WestinvError,
+    eigenvalues,
+    poles,
+    prefilter,
+    truth_field,
+)
 from westinv.data import TRUTH_FAMILIES
 from westinv.experiment import BASIS_ALIASES, METHODS, TIME_PROFILES
 
@@ -104,3 +123,69 @@ def test_config_unknown_key_raises(cfg, data):
     target[key] = 0
     with pytest.raises(ConfigError, match="unknown config key"):
         ExperimentConfig.from_dict(d)
+
+
+# any float, with NaN, the infinities and the float limits drawn often, and
+# integers about [-5, 60]; nx and nt also take floats, since their owners
+# refuse non-integers
+FLOATS = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1.0,
+                          np.finfo(float).max, 5e-324]) | st.floats()
+INTS = st.integers(-5, 60)
+PAIRS = [BoundaryCondition(left, right)
+         for left in ("dirichlet", "neumann", "impedance")
+         for right in ("dirichlet", "neumann", "impedance")]
+GRID, TGRID = SpatialGrid(11), TimeGrid(10)
+RAW = TimeTrace(np.linspace(0.0, 1.0, 8), np.sin(np.arange(8.0)))
+
+
+def _attrs(obj, *names):
+    return [getattr(obj, name) for name in names]
+
+
+# entry point -> (argument strategies, call returning the values to check)
+ENTRY_POINTS = {
+    "SpatialGrid": ((INTS | FLOATS,),
+                    lambda nx: _attrs(SpatialGrid(nx), "dx", "nodes")),
+    "TimeGrid": ((INTS | FLOATS, FLOATS),
+                 lambda nt, t: _attrs(TimeGrid(nt, t), "dt", "times")),
+    "MaterialParams": ((FLOATS, FLOATS),
+                       lambda c2, b: _attrs(MaterialParams(c2, b), "c2", "b")),
+    "BasisSet": ((st.sampled_from(["gaussian", "hat", "haar"]), INTS,
+                  st.none() | FLOATS),
+                 lambda kind, m, sigma: _attrs(BasisSet(kind, m, sigma),
+                                               "sigma", "spacing", "nodes")),
+    "StoppingRule": ((FLOATS, FLOATS, INTS),
+                     lambda tau, delta, n: _attrs(StoppingRule(tau, delta, n),
+                                                  "tau", "delta")),
+    "RegularizationSchedule": (
+        (st.none() | FLOATS, FLOATS),
+        lambda alpha0, theta: _attrs(RegularizationSchedule(alpha0, theta),
+                                     "alpha0", "theta")),
+    "truth_field": ((st.sampled_from(sorted(TRUTH_FAMILIES)), INTS, FLOATS),
+                    lambda name, nx, amplitude: [truth_field(
+                        name, SpatialGrid(nx), amplitude).samples]),
+    "Problem": ((FLOATS,), lambda x: [Problem(
+        MaterialParams(), GRID, TGRID, BoundaryCondition(),
+        np.zeros((11, 11)), obs_point=x).obs_index]),
+    "prefilter": ((INTS,), lambda nt: _attrs(prefilter(RAW, nt), "times",
+                                             "values", "noise_level")),
+    "poles": ((FLOATS, FLOATS, FLOATS), lambda *args: list(poles(*args))),
+    "eigenvalues": ((st.sampled_from(PAIRS), INTS),
+                    lambda bc, count: [eigenvalues(bc, count)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@hypothesis.settings(max_examples=50, deadline=None, database=None)
+@hypothesis.given(data=st.data())
+def test_entry_points_return_finite_values_or_raise_value_error(name, data):
+    # no OverflowError, IndexError, TypeError or ZeroDivisionError, and no
+    # RuntimeWarning, which pytest turns into an error
+    strategies, call = ENTRY_POINTS[name]
+    args = data.draw(st.tuples(*strategies))
+    try:
+        values = call(*args)
+    except (ValueError, WestinvError):
+        return
+    for value in values:
+        assert value is None or np.all(np.isfinite(value)), (name, args)

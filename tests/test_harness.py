@@ -132,6 +132,14 @@ def test_prefilter_too_few_samples():
         prefilter(TimeTrace(times, times), 10)
 
 
+@pytest.mark.parametrize("target_nt", [0, -1, -5])
+def test_prefilter_needs_one_step(target_nt):
+    # target_nt = 0 would give a one-level trace, -1 an empty one
+    times = np.linspace(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="target_nt must be at least 1"):
+        prefilter(TimeTrace(times, times), target_nt)
+
+
 def scipy_prefilter(raw, target_nt):
     # the same moving average, then scipy's not-a-knot CubicSpline
     from scipy.interpolate import CubicSpline
@@ -217,9 +225,18 @@ def test_config_validation_errors():
         {"bc_right": "robin"},
         {"seed": -1},  # the noise generator takes only nonnegative seeds
         {"method": "halley", "frozen": False},  # Halley runs only frozen
+        # the grids and the material constants own their bounds
+        {"nx": 2, "n_basis": 2},
+        {"nt": 2},
+        {"t_final": np.inf},
+        {"c2": np.inf},
+        {"b": np.nan},
+        {"mu": np.inf},  # validate's own rule: a run meets mu after its solve
+        {"obs_point": np.inf},  # no node: OffGridError, not OverflowError
     ):
         with pytest.raises(ConfigError):
             small_config(**overrides).validate()
+
 
 
 def test_config_json_roundtrip(tmp_path):

@@ -22,6 +22,7 @@ from westinv import (
     SpatialGrid,
     StoppingRule,
     TimeGrid,
+    TimeTrace,
     apply_gradient,
     assemble_jacobian,
     halley_run,
@@ -632,9 +633,22 @@ def test_frozen_landweber_pure_neumann_smoothing_is_singular():
     lambda: StoppingRule(delta=np.inf),
     lambda: RegularizationSchedule(alpha0=np.inf),
     lambda: truth_field("tent", SpatialGrid(11), np.nan),
-], ids=["delta-nan", "tau-inf", "delta-inf", "alpha0-inf", "amplitude-nan"])
+    lambda: truth_field("smooth_bump", SpatialGrid(21), np.finfo(float).max),
+    lambda: TimeGrid(10, np.inf),
+    lambda: TimeGrid(10, np.nan),
+    lambda: MaterialParams(np.inf, 0.2),
+    lambda: MaterialParams(1.0, np.nan),
+    lambda: BasisSet("gaussian", 5, sigma=np.nan),
+    lambda: BasisSet("gaussian", 5, sigma=0.0),
+    lambda: TimeTrace(np.arange(3.0), np.zeros(3), noise_level=np.nan),
+    lambda: TimeTrace(np.arange(3.0), np.zeros(3), noise_level=np.inf),
+], ids=["delta-nan", "tau-inf", "delta-inf", "alpha0-inf", "amplitude-nan",
+        "amplitude-overflows", "t_final-inf", "t_final-nan", "c2-inf",
+        "b-nan", "sigma-nan", "sigma-zero", "noise_level-nan",
+        "noise_level-inf"])
 def test_constructors_refuse_non_finite_values(build):
     # a NaN delta would turn off the discrepancy stop: rnorm <= tau * nan
-    # is never true
+    # is never true; a zero sigma would divide by zero in evaluate_basis,
+    # and the largest float times the bump's peak 1.0013 overflows
     with pytest.raises(ValueError, match="must be finite"):
         build()

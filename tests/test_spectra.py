@@ -73,6 +73,20 @@ def test_poles_large_lambda_asymptote():
     assert gaps[2] < 1e-4
 
 
+def test_poles_refuse_what_floats_cannot_hold():
+    # (b lam)^2 = 4e398 overflows a float, so its discriminant is scaled;
+    # non-finite inputs and roots out of range raise ValueError, never
+    # OverflowError or NaN poles
+    p_plus, p_minus = poles(0.2, 1.0, 1e200)
+    assert p_plus == pytest.approx(-5.0) and p_minus == pytest.approx(-2e199)
+    for args in [(np.nan, 1.0, 1.0), (0.2, 1.0, np.inf), (0.2, np.inf, 1.0),
+                 (-1.0, 1.0, 1.0)]:
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            poles(*args)
+    with pytest.raises(ValueError, match="out of floating-point range"):
+        poles(1e300, 1e300, 1e300)
+
+
 def test_pole_residual_small():
     # invariant: every computed pole satisfies its quadratic to 1e-12
     lams = eigenvalues(BC_DD, 20)
