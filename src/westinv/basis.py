@@ -33,12 +33,15 @@ class BasisSet:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, HAT, HAAR):
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.m < 1:
-            raise ValueError("basis size must be at least 1")
-        if self.sigma is not None and not 0 < self.sigma < np.inf:
-            raise ValueError("sigma must be finite and positive")
+        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
+            raise ValueError("basis size must be an integer at least 1")
         if self.kind == GAUSSIAN and self.sigma is None:
             object.__setattr__(self, "sigma", self.spacing**2)
+        # so (x - x_j)^2 / sigma <= 1 / sigma in evaluate_basis stays finite
+        if (self.sigma is not None
+                and not np.finfo(float).tiny <= self.sigma < np.inf):
+            raise ValueError("sigma must be finite and at least the smallest "
+                             "normal float")
 
     @property
     def spacing(self) -> float:  # between bump centers / hat nodes

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._lapack import dgtsv
 from .basis import CoefficientField
 from .errors import TooFewSamplesError
 from .forward import Problem, solve_forward

@@ -265,7 +265,10 @@ def landweber_run(
     """Landweber iteration: each step proposes kappa_n + mu * F'(.)^* (h - F),
     h = prefilter(data, nt).  Frozen at kappa0 = 0, the gradient is
     ctx.frozen_gradient_map @ y; unfrozen, the adjoint solve at the iterate.
-    mu = None selects 0.9 / sigma_0^2 from the SVD of the frozen Jacobian."""
+    mu = None selects 0.9 / sigma_0^2 from the SVD of the frozen Jacobian;
+    any other mu must be finite and positive (ValueError otherwise)."""
+    if mu is not None and not 0 < mu < np.inf:  # NaN too
+        raise ValueError(f"mu must be finite and positive, got {mu}")
     problem = ctx.problem
     data_on_grid = prefilter(data, problem.tgrid.nt)
     if mu is None:

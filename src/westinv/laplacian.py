@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
 
+from ._lapack import dptsv, dpttrf, dpttrs
 from .errors import SingularOperatorError
 from .grids import DIRICHLET, IMPEDANCE, NEUMANN, BoundaryCondition, SpatialGrid
 

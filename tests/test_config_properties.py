@@ -21,6 +21,7 @@ from westinv import (
     TimeTrace,
     WestinvError,
     eigenvalues,
+    evaluate_basis,
     poles,
     prefilter,
     truth_field,
@@ -126,8 +127,8 @@ def test_config_unknown_key_raises(cfg, data):
 
 
 # any float, with NaN, the infinities and the float limits drawn often, and
-# integers about [-5, 60]; nx and nt also take floats, since their owners
-# refuse non-integers
+# integers about [-5, 60]; nx, nt and m also take floats, since their
+# owners refuse non-integers
 FLOATS = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1.0,
                           np.finfo(float).max, 5e-324]) | st.floats()
 INTS = st.integers(-5, 60)
@@ -142,6 +143,12 @@ def _attrs(obj, *names):
     return [getattr(obj, name) for name in names]
 
 
+def _basis_values(kind, m, sigma):
+    basis = BasisSet(kind, m, sigma)
+    return [*_attrs(basis, "sigma", "spacing", "nodes"),
+            evaluate_basis(basis, GRID)]
+
+
 # entry point -> (argument strategies, call returning the values to check)
 ENTRY_POINTS = {
     "SpatialGrid": ((INTS | FLOATS,),
@@ -150,10 +157,8 @@ ENTRY_POINTS = {
                  lambda nt, t: _attrs(TimeGrid(nt, t), "dt", "times")),
     "MaterialParams": ((FLOATS, FLOATS),
                        lambda c2, b: _attrs(MaterialParams(c2, b), "c2", "b")),
-    "BasisSet": ((st.sampled_from(["gaussian", "hat", "haar"]), INTS,
-                  st.none() | FLOATS),
-                 lambda kind, m, sigma: _attrs(BasisSet(kind, m, sigma),
-                                               "sigma", "spacing", "nodes")),
+    "BasisSet": ((st.sampled_from(["gaussian", "hat", "haar"]), INTS | FLOATS,
+                  st.none() | FLOATS), _basis_values),
     "StoppingRule": ((FLOATS, FLOATS, INTS),
                      lambda tau, delta, n: _attrs(StoppingRule(tau, delta, n),
                                                   "tau", "delta")),

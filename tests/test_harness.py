@@ -194,19 +194,88 @@ def test_prefilter_rejects_non_finite_samples(where, bad):
         prefilter(raw, 20)
 
 
-def test_no_scipy_interpolate_import():
-    # the prefilter's spline runs on LAPACK's dgtsv; importing the package and
-    # building the default problem must not load scipy.interpolate
-    code = ("import sys, westinv, westinv.cli, westinv.experiment\n"
-            "from westinv.experiment import ExperimentConfig, build_problem\n"
-            "build_problem(ExperimentConfig())\n"
-            "print('scipy.interpolate' in sys.modules)\n")
+def run_fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this westinv;
+    the in-process suite has loaded scipy.linalg itself."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(westinv.__path__[0]),
          *filter(None, [os.environ.get("PYTHONPATH")])]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_no_scipy_interpolate_import():
+    # the prefilter's spline runs on LAPACK's dgtsv; importing the package and
+    # building the default problem must not load scipy.interpolate
+    assert run_fresh(
+        "import sys, westinv, westinv.cli, westinv.experiment\n"
+        "from westinv.experiment import ExperimentConfig, build_problem\n"
+        "build_problem(ExperimentConfig())\n"
+        "print('scipy.interpolate' in sys.modules)\n") == "False"
+
+
+# the LAPACK routines as the modules that call them hold them
+ROUTINES = ("import westinv.data, westinv.laplacian as lap\n"
+            "ours = (westinv.data.dgtsv, lap.dptsv, lap.dpttrf, lap.dpttrs)\n")
+SCIPYS = ("import scipy.linalg.lapack as lapack\n"
+          "theirs = (lapack.dgtsv, lapack.dptsv, lapack.dpttrf, lapack.dpttrs)\n"
+          "print(all(a is b for a, b in zip(ours, theirs)))\n")
+
+
+def test_no_scipy_linalg_import():
+    # the routines come from scipy's _flapack, loaded without running
+    # scipy.linalg's __init__, whose array-API layer is most of start-up
+    assert run_fresh(
+        "import sys, westinv, westinv.cli\n"
+        "from westinv.experiment import ExperimentConfig, build_problem\n"
+        "build_problem(ExperimentConfig())\n"
+        "for method, frozen in [('newton', True), ('newton', False),\n"
+        "                       ('halley', True), ('landweber', False)]:\n"
+        "    westinv.run_inversion(ExperimentConfig(\n"
+        "        nx=41, nt=80, n_basis=7, sample_count=25, max_iter=6,\n"
+        "        method=method, frozen=frozen, diagnostics=True))\n"
+        "print('scipy.linalg' in sys.modules)\n") == "False"
+
+
+def test_routines_are_scipy_linalg_lapacks_own_after_a_later_import():
+    # the loader dropped its sys.modules entry, so scipy.linalg loads
+    # _flapack itself and sets its attribute; the routines are the same
+    assert run_fresh(
+        ROUTINES + SCIPYS
+        + "import sys, numpy as np, scipy.linalg\n"
+          "print(scipy.linalg._flapack is sys.modules['scipy.linalg._flapack'])\n"
+          "*_, x, info = lapack.dptsv([4.0, 4.0, 4.0], [1.0, 1.0], [5.0, 6.0, 5.0])\n"
+          "print(info == 0 and np.allclose(x, 1.0))\n"
+    ).split() == ["True"] * 3
+
+
+def test_routines_after_an_earlier_scipy_linalg_import():
+    # westinv takes scipy's loaded _flapack and leaves scipy's entries be
+    assert run_fresh(
+        "import sys, scipy.linalg.lapack\n"
+        "before = {k: v for k, v in sys.modules.items()\n"
+        "          if k.startswith('scipy')}\n"
+        + ROUTINES + SCIPYS
+        + "print(all(sys.modules[k] is v for k, v in before.items()))\n"
+    ).split() == ["True"] * 2
+
+
+@pytest.mark.parametrize("patch", [
+    "import os.path\n"
+    "isfile = os.path.isfile\n"
+    "os.path.isfile = lambda p: '_flapack' not in p and isfile(p)\n",
+    "import importlib.util\n"
+    "def refuse(*args, **kwargs):\n"
+    "    raise ImportError('no loader')\n"
+    "importlib.util.spec_from_file_location = refuse\n",
+], ids=["missing", "unloadable"])
+def test_routines_fall_back_to_scipy_linalg_lapack(patch):
+    assert run_fresh(
+        patch + ROUTINES
+        + "import sys\n"
+          "print('scipy.linalg.lapack' in sys.modules)\n" + SCIPYS
+    ).split() == ["True"] * 2
 
 
 def test_config_validation_errors():

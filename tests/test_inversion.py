@@ -369,6 +369,14 @@ def test_landweber_default_step_size():
                                rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -1.0, 0.0])
+def test_landweber_rejects_a_bad_step_size(mu):
+    # a library call gets the check validate makes, not a run to max-iter
+    ctx, init, _, data = make_setup(nx=41, nt=80, m=7, noise=0.01)
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        landweber_run(data, init, True, mu, StoppingRule(2.0, 0.01, 3), ctx)
+
+
 def test_zero_residual_immediate_stop():
     # data generated at the initial guess: both drivers stop at
     # iterate 0 by the discrepancy principle
