@@ -12,8 +12,9 @@ solve's Newton tolerance).  The m Jacobian columns march together as one
 At kappa0 = 0 the linear march is time-invariant and A is self-adjoint in
 the trapezoid-weighted inner product, so by reciprocity one impulse march at
 the observation node (Problem.impulse_response) gives any observation trace
-by convolution (Giles & Pierce, 2000): the frozen Jacobian, and the F''(0)
-tensor of frozen Halley.
+by convolution (Giles & Pierce, 2000): the frozen Jacobian by FFT, and the
+F''(0) tensor of frozen Halley in the time domain, one matrix product per
+node of its sampled, time-reversed kernel windows.
 
 The adjoint equation (1 - 2 kappa p) a_tt - b A a_t + c^2 A a = 0 is the
 continuous (optimize-then-discretize) adjoint.  In the time-reversed variable
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from itertools import pairwise
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import BasisSet, evaluate_basis
 from .errors import GridMismatchError, UnsupportedObservationError
@@ -35,11 +37,14 @@ from .forward import (
     Problem,
     StateField,
     _cumulative_trapezoid,
+    _sample_intervals,
     cn_march,
     kappa_samples,
     sample_trace,
 )
 from .grids import DIRICHLET
+
+NODE_BLOCK = 16  # nodes per contraction in frozen_hessian_tensor
 
 
 @dataclass
@@ -199,27 +204,48 @@ def apply_gradient(problem: Problem, adjoint: StateField, psq_tt: np.ndarray,
     return Direction(g)
 
 
-def _frozen_traces(problem: Problem, E: np.ndarray, levels):
-    """Per level (nx, nt + 1), the (ns, m) observation trace of the kappa0
-    = 0 march forced by E[:, i] Delta(level) / dt: sum_x E[x, i] (R[x] conv
-    Delta(level)[x] / dt), R the problem.impulse_response kernel, each
-    node's convolution sampled at the sample times before the contraction
-    with E, which then costs ns, not nt + 1, terms per node and column."""
+def _frozen_jacobian(problem: Problem, E: np.ndarray) -> np.ndarray:
+    """The (ns, m) kappa0 = 0 Jacobian: the observation trace of the march
+    forced by E[:, i] Delta(p0^2) / dt is sum_x E[x, i] (R[x] conv
+    Delta(p0^2)[x] / dt), R = problem.impulse_response.  Each node's
+    convolution is one rfft/irfft pair, zero-padded to 2 nt, sampled at the
+    sample times before the contraction with E, which then costs ns, not
+    nt + 1, terms per node and column."""
     nx, nt, dt = problem.grid.nx, problem.tgrid.nt, problem.tgrid.dt
-    # one set of C-ordered buffers for every level; irfft writes the
-    # 2 nt-point convolution after a first level that stays zero
-    D = np.empty((nx, nt))
-    transform = np.empty((nx, nt + 1), complex)
+    level = problem.frozen_base.values**2
+    D = np.subtract(level[:, 1:], level[:, :-1], out=np.empty((nx, nt)))
+    D /= dt  # C-ordered, like the kernel: the faster rfft
+    # kernel first (complex products do not commute bitwise)
+    transform = np.fft.rfft(problem.impulse_response, 2 * nt)
+    transform *= np.fft.rfft(D, 2 * nt)
+    # irfft writes the 2 nt-point convolution after a first level of zeros
     padded = np.zeros((nx, 2 * nt + 1))
-    for level in levels:
-        np.subtract(level[:, 1:], level[:, :-1], out=D)
-        D /= dt
-        np.fft.rfft(D, 2 * nt, out=transform)
-        # kernel first (complex products do not commute bitwise)
-        np.multiply(problem.impulse_response, transform, out=transform)
-        np.fft.irfft(transform, 2 * nt, out=padded[:, 1:])
-        yield sample_trace(padded[:, :nt + 1], problem.tgrid,
-                           problem.sample_times) @ E
+    np.fft.irfft(transform, 2 * nt, out=padded[:, 1:])
+    return sample_trace(padded[:, :nt + 1], problem.tgrid,
+                        problem.sample_times) @ E
+
+
+def _sampled_kernels(problem: Problem):
+    """Per node x in turn, the (ns, nt) rows K_x for which K_x
+    Delta(level)[x] / dt is node x's term of the kappa0 = 0 observation
+    trace at the sample times.  Level L of that term is sum_k R[x, L - 1 -
+    k] Delta(level)[x, k] / dt, R = problem.impulse_response: row L of that
+    Toeplitz matrix W_x is the window at nt - L of the time-reversed R,
+    zero-padded by nt, read through a strided view.  Each sample's row of
+    K_x interpolates rows j and j + 1 of W_x by _sample_intervals, the rule
+    of sample_trace, so it clamps to level 0 before 0 and to level nt at or
+    after T."""
+    tgrid, nt = problem.tgrid, problem.tgrid.nt
+    j, offset = _sample_intervals(tgrid, problem.sample_times)
+    w1 = (offset / (tgrid.times[j + 1] - tgrid.times[j]))[:, None]
+    w0 = 1.0 - w1
+    padded = np.zeros(2 * nt)
+    W = sliding_window_view(padded, nt)[::-1]
+    for R in problem.impulse_response:
+        padded[:nt] = R[::-1]
+        K = W[j] * w0
+        K += W[j + 1] * w1
+        yield K
 
 
 def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
@@ -229,14 +255,13 @@ def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
     there: one trace-only march of m columns, explicit zeros too.  kappa0
     None takes problem.frozen_base, not a base, and convolves the impulse
     response instead, sampled node by node before the basis contraction;
-    equal up to rounding (_frozen_traces)."""
+    equal up to rounding (_frozen_jacobian)."""
     if (kappa0 is None) != (base is None):
         raise ValueError("kappa0 None takes problem.frozen_base; an array "
                          "kappa0 needs its base")
     E = evaluate_basis(basis, problem.grid)
     if kappa0 is None:
-        return JacobianMatrix(next(_frozen_traces(
-            problem, E, [problem.frozen_base.values**2])))
+        return JacobianMatrix(_frozen_jacobian(problem, E))
     traces = solve_sensitivity(problem, base, kappa0, Direction(E),
                                trace_only=True)
     return JacobianMatrix(sample_trace(traces, problem.tgrid,
@@ -246,14 +271,27 @@ def assemble_jacobian(problem: Problem, kappa0, basis: BasisSet,
 def frozen_hessian_tensor(problem: Problem, basis: BasisSet) -> np.ndarray:
     """Discretized F''(0), shape (ns, m, m), at p0 = problem.frozen_base:
     T[s, i, j] = F''(0)[e_i, e_j] = T1[s, i, j] + T1[s, j, i], where
-    T1[:, :, j] is the _frozen_traces output, already sampled, for level
-    2 p0 z_j.  The kappa0 = 0 sensitivities z_j are marched once; T is
-    built one column j at a time."""
+    T1[s, i, j] is, at sample time s, the observation trace of the kappa0
+    = 0 march forced by E[:, i] Delta(2 p0 z_j) / dt.  The kappa0 = 0
+    sensitivities z_j are marched once; then one matrix product per node
+    x, of its sampled kernel rows (_sampled_kernels) and its (nt, m) block
+    Delta(2 p0 z)[x], gives node x's sampled traces, and one more per
+    NODE_BLOCK nodes contracts them with E."""
     E, base = evaluate_basis(basis, problem.grid), problem.frozen_base
     z = solve_sensitivity(problem, base, None, Direction(E)).values
-    p0_twice = 2.0 * base.values
-    levels = (p0_twice * zj for zj in z.transpose(1, 0, 2))
-    T1 = np.stack(list(_frozen_traces(problem, E, levels)), axis=2)
+    nx, m = E.shape
+    kernels = _sampled_kernels(problem)
+    T1 = np.zeros((m, len(problem.sample_times) * m))
+    # NODE_BLOCK nodes' (ns, m) traces at a time add little to the peak
+    # memory beside z
+    for x0 in range(0, nx, NODE_BLOCK):
+        nodes = range(x0, min(x0 + NODE_BLOCK, nx))
+        traces = np.stack([K @ np.diff(2.0 * base.values[x, :, None]
+                                       * z[x].T, axis=0)
+                           for x, K in zip(nodes, kernels)])
+        T1 += E[x0:x0 + NODE_BLOCK].T @ traces.reshape(len(nodes), -1)
+    T1 = T1.reshape(m, -1, m).swapaxes(0, 1)
+    T1 /= problem.tgrid.dt
     return T1 + T1.transpose(0, 2, 1)
 
 

@@ -99,9 +99,10 @@ class Problem:
     Construction solves no PDE.  It builds the operator A, resolves the
     observation index (OffGridError if obs_point is not a grid node) and
     checks that the source r(x, t) is a finite (nx, nt + 1) array, once for
-    every solve on this setup.  sample_times defaults to the solver time
-    levels.  It keeps read-only copies of source and sample_times, and its
-    cached arrays are read-only, so runs can share one Problem.
+    every solve on this setup.  sample_times, a 1-D array of finite values
+    (ValueError otherwise), defaults to the solver time levels.  It keeps
+    read-only copies of source and sample_times, and its cached arrays are
+    read-only, so runs can share one Problem.
     """
 
     params: MaterialParams
@@ -127,6 +128,9 @@ class Problem:
             )
         times = np.array(self.tgrid.times if self.sample_times is None
                          else self.sample_times, dtype=float)
+        if times.ndim != 1 or not np.all(np.isfinite(times)):
+            raise ValueError("sample times must be a 1-D array of finite "
+                             "values")
         for array in (source, times):
             array.setflags(write=False)
         object.__setattr__(self, "source", source)
@@ -142,20 +146,19 @@ class Problem:
 
     @cached_property
     def impulse_response(self) -> np.ndarray:
-        """rfft, zero-padded to 2 nt, of the kappa = 0 observation kernel R:
-        with u the kappa = 0 march forced by e_obs in step 0 and w the
-        operator's trapezoid weights, R[x, j] = (w_x / w_obs) u[x, j + 1] is
-        by reciprocity the lag-j observation response to unit forcing at x."""
+        """The kappa = 0 observation kernel R, read-only, (nx, nt) and
+        C-ordered: with u the kappa = 0 march forced by e_obs in step 0 and
+        w the operator's trapezoid weights, R[x, j] = (w_x / w_obs) u[x, j +
+        1] is by reciprocity the lag-j observation response to unit forcing
+        at x."""
         nx, nt, obs = self.grid.nx, self.tgrid.nt, self.obs_index
         forcing = np.zeros((nt, nx))
         forcing[0, obs] = 1.0
         u = cn_march(self, forcing, lambda n, un, step: step(1.0, un))
         w = self.operator.weights
-        # C-ordered, as the transform buffer it multiplies in _frozen_traces
         kernel = np.ascontiguousarray((w / w[obs])[:, None] * u[:, 1:])
-        response = np.fft.rfft(kernel, 2 * nt)
-        response.setflags(write=False)
-        return response
+        kernel.setflags(write=False)
+        return kernel
 
     @cached_property
     def step_forcing(self) -> np.ndarray:
@@ -179,14 +182,27 @@ class Problem:
 def sample_trace(trace_values: np.ndarray, tgrid: TimeGrid,
                  sample_times: np.ndarray) -> np.ndarray:
     """np.interp of a finite solver-grid trace at given times, bit for bit;
-    the k rows of a (k, nt + 1) array are sampled at once into k columns."""
+    the k rows of a (k, nt + 1) array are sampled at once into k columns.
+    Times outside [0, T] take the end values, also at any finite size."""
     times, s = tgrid.times, np.asarray(sample_times, dtype=float)
-    j = np.clip(np.searchsorted(times, s, side="right") - 1, 0, tgrid.nt - 1)
-    t0, y0, y1 = times[j], trace_values[..., j], trace_values[..., j + 1]
-    y = np.where(s == t0, y0, (y1 - y0) / (times[j + 1] - t0) * (s - t0) + y0)
+    j, offset = _sample_intervals(tgrid, s)
+    y0, y1 = trace_values[..., j], trace_values[..., j + 1]
+    y = np.where(offset == 0.0, y0,
+                 (y1 - y0) / (times[j + 1] - times[j]) * offset + y0)
     y[..., s < times[0]] = trace_values[..., :1]
     y[..., s >= times[-1]] = trace_values[..., -1:]
     return y.T.copy()
+
+
+def _sample_intervals(tgrid: TimeGrid, sample_times: np.ndarray) -> tuple:
+    """sample_trace's rule: for each sample time s, the step j in [0, nt -
+    1] whose levels j and j + 1 it interpolates between, and its offset
+    from t_j once s is clipped to [0, T] (0 before 0, t_nt - t_j at or
+    after T), so no offset overflows."""
+    times = tgrid.times
+    j = np.clip(np.searchsorted(times, sample_times, side="right") - 1, 0,
+                tgrid.nt - 1)
+    return j, np.clip(sample_times, times[0], times[-1]) - times[j]
 
 
 def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray:

@@ -12,7 +12,8 @@ import numpy as np
 class TimeTrace:
     """Sampled boundary observation h(t), clean or noisy.
 
-    noise_level is the recorded max-norm noise bound (0 for clean traces).
+    times must be a 1-D array, finite and strictly ascending; noise_level
+    is the recorded max-norm noise bound (0 for clean traces).
     """
 
     times: np.ndarray
@@ -24,6 +25,8 @@ class TimeTrace:
         self.values = np.asarray(self.values, dtype=float)
         if self.times.shape != self.values.shape:
             raise ValueError("times and values must have matching shapes")
+        if self.times.ndim != 1 or not np.all(np.isfinite(self.times)):
+            raise ValueError("sample times must be finite and 1-D")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly ascending")
         if not 0 <= self.noise_level < np.inf:

@@ -1,6 +1,7 @@
 """Property tests of the JSON config schema (round trip, and rejection of
 values of the wrong JSON type and of unknown keys) and of the exported
-scalar entry points, which take any float or small integer."""
+scalar entry points, which take any float or small integer (Problem also
+lists of them as its sample times)."""
 
 import json
 
@@ -16,6 +17,7 @@ from westinv import (
     Problem,
     RegularizationSchedule,
     SpatialGrid,
+    StateField,
     StoppingRule,
     TimeGrid,
     TimeTrace,
@@ -143,6 +145,19 @@ def _attrs(obj, *names):
     return [getattr(obj, name) for name in names]
 
 
+def _problem_values(obs_point, sample_times):
+    # one finite value per sample time, of a trace that is not constant
+    problem = Problem(MaterialParams(), GRID, TGRID, BoundaryCondition(),
+                      np.zeros((11, 11)), obs_point=obs_point,
+                      sample_times=sample_times)
+    state = StateField(np.sin(np.add.outer(GRID.nodes, 7.0 * TGRID.times)),
+                       GRID, TGRID)
+    trace = problem.sampled_trace(state)
+    assert trace.shape == (len(problem.sample_times),) == (
+        problem.sample_times.shape)
+    return [problem.obs_index, problem.sample_times, trace]
+
+
 def _basis_values(kind, m, sigma):
     basis = BasisSet(kind, m, sigma)
     return [*_attrs(basis, "sigma", "spacing", "nodes"),
@@ -169,9 +184,9 @@ ENTRY_POINTS = {
     "truth_field": ((st.sampled_from(sorted(TRUTH_FAMILIES)), INTS, FLOATS),
                     lambda name, nx, amplitude: [truth_field(
                         name, SpatialGrid(nx), amplitude).samples]),
-    "Problem": ((FLOATS,), lambda x: [Problem(
-        MaterialParams(), GRID, TGRID, BoundaryCondition(),
-        np.zeros((11, 11)), obs_point=x).obs_index]),
+    "Problem": ((FLOATS, st.none() | FLOATS | st.lists(FLOATS, max_size=4)
+                 | st.lists(st.lists(FLOATS, min_size=2, max_size=2),
+                            min_size=1, max_size=2)), _problem_values),
     "prefilter": ((INTS,), lambda nt: _attrs(prefilter(RAW, nt), "times",
                                              "values", "noise_level")),
     "poles": ((FLOATS, FLOATS, FLOATS), lambda *args: list(poles(*args))),

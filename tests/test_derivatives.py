@@ -308,7 +308,37 @@ def test_hessian_tensor_matches_the_marched_second_derivative(bc, kind,
     assert np.array_equal(T, T.transpose(0, 2, 1))
 
 
-def test_hessian_tensor_builds_one_column_at_a_time():
+@pytest.mark.parametrize("bc", [BC, BC_DI, BC_IN], ids=BC_IDS)
+def test_hessian_tensor_at_clamped_and_on_level_sample_times(bc):
+    # sample times before 0, exactly on solver levels and at or after T:
+    # the tensor's sampled kernels clamp and interpolate as sample_trace
+    # does on the marched traces
+    tgrid = TimeGrid(90)
+    times = np.concatenate([
+        [-0.5, -1e-12],  # before 0
+        tgrid.times[[0, 1, 17, 45, 89]], [0.3, 0.77],  # on and off levels
+        tgrid.times[[90]], [1.0 + 1e-12, 2.5],  # at and after T
+    ])
+    grid, tgrid, kap, problem, base = make_problem(41, 90, kappa_const=0.0,
+                                                   bc=bc, sample_times=times)
+    basis = BasisSet("gaussian", 7)
+    E = evaluate_basis(basis, grid)
+    T = frozen_hessian_tensor(problem, basis)
+    Z = solve_sensitivity(problem, base, None, Direction(E))
+    for i in range(basis.m):
+        ei = Direction(E[:, i])
+        marched = problem.sampled_trace(solve_second_derivative(
+            problem, base, None, solve_sensitivity(problem, base, None, ei),
+            Z, ei, Direction(E)))
+        assert (np.max(np.abs(T[:, i] - marched))
+                <= 1e-13 * np.max(np.abs(marched)))
+    assert not T[:3].any()  # before 0 and at t = 0 the traces are 0
+    assert np.array_equal(T[-3], T[-1])  # at and after T: level nt
+    assert np.array_equal(T[-2], T[-1])
+    assert np.array_equal(T, T.transpose(0, 2, 1))
+
+
+def test_hessian_tensor_build_forms_no_second_sensitivity_block():
     # at the criterion-5 size the tensor build holds at most half of the
     # sensitivities' bytes beside the sensitivities z themselves: it never
     # forms a second (nx, m, nt + 1) intermediate

@@ -172,6 +172,17 @@ def test_problem_checks_observation_point_and_source_shape():
         Problem(PARAMS, grid, tgrid, BC, np.full((41, 41), np.inf))
 
 
+@pytest.mark.parametrize("times", [[np.nan, 0.5], [0.0, np.inf],
+                                   [[0.0, 0.5], [0.5, 1.0]], 0.5],
+                         ids=["nan", "inf", "2-d", "0-d"])
+def test_problem_refuses_sample_times_that_are_not_a_finite_vector(times):
+    # a NaN time sampled a NaN trace, and a 2-D array gave a 3-D Jacobian
+    grid, tgrid = SpatialGrid(21), TimeGrid(20)
+    with pytest.raises(ValueError, match="1-D array of finite values"):
+        Problem(PARAMS, grid, tgrid, BC, make_source(grid, tgrid),
+                sample_times=times)
+
+
 def test_problem_keeps_a_read_only_copy_of_the_source():
     # the problem's source is read-only (runs share it, see
     # test_shared_state_is_read_only); the caller's array stays writable,

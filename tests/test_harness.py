@@ -186,12 +186,22 @@ def test_prefilter_matches_scipy_on_random_grids(seed):
 @pytest.mark.parametrize("where", ["time", "value"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_prefilter_rejects_non_finite_samples(where, bad):
-    # a NaN time passes TimeTrace's ascending check; the spline rejects it
+    # TimeTrace refuses a non-finite time, and the prefilter a non-finite
+    # value
     times, values = np.linspace(0.0, 1.0, 8), np.ones(8)
     (times if where == "time" else values)[-1] = bad
-    raw = TimeTrace(times, values)
     with pytest.raises(ValueError, match="finite"):
-        prefilter(raw, 20)
+        prefilter(TimeTrace(times, values), 20)
+
+
+@pytest.mark.parametrize("times", [[np.nan, 0.5], [0.1, np.inf],
+                                   [[0.0, 0.1], [0.2, 0.3]]],
+                         ids=["nan", "inf", "2-d"])
+def test_time_trace_refuses_times_that_are_not_a_finite_vector(times):
+    # each passed the ascending check, and a 2-D trace failed later inside
+    # prefilter's spline with numpy's dimension message
+    with pytest.raises(ValueError, match="must be finite and 1-D"):
+        TimeTrace(times, np.ones(np.shape(times)))
 
 
 def run_fresh(code: str) -> str:

@@ -148,6 +148,7 @@ def test_sample_trace_equals_np_interp_bit_for_bit(nt, t_final):
     samples = np.concatenate([
         times[::3],  # on the grid
         [0.0, t_final, -0.5, -1e-12, t_final + 1e-12, 3.0 * t_final],
+        [-np.finfo(float).max, np.finfo(float).max],  # no overflow warning
         rng.uniform(-0.2, 1.2 * t_final, 37),  # off the grid, both sides
     ])
     traces = rng.standard_normal((6, nt + 1))
