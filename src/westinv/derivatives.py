@@ -11,7 +11,8 @@ solve's Newton tolerance).  The m Jacobian columns march together as one
 
 At kappa0 = 0 the linear march is time-invariant and A is self-adjoint in
 the trapezoid-weighted inner product, so by reciprocity one impulse march at
-the observation node (Problem.impulse_response) gives any observation trace
+the observation node (Problem.impulse_response, marched with p0 as the
+second column of Problem's one kappa = 0 march) gives any observation trace
 by convolution (Giles & Pierce, 2000): the frozen Jacobian by FFT, and the
 F''(0) tensor of frozen Halley in the time domain, one matrix product per
 node of its sampled, time-reversed kernel windows.
@@ -117,12 +118,13 @@ def solve_sensitivity(problem: Problem, base: StateField, kappa,
     if d.ndim not in (1, 2) or d.shape[0] != problem.grid.nx:
         raise GridMismatchError("direction does not match the spatial grid")
     # the integrated RHS d-kappa p^2 drives z by its time increments,
-    # d-kappa Delta(p^2) / dt; transposed so that the per-node Delta(p^2)
-    # broadcast over the k columns
+    # d-kappa Delta(p^2) / dt; on a C-ordered d.T the per-node Delta(p^2)
+    # broadcast over the k columns, and the product's transpose is
+    # Fortran-ordered, as cn_march keeps its state
     psq = base.values**2
     rate = ((psq[:, 1:] - psq[:, :-1]) / problem.tgrid.dt).T
-    return _march(problem, base, kap, ((d.T * r).T for r in rate),
-                  trace_only)
+    dT = np.ascontiguousarray(d.T)
+    return _march(problem, base, kap, ((dT * r).T for r in rate), trace_only)
 
 
 def solve_second_derivative(problem: Problem, base: StateField, kappa0,

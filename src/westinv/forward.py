@@ -102,7 +102,9 @@ class Problem:
     every solve on this setup.  sample_times, a 1-D array of finite values
     (ValueError otherwise), defaults to the solver time levels.  It keeps
     read-only copies of source and sample_times, and its cached arrays are
-    read-only, so runs can share one Problem.
+    read-only, so runs can share one Problem.  The kappa = 0 solution
+    frozen_base and the impulse_response of every frozen linearization are
+    the two columns of one kappa = 0 march, made on first use.
     """
 
     params: MaterialParams
@@ -145,20 +147,43 @@ class Problem:
                             self.sample_times)
 
     @cached_property
+    def _frozen_pair(self) -> tuple:
+        """p0 and R from one kappa = 0 march of two columns: column 0 forced
+        by step_forcing, column 1 by e_obs in step 0.  The step matrix is
+        the same for both, so each column has the bits of its own march;
+        each is copied out of the march's store, which is then freed."""
+        def forcing():  # one Fortran-ordered (nx, 2) block per step
+            for n, f in enumerate(self.step_forcing):
+                block = np.zeros((self.grid.nx, 2), order="F")
+                block[:, 0] = f
+                if n == 0:
+                    block[self.obs_index, 1] = 1.0
+                yield block
+
+        u = cn_march(self, forcing(), lambda n, un, step: step(1.0, un))
+        p0 = np.ascontiguousarray(u[:, 0].T).T  # time-major, as any solve
+        w = self.operator.weights
+        R = np.ascontiguousarray((w / w[self.obs_index])[:, None]
+                                 * u[:, 1, 1:])
+        for array in (p0, R):
+            array.setflags(write=False)
+        return StateField(p0, self.grid, self.tgrid), R
+
+    @property
+    def frozen_base(self) -> StateField:
+        """The kappa = 0 solution p0, read-only and shared by every frozen
+        linearization: bit for bit solve_forward(self, None), and marched
+        with impulse_response."""
+        return self._frozen_pair[0]
+
+    @property
     def impulse_response(self) -> np.ndarray:
         """The kappa = 0 observation kernel R, read-only, (nx, nt) and
         C-ordered: with u the kappa = 0 march forced by e_obs in step 0 and
         w the operator's trapezoid weights, R[x, j] = (w_x / w_obs) u[x, j +
         1] is by reciprocity the lag-j observation response to unit forcing
-        at x."""
-        nx, nt, obs = self.grid.nx, self.tgrid.nt, self.obs_index
-        forcing = np.zeros((nt, nx))
-        forcing[0, obs] = 1.0
-        u = cn_march(self, forcing, lambda n, un, step: step(1.0, un))
-        w = self.operator.weights
-        kernel = np.ascontiguousarray((w / w[obs])[:, None] * u[:, 1:])
-        kernel.setflags(write=False)
-        return kernel
+        at x.  Marched with frozen_base."""
+        return self._frozen_pair[1]
 
     @cached_property
     def step_forcing(self) -> np.ndarray:
@@ -170,13 +195,6 @@ class Problem:
         forcing[:, self.operator.dirichlet] = 0.0
         forcing.setflags(write=False)
         return forcing
-
-    @cached_property
-    def frozen_base(self) -> StateField:
-        """The kappa = 0 solution p0, shared by every frozen linearization."""
-        base = solve_forward(self, None)
-        base.values.setflags(write=False)
-        return base
 
 
 def sample_trace(trace_values: np.ndarray, tgrid: TimeGrid,
@@ -210,7 +228,10 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
     homogeneous initial data; the one time loop behind every solve.
 
     forcing yields f for steps n -> n + 1, n = 0, ..., nt - 1, shaped (nx,)
-    or (nx, k): k columns march through the same step matrices.
+    or (nx, k): k columns march through the same step matrices.  An (nx, k)
+    f must be Fortran-ordered, the layout of the march's state: every op
+    that mixes a C-ordered f with that state reads one of them with strides
+    on every step (same bits, slower).
     advance(n, un, step) calls step(a_new, old) at least once; step solves
     (a_new/dt + coef A) u = rhs, rhs = old/dt + f - coef A un - c^2
     \\int_0^{t_n} A u (trapezoidal memory), and returns u, so a linear step
@@ -292,9 +313,10 @@ def solve_forward(problem: Problem, kappa) -> StateField:
     taken directly: the same solve, without the predictor or the bound.
 
     Raises DegeneracyError if 1 - 2*kappa*p drops below POSITIVITY_FLOOR,
-    in the solution or in a Newton iterate whose step matrix is not
-    positive definite, and NoConvergenceError if the bound is still above
-    INNER_TOL after MAX_INNER updates.
+    in the solution, in a Newton iterate whose step matrix is not positive
+    definite or in the last of MAX_INNER updates (a negative margin never
+    meets the bound), and NoConvergenceError if the bound is still above
+    INNER_TOL after MAX_INNER updates at an admissible margin.
     """
     tgrid = problem.tgrid
     kap = kappa_samples(kappa, problem.grid)
@@ -323,10 +345,11 @@ def solve_forward(problem: Problem, kappa) -> StateField:
                 break
             pk = pnew
         else:
-            raise NoConvergenceError(
-                f"Newton's method did not reach {INNER_TOL} in "
-                f"{MAX_INNER} updates at t = {tgrid.times[n + 1]:.6g}"
-            )
+            if not margin < POSITIVITY_FLOOR:  # else DegeneracyError below
+                raise NoConvergenceError(
+                    f"Newton's method did not reach {INNER_TOL} in "
+                    f"{MAX_INNER} updates at t = {tgrid.times[n + 1]:.6g}"
+                )
         if margin < POSITIVITY_FLOOR:
             raise DegeneracyError(
                 f"1 - 2*kappa*p = {margin:.4g} fell below the floor "

@@ -1,6 +1,8 @@
 """Forward solver: manufactured solutions, convergence order, linearity,
 the Newton inner loop, degeneracy guard and the observation operator."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dptsv
@@ -25,7 +27,12 @@ from westinv import (
     solve_sensitivity,
 )
 from westinv import forward
-from westinv.experiment import ExperimentConfig, build_problem
+from westinv.experiment import (
+    ExperimentConfig,
+    build_problem,
+    run_experiment,
+    run_inversion,
+)
 from westinv.laplacian import Laplace1D, build_laplacian
 
 from oracles import nonlinear_source
@@ -290,6 +297,21 @@ def test_no_convergence_raised(monkeypatch):
     monkeypatch.setattr(forward, "MAX_INNER", 2)
     with pytest.raises(NoConvergenceError, match="in 2 updates"):
         solve_forward(problem, kap)
+
+
+def test_newton_loop_that_runs_out_below_the_floor_is_degenerate(tmp_path):
+    # at t = 2.125 the Newton iterate settles on the other root of the
+    # step's quadratic, 1 - 2 kappa p = -0.28, whose step matrix is still
+    # positive definite; no update can meet the bound at a negative margin,
+    # so the loop runs out of MAX_INNER updates: a degenerate state, exit 4
+    cfg = ExperimentConfig(nx=28, nt=4, t_final=8.50, c2=7.45, b=0.140,
+                           time_profile="ramp", truth_family="two_step",
+                           truth_amplitude=0.829, n_basis=3)
+    with pytest.raises(DegeneracyError, match="= -0.28.* at t = 2.125"):
+        run_inversion(cfg)
+    assert run_experiment(cfg, tmp_path) == 4
+    assert json.loads((tmp_path / "report.json").read_text())[
+        "exit_code"] == 4
 
 
 # the boundary pairs of the derivative tests

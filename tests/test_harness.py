@@ -799,9 +799,10 @@ def assert_same_artifacts(got, want):
 
 
 def test_sweep_solves_each_problem_and_truth_once(tmp_path, monkeypatch):
-    # the entries share one Problem, so one kappa = 0 solve and one impulse
-    # march, and one clean solve per truth; a second sweep in the process
-    # solves them all again, so nothing outlives its sweep
+    # the entries share one Problem, so one two-column kappa = 0 march of
+    # p0 and the impulse response, no kappa = 0 forward solve, and one clean
+    # solve per truth; a second sweep in the process solves them all again,
+    # so nothing outlives its sweep
     import westinv.data as data
     import westinv.forward as forward
     import westinv.inversion as inversion
@@ -823,7 +824,7 @@ def test_sweep_solves_each_problem_and_truth_once(tmp_path, monkeypatch):
 
     def counted_march(problem, forcing, advance, *args):
         if forcing is not problem.step_forcing:  # not a forward solve
-            counts["impulse"] = counts.get("impulse", 0) + 1
+            counts["kappa=0 march"] = counts.get("kappa=0 march", 0) + 1
         return march(problem, forcing, advance, *args)
 
     monkeypatch.setattr(forward, "cn_march", counted_march)
@@ -835,8 +836,8 @@ def test_sweep_solves_each_problem_and_truth_once(tmp_path, monkeypatch):
         assert code == EXIT_MAX_ITER
         # the four runs take 3 steps each; every entry's iterate 0 reads the
         # shared kappa = 0 solution
-        assert counts == {"clean": 2, "kappa=0": 1, "impulse": 1,
-                          "iterate": 12}, sweep
+        assert counts == {"clean": 2, "kappa=0 march": 1, "iterate": 12}, \
+            sweep
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])

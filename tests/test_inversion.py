@@ -176,8 +176,9 @@ def test_frozen_newton_factors_the_jacobian_once(monkeypatch):
 
 def count_marches(monkeypatch):
     """Record each march of westinv.derivatives (its first forcing's shape)
-    and each march of westinv.forward forced by e_obs in step 0 (the
-    impulse response), by module name."""
+    and each march of westinv.forward whose second column is forced by
+    e_obs in step 0 (the kappa = 0 march of p0 and the impulse response),
+    by module name."""
     import westinv.derivatives as derivatives
     import westinv.forward as forward
 
@@ -191,7 +192,8 @@ def count_marches(monkeypatch):
             first = next(forcing)
             e_obs = np.zeros(problem.grid.nx)
             e_obs[problem.obs_index] = 1.0
-            if module is derivatives or np.array_equal(first, e_obs):
+            if module is derivatives or (
+                    first.ndim == 2 and np.array_equal(first[:, 1], e_obs)):
                 marches.append((module.__name__, first.shape))
             return march(problem, chain([first], forcing), advance, *args)
 
@@ -203,8 +205,8 @@ def count_marches(monkeypatch):
 
 
 def test_frozen_newton_marches_one_impulse_response(monkeypatch):
-    # the m frozen Jacobian columns come from one single-column march and
-    # no sensitivity march
+    # the m frozen Jacobian columns come from one two-column march, of p0
+    # and the impulse response, and no sensitivity march
     import westinv.derivatives as derivatives
 
     marches, sensitivities = count_marches(monkeypatch), []
@@ -214,17 +216,17 @@ def test_frozen_newton_marches_one_impulse_response(monkeypatch):
                            max_iter=4, noise=0.0, alpha0=1.0)
     result = run_inversion(cfg)
     assert result.report.stop_index >= 2
-    assert marches == [("westinv.forward", (41,))]
+    assert marches == [("westinv.forward", (41, 2))]
     assert sensitivities == []
 
 
 def test_halley_marches_one_impulse_response_and_one_sensitivity_block(
         monkeypatch):
     # J and the F''(0) tensor share the problem's impulse response and its
-    # kappa = 0 solution: a Halley run makes one impulse march and one
-    # (batched) sensitivity march, and a second kappa0 = None Jacobian on the
-    # same problem neither marches nor solves; it takes no other base, and
-    # an array kappa0 takes no Jacobian without its base
+    # kappa = 0 solution: a Halley run makes one two-column march of both
+    # and one (batched) sensitivity march, and a second kappa0 = None
+    # Jacobian on the same problem neither marches nor solves; it takes no
+    # other base, and an array kappa0 takes no Jacobian without its base
     import westinv.derivatives as derivatives
     import westinv.forward as forward
 
@@ -233,7 +235,7 @@ def test_halley_marches_one_impulse_response_and_one_sensitivity_block(
                            method="halley", max_iter=4, noise=0.0,
                            alpha0=1.0)
     assert run_inversion(cfg).report.stop_index >= 2
-    assert marches == [("westinv.forward", (41,)),
+    assert marches == [("westinv.forward", (41, 2)),
                        ("westinv.derivatives", (41, 7))]
     problem, basis, truth = build_problem(cfg)
     first = InversionContext(problem, basis).frozen_jacobian

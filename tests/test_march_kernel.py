@@ -3,6 +3,8 @@ gives the fields of a march that applies A and integrates its memory by the
 trapezoidal rule, on every accepted boundary pair; the last step call's
 solution is the next level; sample_trace is np.interp bit for bit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from westinv import (
     sample_trace,
     solve_adjoint,
     solve_forward,
+    solve_second_derivative,
     solve_sensitivity,
 )
 from westinv.forward import cn_march
@@ -181,3 +184,63 @@ def test_constant_step_matrix_is_factored_once(monkeypatch):
     assert np.array_equal(once, each_step)
     solve_forward(problem, None)
     assert len(factored) == 2
+
+
+def lone_impulse_response(problem):
+    """The impulse response from its own single-column kappa = 0 march,
+    forced by e_obs in step 0 and scaled by w / w_obs per node."""
+    nx, nt, obs = problem.grid.nx, problem.tgrid.nt, problem.obs_index
+    forcing = np.zeros((nt, nx))
+    forcing[0, obs] = 1.0
+    u = cn_march(problem, forcing, lambda n, un, step: step(1.0, un))
+    w = problem.operator.weights
+    return (w / w[obs])[:, None] * u[:, 1:]
+
+
+@pytest.mark.parametrize("obs_point", [1.0, 0.5])
+@pytest.mark.parametrize("left, right", PAIRS)
+def test_frozen_march_columns_equal_their_own_marches(left, right,
+                                                      obs_point):
+    # p0 and the impulse response share one two-column kappa = 0 march;
+    # each column keeps the bits of its own march
+    problem = replace(make_problem(left, right)[0], obs_point=obs_point)
+    p0 = solve_forward(problem, None).values
+    R = lone_impulse_response(problem)
+    assert np.max(np.abs(p0)) > 0.0
+    assert np.array_equal(problem.frozen_base.values, p0)
+    assert np.array_equal(problem.impulse_response, R)
+
+
+def test_every_forcing_block_is_fortran_ordered(monkeypatch):
+    # cn_march keeps its state Fortran-ordered, so every (nx, k) forcing
+    # block that westinv hands it must be too: the sensitivities at kappa0 =
+    # 0 and kappa != 0, trace-only or not, the second derivatives and the
+    # kappa = 0 march of p0 and the impulse response
+    blocks = []
+
+    def checked(forcing):
+        for f in forcing:
+            if f.ndim == 2:
+                assert f.flags.f_contiguous, f.shape
+                blocks.append(f.shape)
+            yield f
+
+    for module in (westinv.forward, westinv.derivatives):
+        march = module.cn_march
+        monkeypatch.setattr(
+            module, "cn_march",
+            lambda problem, forcing, *args, march=march:
+                march(problem, checked(forcing), *args))
+    problem, kap = make_problem("impedance", "neumann")
+    nx, nt = problem.grid.nx, problem.tgrid.nt
+    d = Direction(np.random.Generator(np.random.Philox(5)).standard_normal(
+        (nx, 4)))
+    for kappa in (None, kap):
+        base = solve_forward(problem, kappa)  # (nx,) forcing
+        for trace_only in (False, True):
+            solve_sensitivity(problem, base, kappa, d, trace_only)
+    z = solve_sensitivity(problem, base, kap, d)
+    solve_second_derivative(problem, base, kap, z, z, d, d)
+    assert blocks == [(nx, 4)] * (6 * nt)
+    problem.frozen_base
+    assert blocks == [(nx, 4)] * (6 * nt) + [(nx, 2)] * nt
