@@ -34,7 +34,6 @@ from .errors import (
     RankDeficientError,
     SingularOperatorError,
     TooFewSamplesError,
-    UnsupportedObservationError,
     WestinvError,
 )
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment, run_inversion

@@ -19,9 +19,9 @@ node of its sampled, time-reversed kernel windows.
 
 The adjoint equation (1 - 2 kappa p) a_tt - b A a_t + c^2 A a = 0 is the
 continuous (optimize-then-discretize) adjoint.  In the time-reversed variable
-u(s) = a(T - s), with the observation residual entering as a boundary flux at
-x = 1, it is marched in v = u_s by the same scheme, and u is the trapezoidal
-integral of v.
+u(s) = a(T - s), with the observation residual entering as a point source at
+the observation node, it is marched in v = u_s by the same scheme, and u is
+the trapezoidal integral of v.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import BasisSet, evaluate_basis
-from .errors import GridMismatchError, UnsupportedObservationError
+from .errors import GridMismatchError
 from .forward import (
     Problem,
     StateField,
@@ -43,7 +43,6 @@ from .forward import (
     kappa_samples,
     sample_trace,
 )
-from .grids import DIRICHLET
 
 NODE_BLOCK = 16  # nodes per contraction in frozen_hessian_tensor
 
@@ -155,8 +154,10 @@ def solve_second_derivative(problem: Problem, base: StateField, kappa0,
 def solve_adjoint(problem: Problem, base: StateField, kappa,
                   residual: np.ndarray) -> StateField:
     """Solve the adjoint equation backward in time with end conditions
-    a(T) = a_t(T) = 0 and the residual y entering as the flux condition
-    d/dx (b a_t - c^2 a) = -y at the observation endpoint x = 1.
+    a(T) = a_t(T) = 0 and the residual y entering as a point source at the
+    observation node (at an end node, the flux condition
+    d/dx (b a_t - c^2 a) = -y).  At a Dirichlet node the march drops the
+    source, so a = 0: the adjoint of a trace that is identically 0.
 
     The residual y is an (nt + 1,) array on the solver time levels
     (prefilter beforehand).  Returns a in forward-time orientation."""
@@ -164,24 +165,17 @@ def solve_adjoint(problem: Problem, base: StateField, kappa,
     _check_same_grids(problem, base)
     if np.shape(residual) != (tgrid.nt + 1,):
         raise GridMismatchError("residual is not sampled on the solver time grid")
-    if problem.obs_index != grid.nx - 1:
-        raise UnsupportedObservationError(
-            "only observation at the right boundary x = 1 is supported in 1-D"
-        )
-    if problem.bc.right == DIRICHLET:
-        raise UnsupportedObservationError(
-            "observation at a Dirichlet endpoint carries no information"
-        )
     kap = kappa_samples(kappa, grid)
 
     # time-reversed variables u(s) = a(T - s), v = u_s: alpha v_s + b A v
-    # + c^2 A u = delta_{x=1} y(T - s) is the linear march in v with
+    # + c^2 A u = delta_obs y(T - s) is the linear march in v with
     # alpha frozen at each step's midpoint and memory A u = \\int_0^s A v
     alpha_rev = (1.0 - 2.0 * kap[:, None] * base.values)[:, ::-1]
     alpha_mid = 0.5 * (alpha_rev[:, :-1] + alpha_rev[:, 1:])
     y_rev = np.asarray(residual, dtype=float)[::-1]
     delta = np.zeros(grid.nx)
-    delta[-1] = 2.0 / grid.dx  # discrete boundary delta at x = 1
+    obs = problem.obs_index  # discrete delta: 2 / dx at an end node
+    delta[obs] = 1.0 / (grid.dx * problem.operator.weights[obs])
     forcing = (delta * (0.5 * (y_rev[n] + y_rev[n + 1]))
                for n in range(tgrid.nt))
     v = cn_march(problem, forcing,

@@ -25,10 +25,6 @@ class GridMismatchError(WestinvError):
     """Fields passed to a solver live on inconsistent grids."""
 
 
-class UnsupportedObservationError(WestinvError):
-    """The observation point is not supported by the 1-D adjoint solver."""
-
-
 class SingularOperatorError(WestinvError):
     """The elliptic operator is singular (pure Neumann conditions), or a
     step system is not positive definite."""

@@ -123,9 +123,9 @@ class ExperimentConfig:
         RegularizationSchedule, InversionContext); their ValueError,
         IncompatibleBCError and OffGridError become ConfigError.  Its own
         rules span fields (not pure Neumann, n_basis <= nx, Halley frozen,
-        Landweber observing at x = 1), meet a run only after its data solve
-        (noise, seed, sample_count, mu) or pick code (the method, excitation
-        and time-profile names)."""
+        no observation at a Dirichlet node), meet a run only after its data
+        solve (noise, seed, sample_count, mu) or pick code (the method,
+        excitation and time-profile names)."""
         checks = [
             (not (self.bc_left == NEUMANN and self.bc_right == NEUMANN),
              "pure Neumann conditions are not supported"),
@@ -149,15 +149,14 @@ class ExperimentConfig:
                 raise ConfigError(message)
         try:
             problem, basis, truth = build_problem(self, shared)
+            if problem.obs_index in problem.operator.dirichlet_nodes:
+                raise ConfigError(f"obs_point {self.obs_point} is a Dirichlet "
+                                  "node, where the trace is identically 0")
             StoppingRule(self.tau, 0.0, self.max_iter)
             RegularizationSchedule(self.alpha0, self.theta)
             InversionContext(problem, basis, self.smoothing_s)
         except (ValueError, IncompatibleBCError, OffGridError) as exc:
             raise ConfigError(str(exc)) from exc
-        if self.method == "landweber" and problem.obs_index != self.nx - 1:
-            # the adjoint solve takes the residual as a boundary flux there
-            raise ConfigError("landweber needs obs_point 1.0, got "
-                              f"{self.obs_point}")
         return problem, basis, truth
 
     def to_dict(self) -> dict:

@@ -1,9 +1,12 @@
-"""Property tests of the JSON config schema (round trip, and rejection of
-values of the wrong JSON type and of unknown keys) and of the exported
-scalar entry points, which take any float or small integer (Problem also
-lists of them as its sample times)."""
+"""Property tests of the JSON config schema (round trip, a named exit for
+every valid config's run, and rejection of values of the wrong JSON type
+and of unknown keys) and of the exported scalar entry points, which take
+any float or small integer (Problem also lists of them as its sample
+times)."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -26,10 +29,18 @@ from westinv import (
     evaluate_basis,
     poles,
     prefilter,
+    run_experiment,
     truth_field,
 )
 from westinv.data import TRUTH_FAMILIES
-from westinv.experiment import BASIS_ALIASES, METHODS, TIME_PROFILES
+from westinv.experiment import (
+    BASIS_ALIASES,
+    EXIT_MAX_ITER,
+    EXIT_OK,
+    EXIT_SOLVER,
+    METHODS,
+    TIME_PROFILES,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -41,22 +52,22 @@ def floats(lo, hi):
 
 
 @st.composite
-def valid_configs(draw):
-    nx = draw(st.integers(3, 60))
+def valid_configs(draw, max_nx=60, max_nt=500, max_samples=200,
+                  max_iter=100):
+    nx = draw(st.integers(3, max_nx))
     method = draw(st.sampled_from(METHODS))
-    # Landweber's adjoint solve needs the observation at x = 1, and Halley
-    # runs only frozen
-    obs = nx - 1 if method == "landweber" else draw(st.integers(0, nx - 1))
+    # sine_half, the one excitation, vanishes only at x = 0 and is flat only
+    # at x = 1; every method observes at any node but a Dirichlet one
+    bc_left = draw(st.sampled_from(["dirichlet", "impedance"]))
+    obs = draw(st.integers(int(bc_left == "dirichlet"), nx - 1))
     frozen = True if method == "halley" else draw(st.booleans())
     return ExperimentConfig(
         nx=nx,
-        nt=draw(st.integers(3, 500)),
+        nt=draw(st.integers(3, max_nt)),
         t_final=draw(floats(0.01, 10.0)),
         c2=draw(floats(0.01, 10.0)),
         b=draw(floats(0.001, 1.0)),
-        # sine_half, the one excitation, vanishes only at x = 0 and is flat
-        # only at x = 1
-        bc_left=draw(st.sampled_from(["dirichlet", "impedance"])),
+        bc_left=bc_left,
         bc_right=draw(st.sampled_from(["neumann", "impedance"])),
         basis_kind=draw(st.sampled_from(sorted(BASIS_ALIASES))),
         n_basis=draw(st.integers(1, nx)),
@@ -66,13 +77,13 @@ def valid_configs(draw):
         time_profile=draw(st.sampled_from(sorted(TIME_PROFILES))),
         noise=draw(floats(0.0, 1.0)),
         seed=draw(st.integers(0, 2**32)),
-        sample_count=draw(st.integers(4, 200)),
+        sample_count=draw(st.integers(4, max_samples)),
         method=method,
         frozen=frozen,
         tau=draw(floats(1.01, 10.0)),
         alpha0=draw(st.none() | floats(1e-6, 1e3)),
         theta=draw(floats(0.01, 0.99)),
-        max_iter=draw(st.integers(1, 100)),
+        max_iter=draw(st.integers(1, max_iter)),
         mu=draw(st.none() | floats(1e-6, 1.0)),
         diagnostics=draw(st.booleans()),
         obs_point=obs / (nx - 1),
@@ -96,6 +107,24 @@ def test_config_json_round_trip(cfg):
     cfg.validate()
     text = json.dumps(cfg.to_dict())
     assert ExperimentConfig.from_dict(json.loads(text)) == cfg
+
+
+@hypothesis.settings(max_examples=50, deadline=None, database=None)
+@hypothesis.given(valid_configs(max_nx=30, max_nt=120, max_samples=40,
+                                max_iter=4))
+def test_every_valid_config_runs_to_a_named_exit(cfg):
+    # a small run of any valid config, with RuntimeWarning an error (see
+    # pyproject.toml), ends in exit 0, 3 or 4 and never in a traceback; its
+    # report.json carries the code, and a run that ended carries finite
+    # residuals
+    with tempfile.TemporaryDirectory() as out:
+        code = run_experiment(cfg, out)
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
+    assert code in (EXIT_OK, EXIT_MAX_ITER, EXIT_SOLVER)
+    assert report["exit_code"] == code
+    if code != EXIT_SOLVER:
+        assert np.all(np.isfinite(report["residuals"]))
 
 
 @SETTINGS

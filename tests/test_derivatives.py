@@ -17,7 +17,6 @@ from westinv import (
     SpatialGrid,
     StateField,
     TimeGrid,
-    UnsupportedObservationError,
     apply_gradient,
     assemble_directional_hessian,
     assemble_jacobian,
@@ -162,14 +161,16 @@ def test_adjoint_end_conditions():
     assert np.all(a.values[:, -1] == 0.0)
 
 
-def test_adjoint_unsupported_observation():
+def test_adjoint_at_a_dirichlet_node_is_zero():
+    # the march drops the point source on a Dirichlet row: a == 0 exactly,
+    # the adjoint of a trace that is identically 0
     grid, tgrid, kap, problem, base = make_problem()
     y = np.ones(tgrid.nt + 1)
-    with pytest.raises(UnsupportedObservationError):
-        solve_adjoint(replace(problem, obs_point=0.5), base, kap, y)
     bc_dd = BoundaryCondition("dirichlet", "dirichlet")
-    with pytest.raises(UnsupportedObservationError):
-        solve_adjoint(replace(problem, bc=bc_dd), base, kap, y)
+    for observed in (replace(problem, obs_point=0.0),
+                     replace(problem, bc=bc_dd)):
+        a = solve_adjoint(observed, base, kap, y)
+        assert np.all(a.values == 0.0)
 
 
 def test_adjoint_residual_off_the_solver_grid():
@@ -180,14 +181,22 @@ def test_adjoint_residual_off_the_solver_grid():
             solve_adjoint(problem, base, kap, y)
 
 
-@pytest.mark.parametrize(
-    "bc, nx, nt", [(BC, 101, 400), (BC_DI, 51, 200), (BC_IN, 51, 200)],
-    ids=BC_IDS,
-)
-def test_adjoint_pairing_identity(bc, nx, nt):
-    # <z(1, .), y>_{L^2(0,T)} == <d-kappa, g>_{L^2(0,1)} with
-    # g = apply_gradient(a, (p^2)_tt, s=0); relative mismatch <= 1e-3
+PAIRING_CASES = [
+    pytest.param(bc, nx, nt, obs,
+                 id=bc_id if obs == 1.0 else f"{bc_id}-obs{obs}")
+    for (bc, nx, nt), bc_id in zip(
+        [(BC, 101, 400), (BC_DI, 51, 200), (BC_IN, 51, 200)], BC_IDS)
+    for obs in ((1.0, 0.5, 0.8, 0.0) if bc is BC_IN else (1.0, 0.5, 0.8))
+]
+
+
+@pytest.mark.parametrize("bc, nx, nt, obs", PAIRING_CASES)
+def test_adjoint_pairing_identity(bc, nx, nt, obs):
+    # <z(x_obs, .), y>_{L^2(0,T)} == <d-kappa, g>_{L^2(0,1)} with
+    # g = apply_gradient(a, (p^2)_tt, s=0); relative mismatch <= 1e-3, at
+    # x = 1, at interior nodes and at the left end when it is not Dirichlet
     grid, tgrid, kap, problem, base = make_problem(nx, nt, bc=bc)
+    problem = replace(problem, obs_point=obs)
     psq = second_time_derivative_of_square(base)
     for seed in (0, 1, 2):
         rng = np.random.Generator(np.random.Philox(seed))
@@ -196,7 +205,7 @@ def test_adjoint_pairing_identity(bc, nx, nt):
         z = solve_sensitivity(problem, base, kap, d)
         a = solve_adjoint(problem, base, kap, yv)
         g = apply_gradient(problem, a, psq, 0)
-        lhs = np.trapezoid(z.values[-1, :] * yv, dx=tgrid.dt)
+        lhs = np.trapezoid(z.values[problem.obs_index, :] * yv, dx=tgrid.dt)
         rhs = np.trapezoid(d.samples * g.samples, dx=grid.dx)
         assert abs(lhs - rhs) / abs(lhs) <= 1e-3
 

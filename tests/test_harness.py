@@ -377,8 +377,11 @@ def test_run_experiment_deterministic_bytes(tmp_path):
 @pytest.mark.parametrize("overrides", [
     {"method": "typo"},
     {"method": "halley", "frozen": False},
-    {"method": "landweber", "obs_point": 0.5},
-], ids=["unknown-method", "unfrozen-halley", "landweber-interior-obs"])
+    {"method": "landweber", "obs_point": 0.0},
+    {"method": "newton", "obs_point": 0.0},
+    {"method": "halley", "obs_point": 0.0},
+], ids=["unknown-method", "unfrozen-halley", "landweber-dirichlet-obs",
+        "newton-dirichlet-obs", "halley-dirichlet-obs"])
 def test_run_inversion_rejects_what_validate_rejects(tmp_path, monkeypatch,
                                                      overrides):
     # run_inversion checks its config before any solve: no data are
@@ -688,10 +691,10 @@ def test_cli_sweep_entry_without_config_wrapper(tmp_path):
     assert (out / "flat" / "report.json").exists()
 
 
-def _interior_observation(method):
+def _observation(method, obs_point=0.5):
     cfg = {"schema": 1, "grid": {"nx": 41}, "time": {"nt": 80},
            "basis": {"m": 7}, "sample_count": 25, "truth": {"amplitude": 0.3},
-           "method": method, "obs_point": 0.5}
+           "method": method, "obs_point": obs_point}
     if method == "landweber":
         cfg.update(noise=0.0001, method_options={"max_iter": 2, "mu": 0.01})
     else:
@@ -699,19 +702,32 @@ def _interior_observation(method):
     return cfg
 
 
-def test_cli_landweber_interior_observation_rejected(tmp_path, capsys):
-    # the adjoint solve needs the observation at x = 1
+def test_cli_landweber_interior_observation_runs(tmp_path):
+    # the adjoint solve takes the residual at the observation node
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(_interior_observation("landweber")))
-    _expect_config_error(capsys, ["reconstruct", "--config", str(path),
-                                  "--out", str(tmp_path / "o")])
+    path.write_text(json.dumps(_observation("landweber")))
+    out = tmp_path / "o"
+    assert cli_main(["reconstruct", "--config", str(path),
+                     "--out", str(out)]) in (EXIT_OK, EXIT_MAX_ITER)
+    assert (out / "report.json").exists()
 
 
 def test_cli_newton_interior_observation_runs(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(_interior_observation("newton")))
+    path.write_text(json.dumps(_observation("newton")))
     assert cli_main(["reconstruct", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("method", ["landweber", "newton", "halley"])
+def test_cli_dirichlet_observation_rejected(tmp_path, capsys, method):
+    # the trace at a Dirichlet node is identically 0, so no method may stop
+    # there by discrepancy: a config error that writes nothing
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_observation(method, obs_point=0.0)))
+    _expect_config_error(capsys, ["reconstruct", "--config", str(path),
+                                  "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key, spec", [

@@ -533,21 +533,24 @@ def test_report_serialization(tmp_path):
 
 # the frozen gradient map G (kappa0 = 0): G @ y replaces the adjoint solve
 # plus apply_gradient in frozen Landweber; the boundary pairs are those of
-# the derivative identities in test_derivatives.py
+# the derivative identities in test_derivatives.py, observed at x = 1 and
+# at an interior node
 BC_IDS = ["dirichlet-neumann", "dirichlet-impedance", "impedance-neumann"]
 
 
 @cache
-def gradient_map_context(bc_id, s):
+def gradient_map_context(bc_id, s, obs=1.0):
     ctx = make_setup(bc=BoundaryCondition(*bc_id.split("-")))[0]
-    return InversionContext(ctx.problem, ctx.basis, smoothing_s=s)
+    problem = dataclasses.replace(ctx.problem, obs_point=obs)
+    return InversionContext(problem, ctx.basis, smoothing_s=s)
 
 
 @hypothesis.settings(max_examples=30, deadline=None, database=None)
 @hypothesis.given(bc_id=st.sampled_from(BC_IDS), s=st.sampled_from([0, 1]),
+                  obs=st.sampled_from([1.0, 0.5]),
                   seed=st.integers(0, 2**32 - 1))
-def test_frozen_gradient_map_matches_the_adjoint_solve(bc_id, s, seed):
-    ctx = gradient_map_context(bc_id, s)
+def test_frozen_gradient_map_matches_the_adjoint_solve(bc_id, s, obs, seed):
+    ctx = gradient_map_context(bc_id, s, obs)
     G, problem = ctx.frozen_gradient_map, ctx.problem
     base = problem.frozen_base
     times = problem.tgrid.times

@@ -18,7 +18,6 @@ from westinv import (
     Problem,
     SpatialGrid,
     TimeGrid,
-    UnsupportedObservationError,
     sample_trace,
     solve_adjoint,
     solve_forward,
@@ -85,20 +84,16 @@ def make_problem(left, right, nx=31, nt=80):
 def solves(problem, kap, base):
     """Every march kind on one problem: the forward solve at kappa = 0 and
     at kap, five sensitivity columns in one block at kap and at kappa = 0,
-    the adjoint where the observation allows it, and the impulse response
-    of a fresh Problem."""
-    nx, nt = problem.grid.nx, problem.tgrid.nt
+    the adjoint at the observation node, and the impulse response of a
+    fresh Problem."""
+    nx = problem.grid.nx
     E = np.random.Generator(np.random.Philox(3)).standard_normal((nx, 5))
     out = {"p0": solve_forward(problem, None).values,
            "p": solve_forward(problem, kap).values,
            "z": solve_sensitivity(problem, base, kap, Direction(E)).values,
            "z0": solve_sensitivity(problem, base, None, Direction(E)).values}
-    if problem.obs_index == nx - 1:
-        residual = np.sin(7.0 * problem.tgrid.times)
-        out["a"] = solve_adjoint(problem, base, kap, residual).values
-    else:
-        with pytest.raises(UnsupportedObservationError):
-            solve_adjoint(problem, base, kap, np.zeros(nt + 1))
+    residual = np.sin(7.0 * problem.tgrid.times)
+    out["a"] = solve_adjoint(problem, base, kap, residual).values
     fresh = Problem(problem.params, problem.grid, problem.tgrid, problem.bc,
                     problem.source, obs_point=problem.obs_point)
     out["impulse"] = fresh.impulse_response
