@@ -1,5 +1,5 @@
 """Command-line interface: data synthesis, reconstruction, diagnostics,
-a manufactured-solution convergence study and concurrent parameter sweeps."""
+a manufactured-solution convergence study and parameter sweeps."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -153,14 +152,20 @@ def cmd_convergence_study(args) -> int:
 
 
 def _run_sweep_entry(job, shared: dict) -> int:
-    """run_experiment for one sweep entry.  Any other exception becomes this
-    entry's error report (exit 4), so the other entries still finish."""
+    """run_experiment for one entry: an unwritable output is its config error
+    (exit 2), any other exception its error report (exit 4)."""
     _, cfg, out_dir = job
     try:
-        return run_experiment(cfg, out_dir, shared)
-    except Exception as exc:  # a boundary: the sweep keeps running
-        traceback.print_exc()
-        return write_error_report(out_dir, f"{type(exc).__name__}: {exc}")
+        try:
+            return run_experiment(cfg, out_dir, shared)
+        except OSError:
+            raise
+        except Exception as exc:  # a boundary: the sweep keeps running
+            traceback.print_exc()
+            return write_error_report(out_dir, f"{type(exc).__name__}: {exc}")
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def cmd_sweep(args) -> int:
@@ -204,8 +209,7 @@ def cmd_sweep(args) -> int:
         cfg = ExperimentConfig.from_dict(entry)
         jobs.append((name, cfg, os.path.join(args.out, name)))
     shared = {}  # lives for this sweep only: see run_inversion
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        codes = list(pool.map(_run_sweep_entry, jobs, [shared] * len(jobs)))
+    codes = [_run_sweep_entry(job, shared) for job in jobs]
     for (name, _, out_dir), code in zip(jobs, codes):
         print(f"{name}: exit {code} -> {out_dir}")
     return max(codes)
@@ -253,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx0", type=int, default=26)
     p.add_argument("--nt0", type=int, default=50)
 
-    p = _subcommand(sub, "sweep", cmd_sweep, "run many configs concurrently")
-    p.add_argument("--jobs", type=int, default=4)
+    p = _subcommand(sub, "sweep", cmd_sweep, "run many configs in order")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="at least 1; no effect, as the entries run in order")
     return parser
 
 
@@ -263,7 +268,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MemoryError) as exc:  # sizes that cannot be allocated
+    # sizes that cannot be allocated, and an --out that cannot be written
+    except (ConfigError, MemoryError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except WestinvError as exc:

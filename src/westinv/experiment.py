@@ -277,8 +277,8 @@ def build_problem(cfg: ExperimentConfig, shared: dict | None = None):
             params, grid, tgrid, bc, source, obs_point=cfg.obs_point,
             sample_times=np.linspace(0.0, cfg.t_final, cfg.sample_count),
         )
-        if shared is not None:  # a racing worker's problem has the same bits
-            problem = shared.setdefault(key, problem)
+        if shared is not None:
+            shared[key] = problem
     grid = problem.grid
     basis = BasisSet(BASIS_ALIASES.get(cfg.basis_kind, cfg.basis_kind),
                      cfg.n_basis)
@@ -305,7 +305,7 @@ def run_inversion(cfg: ExperimentConfig, shared: dict | None = None):
     full, coarse, noisy = synthesize_data(problem, truth, cfg.noise, cfg.seed,
                                           clean)
     if shared is not None:
-        shared.setdefault(key, (full, coarse))
+        shared[key] = (full, coarse)
     filtered = prefilter(noisy, problem.tgrid.nt)
     eta = noisy.noise_level
     delta = np.sqrt(cfg.sample_count) * eta  # Euclidean norm on the samples

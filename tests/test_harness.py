@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -858,22 +859,69 @@ def test_sweep_solves_each_problem_and_truth_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
 def test_shared_sweep_artifacts_match_solo_runs(tmp_path, jobs):
-    # sharing changes no bits: every entry writes what it writes alone, at
-    # any --jobs; 4 workers on a short switch interval interleave the first
-    # reads of the shared problem and traces
+    # sharing changes no bits: every entry writes what it writes alone, and
+    # --jobs, which has no effect, changes no byte
     entries = [(name, dict(SHARED_PROBLEM, **overrides))
                for name, overrides in SHARING_SWEEP]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6 if jobs > 2 else interval)
-    try:
-        code, out = run_sweep(tmp_path, "sweep", entries, jobs)
-    finally:
-        sys.setswitchinterval(interval)
+    code, out = run_sweep(tmp_path, "sweep", entries, jobs)
     assert code == EXIT_MAX_ITER
     for name, overrides in entries:
         solo = tmp_path / "solo" / name
         run_experiment(small_config(**overrides), solo)
         assert_same_artifacts(out / name, solo)
+
+
+def test_sweep_runs_its_entries_in_order_on_the_calling_thread(
+        tmp_path, monkeypatch):
+    # --jobs starts no worker: each entry runs on the main thread, in the
+    # order of the run list
+    import westinv.cli as cli
+
+    calls = []
+    real = cli.run_experiment
+
+    def recording(cfg, out_dir, shared=None):
+        calls.append((threading.current_thread(), os.path.basename(out_dir)))
+        return real(cfg, out_dir, shared)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    names = ["c", "a", "b"]
+    code, _ = run_sweep(tmp_path, "sweep", [
+        (name, dict(seed=seed, max_iter=2)) for seed, name in enumerate(names)
+    ], jobs=2)
+    assert code in (EXIT_OK, EXIT_MAX_ITER)
+    assert calls == [(threading.main_thread(), name) for name in names]
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["runs", "raises"])
+def test_sweep_entry_whose_directory_is_a_file(tmp_path, capsys, monkeypatch,
+                                               raises):
+    # the first entry cannot write its directory, a file, not even the error
+    # report of a run that raises: its line reads exit 2, and the second
+    # entry still runs and writes; only the raising run prints a traceback
+    import westinv.experiment as experiment
+
+    real = experiment.run_inversion
+
+    def flaky(cfg, shared=None):
+        if raises and cfg.seed == 1:
+            raise RuntimeError("injected failure")
+        return real(cfg, shared)
+
+    monkeypatch.setattr(experiment, "run_inversion", flaky)
+    (tmp_path / "sweep").mkdir()
+    (tmp_path / "sweep" / "a").write_text("a file")
+    code, out = run_sweep(tmp_path, "sweep", [("a", dict(seed=1, max_iter=2)),
+                                              ("b", dict(seed=2, max_iter=2))])
+    report = json.loads((out / "b" / "report.json").read_text())
+    assert code == max(EXIT_CONFIG, report["exit_code"])
+    assert (out / "a").read_text() == "a file"
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert ("Traceback" in captured.err) is raises
+    lines = captured.out.splitlines()
+    assert lines[0] == f"a: exit {EXIT_CONFIG} -> {out / 'a'}"
+    assert lines[1] == f"b: exit {report['exit_code']} -> {out / 'b'}"
 
 
 def test_sweep_entry_with_a_degenerate_truth_fails_alone(tmp_path):
@@ -985,6 +1033,25 @@ def test_cli_sweep_name_not_one_path_component(tmp_path, capsys, name):
     _expect_config_error(capsys, ["sweep", "--config", str(path), "--jobs",
                                   "1", "--out", str(out)])
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["sweep.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth"], ["reconstruct"], ["diagnose", "svd"], ["diagnose", "poles"],
+    ["convergence-study", "--levels", "1"], ["sweep"],
+], ids=["synth", "reconstruct", "diagnose-svd", "diagnose-poles",
+        "convergence-study", "sweep"])
+def test_cli_out_that_is_a_file(tmp_path, capsys, argv):
+    # an --out that cannot be written is a config error, not a traceback,
+    # and the file stays as it was
+    path = write_small_config(tmp_path, max_iter=2)
+    if argv[0] == "sweep":
+        path.write_text(json.dumps({"runs": [
+            {"name": "a", "config": small_config(max_iter=2).to_dict()}]}))
+    out = tmp_path / "o"
+    out.write_text("a file")
+    _expect_config_error(capsys, [*argv, "--config", str(path),
+                                  "--out", str(out)])
+    assert out.read_text() == "a file"
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
