@@ -26,14 +26,10 @@ from .errors import (
     ConfigError,
     DegeneracyError,
     DivergenceError,
-    GridMismatchError,
-    IncompatibleBCError,
     LinearSolveError,
     NoConvergenceError,
-    OffGridError,
     RankDeficientError,
     SingularOperatorError,
-    TooFewSamplesError,
     WestinvError,
 )
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment, run_inversion

@@ -151,10 +151,9 @@ def cmd_convergence_study(args) -> int:
     return 0
 
 
-def _run_sweep_entry(job, shared: dict) -> int:
+def _run_sweep_entry(cfg, out_dir, shared: dict) -> int:
     """run_experiment for one entry: an unwritable output is its config error
     (exit 2), any other exception its error report (exit 4)."""
-    _, cfg, out_dir = job
     try:
         try:
             return run_experiment(cfg, out_dir, shared)
@@ -209,9 +208,10 @@ def cmd_sweep(args) -> int:
         cfg = ExperimentConfig.from_dict(entry)
         jobs.append((name, cfg, os.path.join(args.out, name)))
     shared = {}  # lives for this sweep only: see run_inversion
-    codes = [_run_sweep_entry(job, shared) for job in jobs]
-    for (name, _, out_dir), code in zip(jobs, codes):
-        print(f"{name}: exit {code} -> {out_dir}")
+    codes = []
+    for name, cfg, out_dir in jobs:  # each line as soon as its entry ends
+        codes.append(_run_sweep_entry(cfg, out_dir, shared))
+        print(f"{name}: exit {codes[-1]} -> {out_dir}", flush=True)
     return max(codes)
 
 

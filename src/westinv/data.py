@@ -6,7 +6,6 @@ import numpy as np
 
 from ._lapack import dgtsv
 from .basis import CoefficientField
-from .errors import TooFewSamplesError
 from .forward import Problem, solve_forward
 from .grids import SpatialGrid
 from .trace import TimeTrace
@@ -81,7 +80,7 @@ def prefilter(raw: TimeTrace, target_nt: int) -> TimeTrace:
     if target_nt < 1:
         raise ValueError(f"target_nt must be at least 1, got {target_nt}")
     if len(raw) < 4:
-        raise TooFewSamplesError("prefilter needs at least 4 samples")
+        raise ValueError("prefilter needs at least 4 samples")
     smooth = raw.values.copy()
     smooth[1:-1] = (raw.values[:-2] + raw.values[1:-1] + raw.values[2:]) / 3.0
     if not np.all(np.isfinite(smooth)):  # TimeTrace checks the times

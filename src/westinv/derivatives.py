@@ -33,7 +33,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import BasisSet, evaluate_basis
-from .errors import GridMismatchError
 from .forward import (
     Problem,
     StateField,
@@ -78,7 +77,7 @@ class JacobianMatrix:
 def _check_same_grids(problem: Problem, *states: StateField):
     for state in states:
         if state.grid != problem.grid or state.tgrid != problem.tgrid:
-            raise GridMismatchError("state field lives on different grids")
+            raise ValueError("state field lives on different grids")
 
 
 def _march(problem: Problem, base: StateField, kap: np.ndarray, forcing,
@@ -115,7 +114,7 @@ def solve_sensitivity(problem: Problem, base: StateField, kappa,
     kap = kappa_samples(kappa, problem.grid)
     d = direction.samples
     if d.ndim not in (1, 2) or d.shape[0] != problem.grid.nx:
-        raise GridMismatchError("direction does not match the spatial grid")
+        raise ValueError("direction does not match the spatial grid")
     # the integrated RHS d-kappa p^2 drives z by its time increments,
     # d-kappa Delta(p^2) / dt; on a C-ordered d.T the per-node Delta(p^2)
     # broadcast over the k columns, and the product's transpose is
@@ -164,7 +163,7 @@ def solve_adjoint(problem: Problem, base: StateField, kappa,
     grid, tgrid = problem.grid, problem.tgrid
     _check_same_grids(problem, base)
     if np.shape(residual) != (tgrid.nt + 1,):
-        raise GridMismatchError("residual is not sampled on the solver time grid")
+        raise ValueError("residual is not sampled on the solver time grid")
     kap = kappa_samples(kappa, grid)
 
     # time-reversed variables u(s) = a(T - s), v = u_s: alpha v_s + b A v
@@ -193,7 +192,7 @@ def apply_gradient(problem: Problem, adjoint: StateField, psq_tt: np.ndarray,
     if s not in (0, 1):
         raise ValueError("smoothing order s must be 0 or 1")
     if psq_tt.shape != adjoint.values.shape:
-        raise GridMismatchError("field shapes do not match")
+        raise ValueError("field shapes do not match")
     g = np.trapezoid(psq_tt * adjoint.values, dx=problem.tgrid.dt, axis=1)
     if s == 1:
         g = problem.operator.solve(g)

@@ -13,18 +13,6 @@ class NoConvergenceError(WestinvError):
     """The forward solver's Newton iteration did not meet its tolerance."""
 
 
-class OffGridError(WestinvError):
-    """A requested observation point is not a node of the spatial grid."""
-
-
-class IncompatibleBCError(WestinvError):
-    """A manufactured spatial profile violates the active boundary conditions."""
-
-
-class GridMismatchError(WestinvError):
-    """Fields passed to a solver live on inconsistent grids."""
-
-
 class SingularOperatorError(WestinvError):
     """The elliptic operator is singular (pure Neumann conditions), or a
     step system is not positive definite."""
@@ -40,10 +28,6 @@ class DivergenceError(WestinvError):
 
 class LinearSolveError(WestinvError):
     """The regularized normal equations are numerically singular."""
-
-
-class TooFewSamplesError(WestinvError):
-    """A raw trace has too few samples for prefiltering."""
 
 
 class ConfigError(WestinvError):

@@ -21,7 +21,7 @@ from .data import (
     synthesize_data,
     truth_field,
 )
-from .errors import ConfigError, IncompatibleBCError, OffGridError, WestinvError
+from .errors import ConfigError, WestinvError
 from .forward import Problem, manufactured_source
 from .grids import (
     DIRICHLET,
@@ -120,12 +120,11 @@ class ExperimentConfig:
 
         Each rule on one value is checked by the constructor that takes it,
         which validate builds as a run would (build_problem, StoppingRule,
-        RegularizationSchedule, InversionContext); their ValueError,
-        IncompatibleBCError and OffGridError become ConfigError.  Its own
-        rules span fields (not pure Neumann, n_basis <= nx, Halley frozen,
-        no observation at a Dirichlet node), meet a run only after its data
-        solve (noise, seed, sample_count, mu) or pick code (the method,
-        excitation and time-profile names)."""
+        RegularizationSchedule, InversionContext); their ValueError becomes
+        ConfigError.  Its own rules span fields (not pure Neumann,
+        n_basis <= nx, Halley frozen, no observation at a Dirichlet node),
+        meet a run only after its data solve (noise, seed, sample_count, mu)
+        or pick code (the method, excitation and time-profile names)."""
         checks = [
             (not (self.bc_left == NEUMANN and self.bc_right == NEUMANN),
              "pure Neumann conditions are not supported"),
@@ -155,7 +154,7 @@ class ExperimentConfig:
             StoppingRule(self.tau, 0.0, self.max_iter)
             RegularizationSchedule(self.alpha0, self.theta)
             InversionContext(problem, basis, self.smoothing_s)
-        except (ValueError, IncompatibleBCError, OffGridError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return problem, basis, truth
 

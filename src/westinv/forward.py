@@ -28,13 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegeneracyError,
-    IncompatibleBCError,
-    NoConvergenceError,
-    OffGridError,
-    SingularOperatorError,
-)
+from .errors import DegeneracyError, NoConvergenceError, SingularOperatorError
 from .grids import (
     DIRICHLET,
     NEUMANN,
@@ -97,14 +91,15 @@ class Problem:
     node and the trace sample times.
 
     Construction solves no PDE.  It builds the operator A, resolves the
-    observation index (OffGridError if obs_point is not a grid node) and
-    checks that the source r(x, t) is a finite (nx, nt + 1) array, once for
-    every solve on this setup.  sample_times, a 1-D array of finite values
-    (ValueError otherwise), defaults to the solver time levels.  It keeps
-    read-only copies of source and sample_times, and its cached arrays are
-    read-only, so runs can share one Problem.  The kappa = 0 solution
-    frozen_base and the impulse_response of every frozen linearization are
-    the two columns of one kappa = 0 march, made on first use.
+    observation index and checks that the source r(x, t) is a finite
+    (nx, nt + 1) array, once for every solve on this setup.  sample_times,
+    a non-empty 1-D array of finite values, defaults to the solver time
+    levels.  A malformed argument, such as an obs_point that is not a grid
+    node, raises ValueError.  It keeps read-only copies of source and
+    sample_times, and its cached arrays are read-only, so runs can share
+    one Problem.  The kappa = 0 solution frozen_base and the
+    impulse_response of every frozen linearization are the two columns of
+    one kappa = 0 march, made on first use.
     """
 
     params: MaterialParams
@@ -125,14 +120,14 @@ class Problem:
             raise ValueError("source values must be finite")
         idx = self.grid.node_index(self.obs_point)
         if idx is None:
-            raise OffGridError(
+            raise ValueError(
                 f"observation point {self.obs_point} is not a grid node"
             )
         times = np.array(self.tgrid.times if self.sample_times is None
                          else self.sample_times, dtype=float)
-        if times.ndim != 1 or not np.all(np.isfinite(times)):
-            raise ValueError("sample times must be a 1-D array of finite "
-                             "values")
+        if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+            raise ValueError("sample times must be a non-empty 1-D array of "
+                             "finite values")
         for array in (source, times):
             array.setflags(write=False)
         object.__setattr__(self, "source", source)
@@ -393,20 +388,20 @@ def manufactured_source(
 
 
 def _check_profile_bc(f, fx, bc: BoundaryCondition):
-    """Raise IncompatibleBCError if the profile f (fx = f at the nodes)
+    """Raise ValueError if the profile f (fx = f at the nodes)
     violates a Dirichlet or Neumann endpoint condition of [0, 1]."""
     scale = max(np.max(np.abs(fx)), 1.0)
     h = 1e-6
     for kind, endpoint, inward in ((bc.left, 0.0, 1.0), (bc.right, 1.0, -1.0)):
         value = fx[0] if inward > 0 else fx[-1]
         if kind == DIRICHLET and abs(value) > 1e-10 * scale:
-            raise IncompatibleBCError(
+            raise ValueError(
                 f"f({endpoint}) = {value:.3g} violates the Dirichlet condition"
             )
         if kind == NEUMANN:
             slope = (f(endpoint + inward * h) - f(endpoint)) / (inward * h)
             if abs(slope) > 1e-4 * scale:
-                raise IncompatibleBCError(
+                raise ValueError(
                     f"f'({endpoint}) = {slope:.3g} violates the Neumann condition"
                 )
 

@@ -24,7 +24,7 @@ from .derivatives import (
     frozen_hessian_tensor,
     solve_adjoint,
 )
-from .errors import DivergenceError, GridMismatchError, LinearSolveError
+from .errors import DivergenceError, LinearSolveError
 from .forward import (
     Problem,
     kappa_samples,
@@ -218,8 +218,7 @@ def _run_loop(data, init, ctx, stop, truth, step, divergence_guard=False):
     samples step(n, kappa, state, r) proposes are clipped to nonnegative
     values and projected onto the basis span."""
     if not np.array_equal(data.times, ctx.problem.sample_times):
-        raise GridMismatchError("data is not sampled at the problem's "
-                                "sample times")
+        raise ValueError("data is not sampled at the problem's sample times")
     kappa = init
     residuals, errs_inf, errs_l2 = [], [], []
     while True:

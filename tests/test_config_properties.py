@@ -6,6 +6,7 @@ times)."""
 
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -15,6 +16,7 @@ from westinv import (
     BasisSet,
     BoundaryCondition,
     ConfigError,
+    DegeneracyError,
     ExperimentConfig,
     MaterialParams,
     Problem,
@@ -30,6 +32,7 @@ from westinv import (
     poles,
     prefilter,
     run_experiment,
+    run_inversion,
     truth_field,
 )
 from westinv.data import TRUTH_FAMILIES
@@ -41,6 +44,7 @@ from westinv.experiment import (
     METHODS,
     TIME_PROFILES,
 )
+from westinv.forward import POSITIVITY_FLOOR
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -115,8 +119,9 @@ def test_config_json_round_trip(cfg):
 def test_every_valid_config_runs_to_a_named_exit(cfg):
     # a small run of any valid config, with RuntimeWarning an error (see
     # pyproject.toml), ends in exit 0, 3 or 4 and never in a traceback; its
-    # report.json carries the code, and a run that ended carries finite
-    # residuals
+    # report.json carries the code, a run that ended carries finite
+    # residuals, and a run that failed reports a solver error whose
+    # condition holds
     with tempfile.TemporaryDirectory() as out:
         code = run_experiment(cfg, out)
         with open(os.path.join(out, "report.json")) as fh:
@@ -125,6 +130,14 @@ def test_every_valid_config_runs_to_a_named_exit(cfg):
     assert report["exit_code"] == code
     if code != EXIT_SOLVER:
         assert np.all(np.isfinite(report["residuals"]))
+        return
+    with pytest.raises(WestinvError) as info:
+        run_inversion(cfg)
+    assert not isinstance(info.value, ConfigError)
+    assert report["error"] == str(info.value)
+    if isinstance(info.value, DegeneracyError):
+        margin = re.match(r"1 - 2\*kappa\*p = (\S+) fell below", report["error"])
+        assert float(margin[1]) <= POSITIVITY_FLOOR
 
 
 @SETTINGS
@@ -234,7 +247,7 @@ def test_entry_points_return_finite_values_or_raise_value_error(name, data):
     args = data.draw(st.tuples(*strategies))
     try:
         values = call(*args)
-    except (ValueError, WestinvError):
+    except ValueError:
         return
     for value in values:
         assert value is None or np.all(np.isfinite(value)), (name, args)

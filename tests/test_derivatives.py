@@ -11,7 +11,6 @@ import pytest
 from westinv import (
     BoundaryCondition,
     Direction,
-    GridMismatchError,
     MaterialParams,
     Problem,
     SpatialGrid,
@@ -91,7 +90,7 @@ def test_sensitivity_linearity():
 
 def test_sensitivity_direction_shape_mismatch():
     grid, tgrid, kap, problem, base = make_problem()
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValueError):
         solve_sensitivity(problem, base, kap,
                           Direction(np.zeros(grid.nx + 3)))
 
@@ -177,7 +176,7 @@ def test_adjoint_residual_off_the_solver_grid():
     # the residual must have one value per solver time level
     grid, tgrid, kap, problem, base = make_problem()
     for y in (np.ones(tgrid.nt), np.ones(tgrid.nt + 2)):
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValueError):
             solve_adjoint(problem, base, kap, y)
 
 

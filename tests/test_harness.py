@@ -20,7 +20,6 @@ from westinv import (
     SpatialGrid,
     TimeGrid,
     TimeTrace,
-    TooFewSamplesError,
     add_noise,
     manufactured_source,
     prefilter,
@@ -129,7 +128,7 @@ def test_add_noise_at_level_one():
 
 def test_prefilter_too_few_samples():
     times = np.linspace(0.0, 1.0, 3)
-    with pytest.raises(TooFewSamplesError):
+    with pytest.raises(ValueError):
         prefilter(TimeTrace(times, times), 10)
 
 
@@ -312,7 +311,7 @@ def test_config_validation_errors():
         {"c2": np.inf},
         {"b": np.nan},
         {"mu": np.inf},  # validate's own rule: a run meets mu after its solve
-        {"obs_point": np.inf},  # no node: OffGridError, not OverflowError
+        {"obs_point": np.inf},  # no node: a ValueError, not OverflowError
     ):
         with pytest.raises(ConfigError):
             small_config(**overrides).validate()
@@ -891,6 +890,31 @@ def test_sweep_runs_its_entries_in_order_on_the_calling_thread(
     ], jobs=2)
     assert code in (EXIT_OK, EXIT_MAX_ITER)
     assert calls == [(threading.main_thread(), name) for name in names]
+
+
+def test_sweep_prints_each_line_as_its_entry_ends(tmp_path, capsys,
+                                                  monkeypatch):
+    # the first entry's summary line is on stdout before the second starts
+    import westinv.cli as cli
+
+    seen = []
+    real = cli.run_experiment
+
+    def recording(cfg, out_dir, shared=None):
+        seen.append(capsys.readouterr().out)
+        return real(cfg, out_dir, shared)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    code, out = run_sweep(tmp_path, "sweep", [
+        (name, dict(seed=seed, max_iter=2)) for seed, name in enumerate("ab")
+    ])
+    codes = [json.loads((out / name / "report.json").read_text())["exit_code"]
+             for name in "ab"]
+    lines = [f"{name}: exit {c} -> {out / name}\n"
+             for name, c in zip("ab", codes)]
+    assert seen == ["", lines[0]]
+    assert capsys.readouterr().out == lines[1]
+    assert code == max(codes)
 
 
 @pytest.mark.parametrize("raises", [False, True], ids=["runs", "raises"])

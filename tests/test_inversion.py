@@ -12,7 +12,6 @@ from westinv import (
     BoundaryCondition,
     CoefficientField,
     DivergenceError,
-    GridMismatchError,
     InversionContext,
     LinearSolveError,
     MaterialParams,
@@ -403,7 +402,7 @@ def test_data_off_the_sample_times_rejected():
     ctx, init, truth, _ = make_setup()
     data = make_setup(sample_count=20)[3]
     stop = StoppingRule(tau=2.0, delta=0.0, max_iter=2)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValueError):
         newton_lm_run(data, init, True, RegularizationSchedule(1.0), stop, ctx)
 
 
