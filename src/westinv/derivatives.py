@@ -83,18 +83,13 @@ def _check_same_grids(problem: Problem, *states: StateField):
 def _march(problem: Problem, base: StateField, kap: np.ndarray, forcing,
            trace_only: bool) -> StateField | np.ndarray:
     """March ((1 - 2 kappa p) u)_t + b A u + c^2 \\int A u = g, where
-    forcing yields g for steps n -> n + 1; a StateField, or with trace_only
-    the observation row.  At kappa = 0 the step matrix is constant."""
-    if kap.any():
-        alpha = 1.0 - 2.0 * kap[:, None] * base.values
-
-        def advance(n, un, step):
-            step(alpha[:, n + 1], (alpha[:, n] * un.T).T)
-    else:
-        def advance(n, un, step):
-            step(1.0, un)
-
-    u = cn_march(problem, forcing, advance,
+    forcing yields W g for steps n -> n + 1 (cn_march); a StateField, or
+    with trace_only the observation row.  The step masses are W (1 - 2
+    kappa p) / dt, time-major; at kappa = 0, None: the constant matrix."""
+    mass = ((1.0 - 2.0 * kap * base.values.T)
+            * (problem.operator.free_weights / problem.tgrid.dt)
+            if kap.any() else [None] * (problem.tgrid.nt + 1))
+    u = cn_march(problem, forcing, lambda n, un, step: step(mass[n + 1]),
                  problem.obs_index if trace_only else slice(None))
     return u if trace_only else StateField(u, problem.grid, problem.tgrid)
 
@@ -116,11 +111,13 @@ def solve_sensitivity(problem: Problem, base: StateField, kappa,
     if d.ndim not in (1, 2) or d.shape[0] != problem.grid.nx:
         raise ValueError("direction does not match the spatial grid")
     # the integrated RHS d-kappa p^2 drives z by its time increments,
-    # d-kappa Delta(p^2) / dt; on a C-ordered d.T the per-node Delta(p^2)
-    # broadcast over the k columns, and the product's transpose is
-    # Fortran-ordered, as cn_march keeps its state
+    # d-kappa Delta(p^2) / dt, which cn_march takes scaled by W; on a
+    # C-ordered d.T the per-node W Delta(p^2) broadcast over the k columns,
+    # and the product's transpose is Fortran-ordered, as cn_march keeps its
+    # state
     psq = base.values**2
     rate = ((psq[:, 1:] - psq[:, :-1]) / problem.tgrid.dt).T
+    rate *= problem.operator.free_weights
     dT = np.ascontiguousarray(d.T)
     return _march(problem, base, kap, ((dT * r).T for r in rate), trace_only)
 
@@ -138,11 +135,13 @@ def solve_second_derivative(problem: Problem, base: StateField, kappa0,
     _check_same_grids(problem, base, z1, z2)
     kap = kappa_samples(kappa0, problem.grid)
     p = base.values
+    two_w = 2.0 * problem.operator.free_weights  # cn_march takes W g
 
     def level(n):
         z1n, z2n = z1.values[..., n].T, z2.values[..., n].T
-        return (2.0 * (kap * z1n * z2n
-                       + p[:, n] * (d1.samples.T * z2n + d2.samples.T * z1n))).T
+        return (two_w * (kap * z1n * z2n
+                         + p[:, n] * (d1.samples.T * z2n
+                                      + d2.samples.T * z1n))).T
 
     levels = pairwise(map(level, range(problem.tgrid.nt + 1)))
     return _march(problem, base, kap,
@@ -155,8 +154,10 @@ def solve_adjoint(problem: Problem, base: StateField, kappa,
     """Solve the adjoint equation backward in time with end conditions
     a(T) = a_t(T) = 0 and the residual y entering as a point source at the
     observation node (at an end node, the flux condition
-    d/dx (b a_t - c^2 a) = -y).  At a Dirichlet node the march drops the
-    source, so a = 0: the adjoint of a trace that is identically 0.
+    d/dx (b a_t - c^2 a) = -y).  The source is handed to the march
+    weighted, W delta y, which is 0 at a Dirichlet node, so a = 0 there:
+    the adjoint of a trace that is identically 0.  At kappa = 0 the step
+    matrix is constant, factored once.
 
     The residual y is an (nt + 1,) array on the solver time levels
     (prefilter beforehand).  Returns a in forward-time orientation."""
@@ -165,21 +166,28 @@ def solve_adjoint(problem: Problem, base: StateField, kappa,
     if np.shape(residual) != (tgrid.nt + 1,):
         raise ValueError("residual is not sampled on the solver time grid")
     kap = kappa_samples(kappa, grid)
+    A = problem.operator
 
     # time-reversed variables u(s) = a(T - s), v = u_s: alpha v_s + b A v
     # + c^2 A u = delta_obs y(T - s) is the linear march in v with
-    # alpha frozen at each step's midpoint and memory A u = \\int_0^s A v
-    alpha_rev = (1.0 - 2.0 * kap[:, None] * base.values)[:, ::-1]
-    alpha_mid = 0.5 * (alpha_rev[:, :-1] + alpha_rev[:, 1:])
+    # alpha frozen at each step's midpoint and memory A u = \\int_0^s A v;
+    # the step masses are W alpha / dt, time-major, and at kappa = 0 None,
+    # the march's constant matrix
+    mass = None
+    if kap.any():
+        alpha_rev = (1.0 - 2.0 * kap * base.values.T)[::-1]
+        mass = (0.5 * (alpha_rev[:-1] + alpha_rev[1:])
+                * (A.free_weights / tgrid.dt))
     y_rev = np.asarray(residual, dtype=float)[::-1]
     delta = np.zeros(grid.nx)
     obs = problem.obs_index  # discrete delta: 2 / dx at an end node
-    delta[obs] = 1.0 / (grid.dx * problem.operator.weights[obs])
+    delta[obs] = 1.0 / (grid.dx * A.weights[obs])
+    delta *= A.free_weights  # W delta, as cn_march takes it
     forcing = (delta * (0.5 * (y_rev[n] + y_rev[n + 1]))
                for n in range(tgrid.nt))
     v = cn_march(problem, forcing,
-                 lambda n, un, step: step(alpha_mid[:, n],
-                                          alpha_mid[:, n] * un))
+                 lambda n, un, step: step(None) if mass is None
+                 else step(mass[n], mass[n] * un))
     u = _cumulative_trapezoid(v, tgrid.dt)
     return StateField(u[:, ::-1].copy(), grid, tgrid)
 

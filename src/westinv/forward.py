@@ -144,22 +144,24 @@ class Problem:
     @cached_property
     def _frozen_pair(self) -> tuple:
         """p0 and R from one kappa = 0 march of two columns: column 0 forced
-        by step_forcing, column 1 by e_obs in step 0.  The step matrix is
-        the same for both, so each column has the bits of its own march;
-        each is copied out of the march's store, which is then freed."""
+        by step_forcing, column 1 by W e_obs = w_obs e_obs in step 0 (0 at a
+        Dirichlet node).  The step matrix is the same for both, so each
+        column has the bits of its own march; each is copied out of the
+        march's store, which is then freed."""
+        obs, free = self.obs_index, self.operator.free_weights
+
         def forcing():  # one Fortran-ordered (nx, 2) block per step
             for n, f in enumerate(self.step_forcing):
                 block = np.zeros((self.grid.nx, 2), order="F")
                 block[:, 0] = f
                 if n == 0:
-                    block[self.obs_index, 1] = 1.0
+                    block[obs, 1] = free[obs]
                 yield block
 
-        u = cn_march(self, forcing(), lambda n, un, step: step(1.0, un))
+        u = cn_march(self, forcing(), lambda n, un, step: step(None))
         p0 = np.ascontiguousarray(u[:, 0].T).T  # time-major, as any solve
         w = self.operator.weights
-        R = np.ascontiguousarray((w / w[self.obs_index])[:, None]
-                                 * u[:, 1, 1:])
+        R = np.ascontiguousarray((w / w[obs])[:, None] * u[:, 1, 1:])
         for array in (p0, R):
             array.setflags(write=False)
         return StateField(p0, self.grid, self.tgrid), R
@@ -182,12 +184,13 @@ class Problem:
 
     @cached_property
     def step_forcing(self) -> np.ndarray:
-        """Read-only (nt, nx) forcing of solve_forward's steps n -> n + 1,
-        time-major: the running time integral R of the source averaged over
-        each step, 0 on Dirichlet rows.  Computed on first use."""
+        """Read-only (nt, nx) forcing W f of solve_forward's steps n -> n +
+        1, time-major, as cn_march takes it: f the running time integral R
+        of the source averaged over each step, scaled by the trapezoid
+        weights W and 0 on Dirichlet rows.  Computed on first use."""
         R = _cumulative_trapezoid(self.source, self.tgrid.dt)
         forcing = (0.5 * (R[:, :-1] + R[:, 1:])).T.copy()
-        forcing[:, self.operator.dirichlet] = 0.0
+        forcing *= self.operator.free_weights
         forcing.setflags(write=False)
         return forcing
 
@@ -222,68 +225,70 @@ def cn_march(problem: Problem, forcing, advance, keep=slice(None)) -> np.ndarray
     """Crank-Nicolson march of (a u)_t + b A u + c^2 \\int_0^t A u = f with
     homogeneous initial data; the one time loop behind every solve.
 
-    forcing yields f for steps n -> n + 1, n = 0, ..., nt - 1, shaped (nx,)
-    or (nx, k): k columns march through the same step matrices.  An (nx, k)
+    Each step's system is solved as the symmetric positive definite W (a/dt
+    + coef A), W the trapezoid weights A.weights, so the march takes its
+    terms scaled by W and 0 on Dirichlet rows (A.free_weights).  forcing
+    yields W f for steps n -> n + 1, n = 0, ..., nt - 1, shaped (nx,) or
+    (nx, k): k columns march through the same step matrices.  An (nx, k) W
     f must be Fortran-ordered, the layout of the march's state: every op
-    that mixes a C-ordered f with that state reads one of them with strides
-    on every step (same bits, slower).
-    advance(n, un, step) calls step(a_new, old) at least once; step solves
-    (a_new/dt + coef A) u = rhs, rhs = old/dt + f - coef A un - c^2
-    \\int_0^{t_n} A u (trapezoidal memory), and returns u, so a linear step
-    passes old = a_old un.  The last call's u is u^{n+1}, and coef A u^{n+1}
-    = rhs - (a_new/dt) u^{n+1} is read off its system, so no step applies A.
+    that mixes a C-ordered W f with that state reads one of them with
+    strides on every step (same bits, slower).
+    advance(n, un, step) calls step(mass, old=None) at least once; step
+    solves (mass + W coef A) u = rhs, rhs = old + W f - W coef A un - W c^2
+    \\int_0^{t_n} A u (trapezoidal memory), and returns u.  mass is the
+    (nx,) diagonal W a_new / dt; None is a_new = 1, W / dt, the same matrix
+    on every step, factored once per march and its factors reused, bit for
+    bit the u of factoring it each step.  old is W a_old un / dt; None is
+    the conservative linear step's, the last step's mass times un, which
+    the march keeps.  The last call's u is u^{n+1}, and W coef A u^{n+1} =
+    rhs - mass u^{n+1} is read off its system, so no step applies A.
     Dirichlet rows are the identity with rhs 0, so u and A u are exactly 0
     there.
 
-    Each system is solved as the symmetric positive definite W (a_new/dt +
-    coef A), W the trapezoid weights A.weights, which the march folds into
-    its per-node weights, so its rhs, coef A u and memory carry W too.  A
-    float a_new gives the same matrix on every step: it is factored once
-    and its factors reused while a_new stays the same, bit for bit the u of
-    factoring it each step.  The per-step state is kept in LAPACK's layout,
-    Fortran-ordered (nx, k) blocks, and the levels time-major, (nt + 1, k,
-    nx), so that each step stores one contiguous row.  Returns u[keep] at
-    every time level, time last: the (nx[, k], nt + 1) transposed view of
-    that store.
+    The per-step state is kept in LAPACK's layout, Fortran-ordered (nx, k)
+    blocks, and the levels time-major, (nt + 1, k, nx), so that each step
+    stores one contiguous row.  Returns u[keep] at every time level, time
+    last: the (nx[, k], nt + 1) transposed view of that store.
     """
     A, params, tgrid = problem.operator, problem.params, problem.tgrid
     dt = tgrid.dt
     coef = params.b / 2 + params.c2 * dt / 4
     bands = A.banded(coef)  # each step rewrites only the main diagonal
     diag = bands[0].copy()  # W coef A's, 1 on Dirichlet rows, where A is 0
-    free = A.weights * (1.0 - A.dirichlet)  # W, 0 on Dirichlet rows
-    inv_dt = free / dt
+    unit = A.free_weights / dt  # step(None)'s mass: a = 1
     steps = iter(forcing)
     f = next(steps)
-    col = (slice(None),) + (None,) * (f.ndim - 1)  # per node, over k columns
-    weight, free = inv_dt[col], free[col]
-    # u^0, W coef A u^0 and the memory W c^2 \\int A u, in LAPACK's layout
-    un, coef_Au, memory = (np.zeros(f.shape, order="F") for _ in range(3))
+    # u^0, its mass W a u^0 / dt, W coef A u^0 and the memory W c^2 \\int
+    # A u, in LAPACK's layout
+    un, mass_u, coef_Au, memory = (np.zeros(f.shape, order="F")
+                                   for _ in range(4))
     levels = np.zeros((tgrid.nt + 1,) + un[keep].T.shape)
     scale = params.c2 * dt / (2 * coef)  # trapezoid weight per coef A u
     solved = ()
-    system = None, bands  # the last float a_new and its Factors, or bands
+    factors = None  # of the a = 1 matrix, on the first step(None)
 
-    def step(a_new, old):  # reads the loop's current rest
-        nonlocal solved, system
-        a_dt = a_new * inv_dt
-        constant = isinstance(a_new, float)  # the same matrix every step
-        if not (constant and a_new == system[0]):
-            np.add(a_dt, diag, out=bands[0])
-            system = (a_new, A.factor(bands)) if constant else (None, bands)
-        rhs = old * weight
-        rhs += rest
-        solved = A.solve_banded_system(system[1], rhs), rhs, a_dt
+    def step(mass, old=None):  # reads the loop's current rest and mass_u
+        nonlocal solved, factors
+        if mass is None:
+            if factors is None:
+                np.add(unit, diag, out=bands[0])
+                factors = A.factor(bands)
+            mass, system = unit, factors
+        else:
+            np.add(mass, diag, out=bands[0])
+            system = bands
+        rhs = (mass_u if old is None else old) + rest
+        solved = A.solve_banded_system(system, rhs), rhs, mass
         return solved[0]
 
     for n in range(tgrid.nt):
-        rest = f * free  # 0 on Dirichlet rows, as are coef A u and memory
-        rest -= coef_Au
+        rest = f - coef_Au  # W f, coef A u and memory are 0 on Dirichlet rows
         rest -= memory
         advance(n, un, step)
-        (un, rhs, a_dt), solved = solved, ()  # fails if step was not called
+        (un, rhs, mass), solved = solved, ()  # fails if step was not called
         levels[n + 1] = un[keep].T
-        rhs -= (a_dt * un.T).T  # W coef A u^{n+1}
+        mass_u = (mass * un.T).T
+        rhs -= mass_u  # W coef A u^{n+1}
         coef_Au += rhs
         coef_Au *= scale
         memory += coef_Au
@@ -316,6 +321,8 @@ def solve_forward(problem: Problem, kappa) -> StateField:
     tgrid = problem.tgrid
     kap = kappa_samples(kappa, problem.grid)
     two_kap, abs_kap = 2.0 * kap, np.abs(kap)
+    unit = problem.operator.free_weights / tgrid.dt  # cn_march's W / dt
+    kap_unit, two_kap_unit = kap * unit, two_kap * unit
     p2 = p1 = None  # p^{n-2} and p^{n-1}: the contiguous step solutions
 
     def advance(n, pn, step):
@@ -323,10 +330,11 @@ def solve_forward(problem: Problem, kappa) -> StateField:
         # quadratic extrapolation; p^0 = 0, so 2 p^1 is the linear one
         pk = 3.0 * (pn - p1) + p2 if n > 1 else (n + 1) * pn
         p2, p1 = p1, pn
-        pn_sq = pn * pn
+        pn_sq, unit_pn = pn * pn, unit * pn
         for _ in range(MAX_INNER):
-            try:
-                pnew = step(1.0 - two_kap * pk, pn - kap * (pk * pk + pn_sq))
+            try:  # a = 1 - 2 kappa pk, cn_march's terms scaled by W / dt
+                pnew = step(unit - two_kap_unit * pk,
+                            unit_pn - kap_unit * (pk * pk + pn_sq))
             except SingularOperatorError:  # only if 1 - 2 kappa pk <= 0
                 margin = 1.0 - np.max(two_kap * pk)
                 if margin >= POSITIVITY_FLOOR:
@@ -353,7 +361,7 @@ def solve_forward(problem: Problem, kappa) -> StateField:
 
     p = cn_march(problem, problem.step_forcing,
                  advance if kap.any()  # kappa = 0: Newton's single solve
-                 else lambda n, pn, step: step(1.0, pn))
+                 else lambda n, pn, step: step(None))
     return StateField(p, problem.grid, tgrid)
 
 

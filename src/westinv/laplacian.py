@@ -68,6 +68,14 @@ class Laplace1D:
         w.setflags(write=False)
         return w
 
+    @cached_property
+    def free_weights(self) -> np.ndarray:
+        """Read-only W with 0 on Dirichlet rows: the scaling of every
+        forcing and step mass that westinv.forward.cn_march takes."""
+        w = self.weights * ~self.dirichlet
+        w.setflags(write=False)
+        return w
+
     def banded(self, scale: float) -> tuple:
         """The main and off diagonal of the symmetric W (scale * A), views
         of one (2, nx) block, with Dirichlet rows and columns those of the

@@ -176,8 +176,8 @@ def test_frozen_newton_factors_the_jacobian_once(monkeypatch):
 def count_marches(monkeypatch):
     """Record each march of westinv.derivatives (its first forcing's shape)
     and each march of westinv.forward whose second column is forced by
-    e_obs in step 0 (the kappa = 0 march of p0 and the impulse response),
-    by module name."""
+    w_obs e_obs in step 0 (the kappa = 0 march of p0 and the impulse
+    response), by module name."""
     import westinv.derivatives as derivatives
     import westinv.forward as forward
 
@@ -190,7 +190,8 @@ def count_marches(monkeypatch):
             forcing = iter(forcing)
             first = next(forcing)
             e_obs = np.zeros(problem.grid.nx)
-            e_obs[problem.obs_index] = 1.0
+            e_obs[problem.obs_index] = problem.operator.weights[
+                problem.obs_index]
             if module is derivatives or (
                     first.ndim == 2 and np.array_equal(first[:, 1], e_obs)):
                 marches.append((module.__name__, first.shape))
@@ -604,6 +605,24 @@ def test_frozen_landweber_solves_the_adjoint_once(monkeypatch):
     result = run_inversion(cfg)
     assert result.report.stop_index == 4
     assert len(calls) == 1
+
+
+def test_frozen_gradient_map_factors_its_adjoint_step_once(monkeypatch):
+    # at kappa = 0 the adjoint's step matrix is the march's own constant
+    # one: one dpttrf, then the factors' solve on every step, no dptsv
+    import westinv.laplacian as laplacian
+
+    ctx = gradient_map_context("dirichlet-neumann", 0)
+    ctx = InversionContext(ctx.problem, ctx.basis)  # G not yet cached
+    ctx.problem.frozen_base  # its own kappa = 0 march, cached beforehand
+    calls = []
+    for name in ("dptsv", "dpttrf"):
+        monkeypatch.setattr(
+            laplacian, name,
+            lambda *a, name=name, original=getattr(laplacian, name):
+                calls.append(name) or original(*a))
+    ctx.frozen_gradient_map
+    assert calls == ["dpttrf"]
 
 
 def test_unfrozen_landweber_solves_the_adjoint_per_step(monkeypatch):

@@ -34,33 +34,41 @@ PAIRS = [(left, right) for left in ("dirichlet", "neumann", "impedance")
 def reference_march(problem, forcing, advance, keep=slice(None)):
     """The march with A applied to every new level, the running integral
     of A u accumulated by the trapezoidal rule and each step's matrix
-    assembled densely and solved by np.linalg.solve."""
+    assembled densely and solved by np.linalg.solve.  It takes cn_march's
+    weighted terms, W f, the mass W a / dt and old = W a un / dt, and
+    divides them by W."""
     A, params, tgrid = problem.operator, problem.params, problem.tgrid
     dt = tgrid.dt
     coef = params.b / 2 + params.c2 * dt / 4
     nx = problem.grid.nx
     coef_A = coef * A.apply(np.eye(nx))  # column j is coef A e_j
     fixed = np.flatnonzero(A.dirichlet)
+
+    def unweighted(x):  # per node, over any k columns
+        return (x.T / A.weights).T
+
     steps = iter(forcing)
     f = next(steps)
     un = np.zeros(f.shape)
     u = np.zeros(un[keep].shape + (tgrid.nt + 1,))
     memory, Aun = np.zeros(f.shape), np.zeros(f.shape)
-    solution = None
+    solution = new_a_dt = None
+    a_dt = np.zeros(nx)  # the last step's a / dt, any at u^0 = 0
 
-    def step(a_new, old):
-        nonlocal solution
-        matrix = np.diag(np.broadcast_to(a_new / dt, (nx,))) + coef_A
+    def step(mass, old=None):
+        nonlocal solution, new_a_dt
+        new_a_dt = np.full(nx, 1.0 / dt) if mass is None else mass / A.weights
+        matrix = np.diag(new_a_dt) + coef_A
         matrix[fixed] = np.eye(nx)[fixed]  # u = 0 at Dirichlet nodes
-        rhs = old / dt + rest
+        rhs = ((a_dt * un.T).T if old is None else unweighted(old)) + rest
         rhs[fixed] = 0.0
         solution = np.linalg.solve(matrix, rhs)
         return solution
 
     for n in range(tgrid.nt):
-        rest = -coef * Aun - params.c2 * memory + f
+        rest = -coef * Aun - params.c2 * memory + unweighted(f)
         advance(n, un, step)
-        un = solution  # the last step's
+        un, a_dt = solution, new_a_dt  # the last step's
         u[..., n + 1] = un[keep]
         Aun_old, Aun = Aun, A.apply(un)
         memory += 0.5 * dt * (Aun_old + Aun)
@@ -157,7 +165,7 @@ def test_sample_trace_equals_np_interp_bit_for_bit(nt, t_final):
 
 
 def test_constant_step_matrix_is_factored_once(monkeypatch):
-    # a float a_new is the same matrix on every step: one dpttrf, then the
+    # step(None) is the same matrix on every step: one dpttrf, then the
     # factors' solve, bit for bit the march that factors on every step
     problem, _ = make_problem("impedance", "neumann")
     nt, nx = problem.tgrid.nt, problem.grid.nx
@@ -170,11 +178,12 @@ def test_constant_step_matrix_is_factored_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(westinv.laplacian, "dpttrf", counting)
-    once = cn_march(problem, forcing, lambda n, un, step: step(1.0, un))
+    once = cn_march(problem, forcing, lambda n, un, step: step(None))
     assert len(factored) == 1
+    unit = problem.operator.free_weights / problem.tgrid.dt  # W / dt
     each_step = cn_march(problem, forcing,
-                         lambda n, un, step: step(np.ones(nx), un))
-    assert len(factored) == 1  # an array a_new: dptsv on every step
+                         lambda n, un, step: step(unit, (unit * un.T).T))
+    assert len(factored) == 1  # an array mass: dptsv on every step
     assert np.max(np.abs(once)) > 0.0
     assert np.array_equal(once, each_step)
     solve_forward(problem, None)
@@ -186,8 +195,8 @@ def lone_impulse_response(problem):
     forced by e_obs in step 0 and scaled by w / w_obs per node."""
     nx, nt, obs = problem.grid.nx, problem.tgrid.nt, problem.obs_index
     forcing = np.zeros((nt, nx))
-    forcing[0, obs] = 1.0
-    u = cn_march(problem, forcing, lambda n, un, step: step(1.0, un))
+    forcing[0, obs] = problem.operator.free_weights[obs]  # W e_obs
+    u = cn_march(problem, forcing, lambda n, un, step: step(None))
     w = problem.operator.weights
     return (w / w[obs])[:, None] * u[:, 1:]
 
